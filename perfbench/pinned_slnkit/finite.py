@@ -1,0 +1,357 @@
+"""Finite structures for the one-binary-predicate language, their heap
+encodings, and the translation of that language into SLN.
+
+A structure is a pair (U, R) with U a finite set of naturals.  Its heap
+image stores one two-cell row (0, p+2) per universe element and one
+three-cell row (1, n+2, m+2) per relation pair, elements offset by 2.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Union
+
+from .ast import (
+    And, Eq, Exists, Formula, Not, and_all, imp, shift, sln_num, svar,
+)
+from .heap import Heap
+from .parser import ParseError, Token, _tokenize
+from .semantics import VarAssignment
+from .translate import row
+
+
+# ---------------------------------------------------------------------------
+# Language L: one binary predicate, variables as the only terms.
+
+
+@dataclass(frozen=True)
+class LEq:
+    left: str
+    right: str
+
+
+@dataclass(frozen=True)
+class LPred:
+    left: str
+    right: str
+
+
+@dataclass(frozen=True)
+class LNot:
+    body: "LFormula"
+
+
+@dataclass(frozen=True)
+class LAnd:
+    left: "LFormula"
+    right: "LFormula"
+
+
+@dataclass(frozen=True)
+class LExists:
+    var: str
+    body: "LFormula"
+
+
+LFormula = Union[LEq, LPred, LNot, LAnd, LExists]
+
+
+def l_forall(var: str, body: LFormula) -> LFormula:
+    return LNot(LExists(var, LNot(body)))
+
+
+def l_or(a: LFormula, b: LFormula) -> LFormula:
+    return LNot(LAnd(LNot(a), LNot(b)))
+
+
+def l_imp(a: LFormula, b: LFormula) -> LFormula:
+    return LNot(LAnd(a, LNot(b)))
+
+
+def l_free_vars(a: LFormula) -> frozenset[str]:
+    match a:
+        case LEq(l, r) | LPred(l, r):
+            return frozenset((l, r))
+        case LNot(b):
+            return l_free_vars(b)
+        case LAnd(l, r):
+            return l_free_vars(l) | l_free_vars(r)
+        case LExists(x, b):
+            return l_free_vars(b) - {x}
+    raise TypeError(f"not an L formula: {a!r}")
+
+
+# ---------------------------------------------------------------------------
+# Finite structures
+
+
+@dataclass(frozen=True)
+class FiniteStructure:
+    universe: frozenset[int]
+    relation: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        if any(p < 0 for p in self.universe):
+            raise ValueError("universe elements are naturals")
+        if any(n < 0 or m < 0 for n, m in self.relation):
+            raise ValueError("relation elements are naturals")
+
+    @property
+    def well_formed(self) -> bool:
+        """Relation contained in universe^2 (decoded heaps may break this;
+        the translation re-checks membership at every predicate atom)."""
+        return all(n in self.universe and m in self.universe
+                   for n, m in self.relation)
+
+
+def structure(universe, relation) -> FiniteStructure:
+    return FiniteStructure(frozenset(universe),
+                           frozenset((n, m) for n, m in relation))
+
+
+def eval_fol(m: FiniteStructure, sigma: VarAssignment, a: LFormula) -> bool:
+    """Satisfaction in a finite structure; quantifiers range over the
+    universe, and sigma must send the free variables into it."""
+    for v in sorted(l_free_vars(a)):
+        if sigma(v) not in m.universe:
+            raise ValueError(f"assignment sends {v} to {sigma(v)}, "
+                             f"outside the universe")
+
+    def go(sigma: VarAssignment, a: LFormula) -> bool:
+        match a:
+            case LEq(l, r):
+                return sigma(l) == sigma(r)
+            case LPred(l, r):
+                return (sigma(l), sigma(r)) in m.relation
+            case LNot(b):
+                return not go(sigma, b)
+            case LAnd(l, r):
+                return go(sigma, l) and go(sigma, r)
+            case LExists(x, b):
+                return any(go(sigma.update(x, n), b) for n in m.universe)
+        raise TypeError(f"not an L formula: {a!r}")
+
+    return go(sigma, a)
+
+
+# ---------------------------------------------------------------------------
+# Heap encoding and decoding
+
+
+def encode_structure(m: FiniteStructure) -> Heap:
+    """Universe rows at stride 2 then relation rows at stride 3, elements
+    in ascending order for determinism."""
+    cells: dict[int, int] = {}
+    elems = sorted(m.universe)
+    pairs = sorted(m.relation)
+    k = len(elems)
+    for i, p in enumerate(elems):
+        cells[2 * i] = 0
+        cells[2 * i + 1] = p + 2
+    for i, (n, mm) in enumerate(pairs):
+        cells[2 * k + 3 * i] = 1
+        cells[2 * k + 3 * i + 1] = n + 2
+        cells[2 * k + 3 * i + 2] = mm + 2
+    return Heap(cells)
+
+
+def decode_heap(h: Heap) -> FiniteStructure:
+    """Structure represented by a heap: tag-0 rows list the universe,
+    tag-1 rows the relation.  Requires at least one universe row."""
+    universe = set()
+    relation = set()
+    for a, v in h.cells.items():
+        if v == 0:
+            nxt = h.get(a + 1)
+            if nxt is not None and nxt >= 2:
+                universe.add(nxt - 2)
+        elif v == 1:
+            n, m = h.get(a + 1), h.get(a + 2)
+            if n is not None and m is not None and n >= 2 and m >= 2:
+                relation.add((n - 2, m - 2))
+    if not universe:
+        raise ValueError("heap encodes no universe row")
+    return FiniteStructure(frozenset(universe), frozenset(relation))
+
+
+# ---------------------------------------------------------------------------
+# Translation into SLN
+
+
+def _member(x: str, helper: str) -> Formula:
+    return Exists(helper, row(svar(helper), [sln_num(0), shift(svar(x), 2)]))
+
+
+def triangle_translate(a: LFormula) -> Formula:
+    """The five-clause translation; equality and predicate atoms carry
+    universe-membership witnesses, existentials are relativized."""
+    match a:
+        case LEq(l, r):
+            return And(Eq(svar(l), svar(r)), _member(l, _fresh_helper((l, r))))
+        case LPred(l, r):
+            helper = _fresh_helper((l, r))
+            rel = Exists(helper, row(svar(helper),
+                                     [sln_num(1), shift(svar(l), 2), shift(svar(r), 2)]))
+            return and_all([rel, _member(l, _fresh_helper((l, r), 1)),
+                            _member(r, _fresh_helper((l, r), 2))])
+        case LNot(b):
+            return Not(triangle_translate(b))
+        case LAnd(l, r):
+            return And(triangle_translate(l), triangle_translate(r))
+        case LExists(x, b):
+            return Exists(x, And(_member(x, _fresh_helper((x,))),
+                                 triangle_translate(b)))
+    raise TypeError(f"not an L formula: {a!r}")
+
+
+def _fresh_helper(taken: tuple[str, ...], index: int = 0) -> str:
+    stems = ("$a", "$b", "$c")
+    name = stems[index % 3] if index < 3 else f"$a{index}"
+    while name in taken:
+        name = "$" + name
+    return name
+
+
+def finite_validity_premise(a: LFormula) -> Formula:
+    """The exact implication whose SLN validity matches truth of `a` in all
+    finite structures: a nonempty-universe guard, then membership of every
+    free variable, then the translation."""
+    guard = Exists("$a", Exists("$x", row(svar("$a"), [sln_num(0), shift(svar("$x"), 2)])))
+    body: Formula = triangle_translate(a)
+    names = sorted(l_free_vars(a))
+    if names:
+        members = and_all([_member(x, _fresh_helper((x,))) for x in names])
+        body = imp(members, body)
+    return imp(guard, body)
+
+
+# ---------------------------------------------------------------------------
+# Text formats
+
+
+def parse_structure(text: str) -> FiniteStructure:
+    """Lines "U: n1 n2 ..." and "R: a b"; '#' comments allowed."""
+    universe: set[int] = set()
+    relation: set[tuple[int, int]] = set()
+    saw_u = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("U:"):
+            saw_u = True
+            for tok in line[2:].split():
+                if not tok.isdigit():
+                    raise ValueError(f"line {lineno}: bad universe element {tok!r}")
+                universe.add(int(tok))
+        elif line.startswith("R:"):
+            parts = line[2:].split()
+            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+                raise ValueError(f"line {lineno}: relation line needs two naturals")
+            relation.add((int(parts[0]), int(parts[1])))
+        else:
+            raise ValueError(f"line {lineno}: expected 'U:' or 'R:' line")
+    if not saw_u:
+        raise ValueError("structure text needs a 'U:' line")
+    return FiniteStructure(frozenset(universe), frozenset(relation))
+
+
+def render_structure(m: FiniteStructure) -> str:
+    lines = ["U: " + " ".join(str(p) for p in sorted(m.universe))]
+    lines.extend(f"R: {n} {mm}" for n, mm in sorted(m.relation))
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Minimal parser for L formulas (CLI input)
+
+
+class _LParser:
+    def __init__(self, text: str) -> None:
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok.text == text and tok.kind in ("sym", "kw")
+
+    def eat(self, text: str) -> bool:
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        if not self.eat(text):
+            tok = self.peek()
+            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+
+    def ident(self) -> str:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise ParseError("expected a variable name", tok.line, tok.col)
+        self.pos += 1
+        return tok.text
+
+    def formula(self) -> LFormula:
+        left = self._or()
+        if self.eat("=>"):
+            return l_imp(left, self.formula())
+        return left
+
+    def _or(self) -> LFormula:
+        left = self._and()
+        if self.eat("\\/"):
+            return l_or(left, self._or())
+        return left
+
+    def _and(self) -> LFormula:
+        left = self._unary()
+        if self.eat("/\\"):
+            return LAnd(left, self._and())
+        return left
+
+    def _unary(self) -> LFormula:
+        if self.eat("!"):
+            return LNot(self._unary())
+        tok = self.peek()
+        if tok.kind == "kw":
+            self.pos += 1
+            name = self.ident()
+            self.eat(".")
+            body = self.formula()
+            return LExists(name, body) if tok.text == "exists" else l_forall(name, body)
+        if self.eat("("):
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        if tok.kind == "ident" and tok.text == "P":
+            self.pos += 1
+            self.expect("(")
+            left = self.ident()
+            self.expect(",")
+            right = self.ident()
+            self.expect(")")
+            return LPred(left, right)
+        if tok.kind == "ident":
+            self.pos += 1
+            self.expect("=")
+            return LEq(tok.text, self.ident())
+        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
+                         tok.line, tok.col)
+
+    def parse(self) -> LFormula:
+        out = self.formula()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        return out
+
+
+def parse_l(text: str) -> LFormula:
+    """Parse an L formula: P(x,y), x = y, !, /\\, \\/, =>, exists/forall."""
+    return _LParser(text).parse()

@@ -1,0 +1,97 @@
+"""Pretty printer inverse to the parsers: parse(render(a)) == a for every
+well-formed AST (truth constants print as 0 = 0 and its negation, so they
+round-trip to that encoding instead)."""
+
+from __future__ import annotations
+
+from .ast import (
+    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
+    GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times,
+    TruthConst, Var, Zero,
+)
+
+_PLUS, _TIMES, _PRIM = 1, 2, 3
+
+
+def render_term(t) -> str:
+    if isinstance(t, SLNTerm):
+        base = "0" if t.base is None else t.base
+        return "s(" * t.offset + base + ")" * t.offset
+    return _pa_term(t, _PLUS)
+
+
+def _pa_term(t: PATerm, req: int) -> str:
+    match t:
+        case Var(name):
+            return name
+        case Zero():
+            return "0"
+        case Succ(arg):
+            return f"s({_pa_term(arg, _PLUS)})"
+        case Plus(l, r):
+            out = f"{_pa_term(l, _PLUS)} + {_pa_term(r, _TIMES)}"
+            return f"({out})" if req > _PLUS else out
+        case Times(l, r):
+            out = f"{_pa_term(l, _TIMES)} * {_pa_term(r, _PRIM)}"
+            return f"({out})" if req > _TIMES else out
+    raise TypeError(f"not a term: {t!r}")
+
+
+def render(a: Formula) -> str:
+    """Concrete syntax for a PA or SLN formula."""
+    return _fmt(a, req=0, tail=True)
+
+
+def _fmt(a: Formula, req: int, tail: bool) -> str:
+    match a:
+        case Eq(l, r):
+            return f"{render_term(l)} = {render_term(r)}"
+        case Leq(l, r):
+            return f"{render_term(l)} <= {render_term(r)}"
+        case PointsTo(l, r):
+            return f"{render_term(l)} |-> {render_term(r)}"
+        case TruthConst(v):
+            return "0 = 0" if v else "!(0 = 0)"
+        case Not(b):
+            return f"!({_fmt(b, 0, True)})"
+        case And(l, r):
+            if req > 2:
+                return f"({_fmt(l, 3, False)} /\\ {_fmt(r, 2, True)})"
+            return f"{_fmt(l, 3, False)} /\\ {_fmt(r, 2, tail)}"
+        case Or(l, r):
+            if req > 1:
+                return f"({_fmt(l, 2, False)} \\/ {_fmt(r, 1, True)})"
+            return f"{_fmt(l, 2, False)} \\/ {_fmt(r, 1, tail)}"
+        case _:
+            head = _binder_head(a)
+            body = _binder_body(a)
+            if tail:
+                return f"{head}{_fmt(body, 0, True)}"
+            return f"({head}{_fmt(body, 0, True)})"
+
+
+def _binder_head(a: Formula) -> str:
+    match a:
+        case Forall(x, _):
+            return f"forall {x}. "
+        case Exists(x, _):
+            return f"exists {x}. "
+        case BForall(x, t, _):
+            return f"forall {x} <= {render_term(t)}. "
+        case BExists(x, t, _):
+            return f"exists {x} <= {render_term(t)}. "
+        case ExistsEq(x, t, _):
+            return f"exists ({x} = {render_term(t)}) "
+        case GForall(x, m, _):
+            return f"forall {x} >= {m}. "
+        case GExists(x, m, _):
+            return f"exists {x} >= {m}. "
+    raise TypeError(f"not a formula: {a!r}")
+
+
+def _binder_body(a: Formula) -> Formula:
+    match a:
+        case (Forall(_, b) | Exists(_, b) | BForall(_, _, b) | BExists(_, _, b)
+              | ExistsEq(_, _, b) | GForall(_, _, b) | GExists(_, _, b)):
+            return b
+    raise TypeError(f"not a formula: {a!r}")

@@ -1,0 +1,558 @@
+"""Syntax-level transformations shared by the translation pipelines.
+
+Fresh names use a counter suffix scheme ("x#17").  Every public operation
+creates its own counter, so results are deterministic across runs and calls
+are safe to issue concurrently.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .ast import (
+    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
+    GForall, Leq, Not, Or, PATerm, PointsTo, SLNTerm, Succ, Plus, Times,
+    TruthConst, Var, Zero, free_vars, imp, is_quantifier_free, or_all,
+    and_all, pa_term_vars, has_arith, shift, sln_num, term_vars,
+)
+
+
+class FreshNames:
+    """Deterministic fresh-name supply, confined to one transformation."""
+
+    def __init__(self, avoid: frozenset[str] = frozenset()) -> None:
+        self._counter = 0
+        self._avoid = set(avoid)
+
+    def reserve(self, names) -> None:
+        self._avoid.update(names)
+
+    def fresh(self, base: str = "x") -> str:
+        stem = base.split("#", 1)[0] or "x"
+        while True:
+            self._counter += 1
+            name = f"{stem}#{self._counter}"
+            if name not in self._avoid:
+                self._avoid.add(name)
+                return name
+
+
+# ---------------------------------------------------------------------------
+# Substitution
+
+
+def subst_pa_term(t: PATerm, x: str, replacement: PATerm) -> PATerm:
+    match t:
+        case Var(name):
+            return replacement if name == x else t
+        case Zero():
+            return t
+        case Succ(arg):
+            return Succ(subst_pa_term(arg, x, replacement))
+        case Plus(l, r):
+            return Plus(subst_pa_term(l, x, replacement), subst_pa_term(r, x, replacement))
+        case Times(l, r):
+            return Times(subst_pa_term(l, x, replacement), subst_pa_term(r, x, replacement))
+    raise TypeError(f"not a PA term: {t!r}")
+
+
+def subst_sln_term(t: SLNTerm, x: str, replacement: SLNTerm) -> SLNTerm:
+    if t.base == x:
+        return shift(replacement, t.offset)
+    return t
+
+
+def _subst_term(t, x: str, replacement):
+    if isinstance(t, SLNTerm):
+        if not isinstance(replacement, SLNTerm):
+            raise TypeError("cannot substitute a PA term into an SLN formula")
+        return subst_sln_term(t, x, replacement)
+    return subst_pa_term(t, x, replacement)
+
+
+def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formula:
+    """Capture-free substitution a[x := t].
+
+    Bound variables are renamed with a deterministic counter whenever a
+    capture would occur.  The term must belong to the same logic as `a`.
+    """
+    if fresh is None:
+        fresh = FreshNames(free_vars(a) | term_vars(t) | {x})
+    t_vars = term_vars(t)
+
+    def go(a: Formula) -> Formula:
+        match a:
+            case Eq(l, r):
+                return Eq(_subst_term(l, x, t), _subst_term(r, x, t))
+            case Leq(l, r):
+                return Leq(subst_pa_term(l, x, t), subst_pa_term(r, x, t))
+            case PointsTo(l, r):
+                return PointsTo(subst_sln_term(l, x, t), subst_sln_term(r, x, t))
+            case TruthConst():
+                return a
+            case Not(b):
+                return Not(go(b))
+            case And(l, r):
+                return And(go(l), go(r))
+            case Or(l, r):
+                return Or(go(l), go(r))
+            case Exists(y, b):
+                y2, b2 = rename_binder(y, b)
+                return a if y == x else Exists(y2, go(b2))
+            case Forall(y, b):
+                y2, b2 = rename_binder(y, b)
+                return a if y == x else Forall(y2, go(b2))
+            case BForall(y, u, b):
+                u2 = subst_pa_term(u, x, t)
+                if y == x:
+                    return BForall(y, u2, b)
+                y2, b2 = rename_binder(y, b)
+                return BForall(y2, u2, go(b2))
+            case BExists(y, u, b):
+                u2 = subst_pa_term(u, x, t)
+                if y == x:
+                    return BExists(y, u2, b)
+                y2, b2 = rename_binder(y, b)
+                return BExists(y2, u2, go(b2))
+            case ExistsEq(y, u, b):
+                u2 = subst_pa_term(u, x, t)
+                if y == x:
+                    return ExistsEq(y, u2, b)
+                y2, b2 = rename_binder(y, b)
+                return ExistsEq(y2, u2, go(b2))
+            case GForall(y, m, b):
+                y2, b2 = rename_binder(y, b)
+                return a if y == x else GForall(y2, m, go(b2))
+            case GExists(y, m, b):
+                y2, b2 = rename_binder(y, b)
+                return a if y == x else GExists(y2, m, go(b2))
+        raise TypeError(f"not a formula: {a!r}")
+
+    def rename_binder(y: str, body: Formula) -> tuple[str, Formula]:
+        # Rename only when the binder would capture a variable of t.
+        if y in t_vars and x in free_vars(body):
+            y2 = fresh.fresh(y)
+            var_t = svar_like(body, y2)
+            return y2, substitute(body, y, var_t, fresh)
+        return y, body
+
+    def svar_like(body: Formula, name: str):
+        # Pick the term kind matching the logic of the body being renamed.
+        return SLNTerm(name, 0) if isinstance(t, SLNTerm) else Var(name)
+
+    return go(a)
+
+
+# ---------------------------------------------------------------------------
+# Unfoldings of the derived binders
+
+
+def unfold_bounded(a: Formula) -> Formula:
+    """Expand bounded and defining quantifiers to their plain readings."""
+    match a:
+        case Eq() | Leq() | PointsTo() | TruthConst():
+            return a
+        case Not(b):
+            return Not(unfold_bounded(b))
+        case And(l, r):
+            return And(unfold_bounded(l), unfold_bounded(r))
+        case Or(l, r):
+            return Or(unfold_bounded(l), unfold_bounded(r))
+        case Exists(x, b):
+            return Exists(x, unfold_bounded(b))
+        case Forall(x, b):
+            return Forall(x, unfold_bounded(b))
+        case BForall(x, t, b):
+            return Forall(x, imp(Leq(Var(x), t), unfold_bounded(b)))
+        case BExists(x, t, b):
+            return Exists(x, And(Leq(Var(x), t), unfold_bounded(b)))
+        case ExistsEq(x, t, b):
+            return Exists(x, And(Eq(Var(x), t), unfold_bounded(b)))
+    raise TypeError(f"cannot unfold {a!r}")
+
+
+def expand_guards(a: Formula) -> Formula:
+    """Expand guarded quantifiers into the plain-quantifier abbreviations."""
+    match a:
+        case Eq() | Leq() | PointsTo() | TruthConst():
+            return a
+        case Not(b):
+            return Not(expand_guards(b))
+        case And(l, r):
+            return And(expand_guards(l), expand_guards(r))
+        case Or(l, r):
+            return Or(expand_guards(l), expand_guards(r))
+        case Exists(x, b):
+            return Exists(x, expand_guards(b))
+        case Forall(x, b):
+            return Forall(x, expand_guards(b))
+        case GForall(x, m, b):
+            body = expand_guards(b)
+            if m == 0:
+                return Forall(x, body)
+            cases: list[Formula] = [Eq(SLNTerm(x, 0), sln_num(i)) for i in range(m)]
+            return Forall(x, or_all(cases + [body]))
+        case GExists(x, m, b):
+            body = expand_guards(b)
+            if m == 0:
+                return Exists(x, body)
+            cuts: list[Formula] = [Not(Eq(SLNTerm(x, 0), sln_num(i))) for i in range(m)]
+            return Exists(x, and_all(cuts + [body]))
+    raise TypeError(f"cannot expand guards in {a!r}")
+
+
+# ---------------------------------------------------------------------------
+# Negation normal form and disjunctive normal form
+
+
+def nnf(a: Formula) -> Formula:
+    """Push negations down to atoms of a quantifier-free formula."""
+
+    def pos(a: Formula) -> Formula:
+        match a:
+            case Not(b):
+                return neg(b)
+            case And(l, r):
+                return And(pos(l), pos(r))
+            case Or(l, r):
+                return Or(pos(l), pos(r))
+            case TruthConst():
+                return a
+            case Eq() | Leq() | PointsTo():
+                return a
+        raise ValueError(f"nnf expects a quantifier-free formula, got {a!r}")
+
+    def neg(a: Formula) -> Formula:
+        match a:
+            case Not(b):
+                return pos(b)
+            case And(l, r):
+                return Or(neg(l), neg(r))
+            case Or(l, r):
+                return And(neg(l), neg(r))
+            case TruthConst(v):
+                return TruthConst(not v)
+            case Eq() | Leq() | PointsTo():
+                return Not(a)
+        raise ValueError(f"nnf expects a quantifier-free formula, got {a!r}")
+
+    return pos(a)
+
+
+def dnf_cubes(a: Formula) -> list[list[Formula]]:
+    """Cubes of an NNF formula; each cube is a list of literals."""
+    match a:
+        case Or(l, r):
+            return dnf_cubes(l) + dnf_cubes(r)
+        case And(l, r):
+            return [cl + cr for cl in dnf_cubes(l) for cr in dnf_cubes(r)]
+        case _:
+            return [[a]]
+
+
+def to_dnf(c: Formula) -> Formula:
+    """Disjunctive normal form of a quantifier-free PA formula.
+
+    Literals !(t <= u) are first rewritten to u <= t /\\ !(u = t), so the
+    result contains no negated inequality.  Naive distribution; the
+    exponential blowup is accepted at desk scale.
+    """
+    if not is_quantifier_free(c):
+        raise ValueError("to_dnf expects a quantifier-free formula")
+
+    def drop_neg_leq(a: Formula) -> Formula:
+        match a:
+            case Not(Leq(t, u)):
+                return And(Leq(u, t), Not(Eq(u, t)))
+            case Not(_):
+                return a
+            case And(l, r):
+                return And(drop_neg_leq(l), drop_neg_leq(r))
+            case Or(l, r):
+                return Or(drop_neg_leq(l), drop_neg_leq(r))
+            case _:
+                return a
+
+    cubes = dnf_cubes(drop_neg_leq(nnf(c)))
+    return or_all([and_all(cube) for cube in cubes])
+
+
+# ---------------------------------------------------------------------------
+# Prenex normal form for PA formulas
+
+
+@dataclass(frozen=True)
+class Binder:
+    """One prefix entry: kind in {forall, exists, bforall, bexists, existseq}."""
+
+    kind: str
+    var: str
+    term: PATerm | None = None
+
+    def flipped(self) -> "Binder":
+        flip = {
+            "forall": "exists", "exists": "forall",
+            "bforall": "bexists", "bexists": "bforall",
+            "existseq": "existseq",
+        }
+        return Binder(flip[self.kind], self.var, self.term)
+
+    def wrap(self, body: Formula) -> Formula:
+        match self.kind:
+            case "forall":
+                return Forall(self.var, body)
+            case "exists":
+                return Exists(self.var, body)
+            case "bforall":
+                assert self.term is not None
+                return BForall(self.var, self.term, body)
+            case "bexists":
+                assert self.term is not None
+                return BExists(self.var, self.term, body)
+            case "existseq":
+                assert self.term is not None
+                return ExistsEq(self.var, self.term, body)
+        raise ValueError(self.kind)
+
+
+def wrap_prefix(prefix: list[Binder], matrix: Formula) -> Formula:
+    out = matrix
+    for b in reversed(prefix):
+        out = b.wrap(out)
+    return out
+
+
+def standardize_apart(a: Formula, fresh: FreshNames) -> Formula:
+    """Rename bound variables so they are pairwise distinct and disjoint
+    from every name occurring anywhere in the input."""
+    fresh.reserve(_all_names(a))
+    seen: set[str] = set(free_vars(a))
+
+    def go(a: Formula) -> Formula:
+        match a:
+            case Eq() | Leq() | PointsTo() | TruthConst():
+                return a
+            case Not(b):
+                return Not(go(b))
+            case And(l, r):
+                return And(go(l), go(r))
+            case Or(l, r):
+                return Or(go(l), go(r))
+            case Exists(x, b) | Forall(x, b) | GForall(x, _, b) | GExists(x, _, b):
+                x2, b2 = reb(x, b)
+                body = go(b2)
+                match a:
+                    case Exists():
+                        return Exists(x2, body)
+                    case Forall():
+                        return Forall(x2, body)
+                    case GForall(_, m, _):
+                        return GForall(x2, m, body)
+                    case GExists(_, m, _):
+                        return GExists(x2, m, body)
+            case BForall(x, t, b):
+                x2, b2 = reb(x, b)
+                return BForall(x2, t, go(b2))
+            case BExists(x, t, b):
+                x2, b2 = reb(x, b)
+                return BExists(x2, t, go(b2))
+            case ExistsEq(x, t, b):
+                x2, b2 = reb(x, b)
+                return ExistsEq(x2, t, go(b2))
+        raise TypeError(f"not a formula: {a!r}")
+
+    def reb(x: str, body: Formula) -> tuple[str, Formula]:
+        if x in seen:
+            x2 = fresh.fresh(x)
+            seen.add(x2)
+            kind = _binder_term_kind(body, x)
+            return x2, substitute(body, x, kind(x2), fresh)
+        seen.add(x)
+        return x, body
+
+    return go(a)
+
+
+def _binder_term_kind(body: Formula, x: str):
+    # SLN formulas substitute SLNTerm variables, PA formulas Var.
+    for sub in _atom_terms(body):
+        if isinstance(sub, SLNTerm):
+            return lambda n: SLNTerm(n, 0)
+        return Var
+    return Var
+
+
+def _atom_terms(a: Formula):
+    from .ast import subformulas
+
+    for sub in subformulas(a):
+        match sub:
+            case Eq(l, r) | PointsTo(l, r) | Leq(l, r):
+                yield l
+                yield r
+
+
+def _all_names(a: Formula) -> set[str]:
+    from .ast import subformulas
+
+    names: set[str] = set()
+    for sub in subformulas(a):
+        match sub:
+            case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
+                names |= term_vars(l) | term_vars(r)
+            case Exists(x, _) | Forall(x, _):
+                names.add(x)
+            case BForall(x, t, _) | BExists(x, t, _) | ExistsEq(x, t, _):
+                names.add(x)
+                names |= pa_term_vars(t)
+            case GForall(x, _, _) | GExists(x, _, _):
+                names.add(x)
+    return names
+
+
+def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[Binder], Formula]:
+    """Quantifier prefix and matrix of an equivalent prenex formula.
+
+    Bounded quantifiers stay bounded (negation flips the bounded pair), and
+    defining existentials are self-dual under negation since their witness
+    is unique.  The input is standardized apart first.
+    """
+    if fresh is None:
+        fresh = FreshNames()
+    a = standardize_apart(a, fresh)
+
+    def go(a: Formula) -> tuple[list[Binder], Formula]:
+        match a:
+            case Eq() | Leq() | PointsTo() | TruthConst():
+                return [], a
+            case Not(b):
+                p, m = go(b)
+                return [bi.flipped() for bi in p], Not(m)
+            case And(l, r):
+                pl, ml = go(l)
+                pr, mr = go(r)
+                return pl + pr, And(ml, mr)
+            case Or(l, r):
+                pl, ml = go(l)
+                pr, mr = go(r)
+                return pl + pr, Or(ml, mr)
+            case Exists(x, b):
+                p, m = go(b)
+                return [Binder("exists", x)] + p, m
+            case Forall(x, b):
+                p, m = go(b)
+                return [Binder("forall", x)] + p, m
+            case BForall(x, t, b):
+                p, m = go(b)
+                return [Binder("bforall", x, t)] + p, m
+            case BExists(x, t, b):
+                p, m = go(b)
+                return [Binder("bexists", x, t)] + p, m
+            case ExistsEq(x, t, b):
+                p, m = go(b)
+                return [Binder("existseq", x, t)] + p, m
+        raise TypeError(f"prenex does not handle {a!r}")
+
+    return go(a)
+
+
+def to_prenex(a: Formula) -> Formula:
+    prefix, matrix = prenex_parts(a)
+    return wrap_prefix(prefix, matrix)
+
+
+# ---------------------------------------------------------------------------
+# Class predicates
+
+
+def is_bounded(a: Formula) -> bool:
+    """True when every quantifier is a bounded one (strict reading: a
+    defining existential does not count as bounded)."""
+    match a:
+        case Eq() | Leq() | TruthConst():
+            return True
+        case Not(b):
+            return is_bounded(b)
+        case And(l, r) | Or(l, r):
+            return is_bounded(l) and is_bounded(r)
+        case BForall(_, _, b) | BExists(_, _, b):
+            return is_bounded(b)
+        case _:
+            return False
+
+
+def is_pi01(a: Formula) -> bool:
+    match a:
+        case Forall(_, b):
+            return is_bounded(b)
+        case _:
+            return False
+
+
+def _is_literal(a: Formula) -> bool:
+    match a:
+        case Eq() | Leq():
+            return True
+        case Not(Eq()) | Not(Leq()):
+            return True
+        case _:
+            return False
+
+
+def _is_cube(a: Formula) -> bool:
+    match a:
+        case And(l, r):
+            return _is_cube(l) and _is_cube(r)
+        case _:
+            return _is_literal(a)
+
+
+def is_dnf_matrix(a: Formula) -> bool:
+    match a:
+        case Or(l, r):
+            return is_dnf_matrix(l) and is_dnf_matrix(r)
+        case _:
+            return _is_cube(a)
+
+
+def _matrix_ok(a: Formula) -> bool:
+    if not is_dnf_matrix(a):
+        return False
+    for sub in _matrix_literals(a):
+        match sub:
+            case Not(Leq()):
+                return False
+            case Eq(l, r) | Leq(l, r) | Not(Eq(l, r)):
+                if has_arith(l) or has_arith(r):
+                    return False
+    return True
+
+
+def _matrix_literals(a: Formula):
+    match a:
+        case And(l, r) | Or(l, r):
+            yield from _matrix_literals(l)
+            yield from _matrix_literals(r)
+        case _:
+            yield a
+
+
+def _flat(t: PATerm) -> bool:
+    return not has_arith(t)
+
+
+def is_normal(a: Formula) -> bool:
+    """Membership in the normal-form grammar: a possibly empty prefix of
+    bounded and defining quantifiers over an arithmetic-free DNF matrix,
+    with flat bounds and definitions of shape a+b or a*b with flat sides."""
+    match a:
+        case BForall(_, t, b) | BExists(_, t, b):
+            return _flat(t) and is_normal(b)
+        case ExistsEq(_, t, b):
+            match t:
+                case Plus(l, r) | Times(l, r):
+                    return _flat(l) and _flat(r) and is_normal(b)
+                case _:
+                    return False
+        case _:
+            return is_quantifier_free(a) and _matrix_ok(a)

@@ -1,0 +1,179 @@
+"""Construction of the table-heap condition, the table-lookup reference
+formulas, and the translation of normal PA formulas into SLN.
+
+Heap rows carry a tag cell (0 addition, 1 multiplication, 2 inequality)
+followed by operand and result cells stored with offset 3; [t] abbreviates
+the three-fold successor of t.  Quantified helper variables live in a
+reserved "$" namespace so user variables never collide.
+"""
+
+from __future__ import annotations
+
+from .ast import (
+    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
+    Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
+    and_all, imp, shift, sln_num, svar, term_vars,
+)
+from .transform import is_normal
+
+
+def bracket(t: SLNTerm) -> SLNTerm:
+    """[t], the operand/result encoding s^3(t)."""
+    return shift(t, 3)
+
+
+def row(addr: SLNTerm, values: list[SLNTerm]) -> Formula:
+    """(t |-> v1, ..., vn): consecutive cells starting at addr."""
+    return and_all([PointsTo(shift(addr, i), v) for i, v in enumerate(values)])
+
+
+def pa_term_to_sln(t: PATerm) -> SLNTerm:
+    """Embed a +,*-free PA term."""
+    match t:
+        case Var(name):
+            return svar(name)
+        case Zero():
+            return sln_num(0)
+        case Succ(arg):
+            return shift(pa_term_to_sln(arg), 1)
+    raise ValueError(f"term contains + or *: {t!r}")
+
+
+def _helpers(count: int, taken: frozenset[str]) -> list[str]:
+    names = []
+    i = 0
+    while len(names) < count:
+        for stem in ("$a", "$b", "$c"):
+            name = stem if i == 0 else f"{stem}{i}"
+            if name not in taken and name not in names:
+                names.append(name)
+                if len(names) == count:
+                    break
+        i += 1
+    return names
+
+
+def add_formula(x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
+    """Table lookup for x + y = z: every addition row for (x, y) must carry
+    result z.  Vacuously true when the table has no such row."""
+    (a,) = _helpers(1, term_vars(x) | term_vars(y) | term_vars(z))
+    av = svar(a)
+    return Forall(a, imp(row(av, [sln_num(0), bracket(x), bracket(y)]),
+                         PointsTo(shift(av, 3), bracket(z))))
+
+
+def mult_formula(x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
+    (a,) = _helpers(1, term_vars(x) | term_vars(y) | term_vars(z))
+    av = svar(a)
+    return Forall(a, imp(row(av, [sln_num(1), bracket(x), bracket(y)]),
+                         PointsTo(shift(av, 3), bracket(z))))
+
+
+def ineq_formula(x: SLNTerm, y: SLNTerm) -> Formula:
+    """Table lookup for x <= y: some inequality row carries (x, y)."""
+    (a,) = _helpers(1, term_vars(x) | term_vars(y))
+    av = svar(a)
+    return Exists(a, row(av, [sln_num(2), bracket(x), bracket(y)]))
+
+
+_TABLE_HEAP_CONDITION: Formula | None = None
+
+
+def table_heap_condition() -> Formula:
+    """The formula forcing a heap to carry only arithmetically correct
+    operation rows.  Built once; callers share the instance."""
+    global _TABLE_HEAP_CONDITION
+    if _TABLE_HEAP_CONDITION is not None:
+        return _TABLE_HEAP_CONDITION
+
+    a, b, c = svar("$a"), svar("$b"), svar("$c")
+    x, y, z, w = svar("$x"), svar("$y"), svar("$z"), svar("$w")
+    zero, one, two = sln_num(0), sln_num(1), sln_num(2)
+
+    add1 = Forall("$a", Forall("$y", imp(
+        row(a, [zero, bracket(zero), bracket(y)]),
+        PointsTo(shift(a, 3), bracket(y)))))
+    add2 = Forall("$a", Forall("$x", Forall("$y", imp(
+        row(a, [zero, bracket(shift(x, 1)), bracket(y)]),
+        Exists("$b", Exists("$z", And(
+            row(b, [zero, bracket(x), bracket(y), bracket(z)]),
+            PointsTo(shift(a, 3), bracket(shift(z, 1))))))))))
+    mult1 = Forall("$a", Forall("$y", imp(
+        row(a, [one, bracket(zero), bracket(y)]),
+        PointsTo(shift(a, 3), bracket(zero)))))
+    mult2 = Forall("$a", Forall("$x", Forall("$y", imp(
+        row(a, [one, bracket(shift(x, 1)), bracket(y)]),
+        Exists("$b", Exists("$z", And(
+            row(b, [one, bracket(x), bracket(y), bracket(z)]),
+            Exists("$c", Exists("$w", And(
+                row(c, [zero, bracket(z), bracket(y), bracket(w)]),
+                PointsTo(shift(a, 3), bracket(w))))))))))))
+    ineq1 = Forall("$a", Forall("$x", Forall("$y", imp(
+        row(a, [two, bracket(shift(x, 1)), bracket(y)]),
+        Exists("$z", Exists("$b", And(
+            Eq(y, shift(z, 1)),
+            row(b, [two, bracket(x), bracket(z)]))))))))
+    ineq2 = Forall("$a", Forall("$x", Forall("$y", imp(
+        row(a, [two, bracket(shift(x, 1)), bracket(y)]),
+        Exists("$b", row(b, [two, bracket(x), bracket(y)]))))))
+
+    _TABLE_HEAP_CONDITION = and_all([add1, add2, mult1, mult2, ineq1, ineq2])
+    return _TABLE_HEAP_CONDITION
+
+
+def _translate_matrix(m: Formula, h: Formula) -> Formula:
+    match m:
+        case And(l, r):
+            return And(_translate_matrix(l, h), _translate_matrix(r, h))
+        case Or(l, r):
+            return Or(_translate_matrix(l, h), _translate_matrix(r, h))
+        case Not(Leq()):
+            raise ValueError("normal matrices cannot contain negated <=")
+        case Not(b):
+            return Not(_translate_matrix(b, h))
+        case Eq(l, r):
+            return Eq(pa_term_to_sln(l), pa_term_to_sln(r))
+        case Leq(l, r):
+            t, u = pa_term_to_sln(l), pa_term_to_sln(r)
+            return imp(h, Or(Not(ineq_formula(u, t)), Eq(t, u)))
+        case TruthConst():
+            return m
+    raise ValueError(f"unexpected matrix node: {m!r}")
+
+
+def circle_translate(a: Formula) -> Formula:
+    """Translate forall x1 ... xk B, with B normal, into SLN.
+
+    Each bounded quantifier, defining existential and inequality atom turns
+    into a table lookup guarded by the table-heap condition; outer plain
+    universals are kept as universals.
+    """
+    if isinstance(a, Forall):
+        return Forall(a.var, circle_translate(a.body))
+    if not is_normal(a):
+        raise ValueError("circle translation expects a normal formula "
+                         "(optionally under outer universals)")
+    h = table_heap_condition()
+
+    def go(b: Formula) -> Formula:
+        match b:
+            case BExists(x, t, body):
+                ts = pa_term_to_sln(t)
+                return imp(h, Or(Not(ineq_formula(ts, ts)),
+                                 Exists(x, And(ineq_formula(svar(x), ts), go(body)))))
+            case BForall(x, t, body):
+                ts = pa_term_to_sln(t)
+                return imp(h, Forall(x, Or(Not(ineq_formula(svar(x), ts)), go(body))))
+            case ExistsEq(x, defn, body):
+                match defn:
+                    case Plus(l, r):
+                        lookup = add_formula(pa_term_to_sln(l), pa_term_to_sln(r), svar(x))
+                    case Times(l, r):
+                        lookup = mult_formula(pa_term_to_sln(l), pa_term_to_sln(r), svar(x))
+                    case _:
+                        raise ValueError("defining existential without + or *")
+                return imp(h, Exists(x, And(lookup, go(body))))
+            case _:
+                return _translate_matrix(b, h)
+
+    return go(a)

@@ -1,0 +1,327 @@
+"""Desk-scale verification drivers: bounded counterexample search over
+assignments and heaps, and executable forms of the translation lemmas."""
+
+from __future__ import annotations
+
+import itertools
+import time
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .ast import Eq, Exists, Formula, Not, Plus, Var, Zero, free_vars
+from .checker import check
+from .finite import (
+    decode_heap, encode_structure, eval_fol, l_free_vars, triangle_translate,
+)
+from .gen import GenProfile, Generators
+from .heap import Heap, simple_table_heap
+from .normalize import box_translate, normalize_bounded
+from .parser import parse_pa
+from .render import render
+from .semantics import VarAssignment, eval_bounded, max_bound, render_assignment
+from .transform import is_normal, is_pi01
+from .translate import circle_translate
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    max_assign_val: int = 4
+    heap_samples: int = 200
+    table_sizes: tuple[int, ...] = (0, 1, 2, 3, 4)
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """A falsifying assignment/heap pair; re-validated on construction."""
+
+    assignment: VarAssignment
+    heap: Heap
+    formula: Formula
+    verdict: bool = False
+
+    def __post_init__(self) -> None:
+        if check(self.assignment, self.heap, self.formula) != self.verdict:
+            raise ValueError("counterexample does not re-validate")
+
+
+@lru_cache(maxsize=64)
+def _heap_pool(seed: int, count: int, table_sizes: tuple[int, ...]) -> tuple[Heap, ...]:
+    """Shared sampled-heap pools: reusing the heap objects across drivers
+    lets the checker's per-heap memo amortize over a whole suite."""
+    gens = Generators(seed)
+    tables = [simple_table_heap(n) for n in table_sizes]
+    return tuple(gens.heap_sample(tables) for _ in range(count))
+
+
+def bounded_counterexample_search(a: Formula, limits: SearchLimits = SearchLimits()) -> Counterexample | None:
+    """First (assignment, heap) pair falsifying `a` within the limits, or
+    None.  Deterministic under the seed: tables and the empty heap first,
+    then sampled heaps; assignments in lexicographic order."""
+    tables = [simple_table_heap(n) for n in limits.table_sizes]
+    heaps: list[Heap] = [Heap()] + tables
+    heaps += list(_heap_pool(limits.seed, limits.heap_samples, limits.table_sizes))
+    names = sorted(free_vars(a))
+    for h in heaps:
+        for values in itertools.product(range(limits.max_assign_val + 1), repeat=len(names)):
+            sigma = VarAssignment(dict(zip(names, values)))
+            if not check(sigma, h, a):
+                return Counterexample(sigma, h, a, False)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Lemma drivers
+
+
+def verify_pa2hn(a: Formula, sigma: VarAssignment) -> dict:
+    """Executable equivalence: truth of a normal formula equals truth of
+    its translation on the simple table heap sized by max_bound."""
+    if not is_normal(a):
+        raise ValueError("verify_pa2hn expects a normal formula")
+    start = time.perf_counter()
+    n = max_bound(sigma, a)
+    h = simple_table_heap(n)
+    pa_truth = eval_bounded(sigma, a)
+    sln_truth = check(sigma, h, circle_translate(a))
+    return {
+        "n": n,
+        "pa": pa_truth,
+        "sln": sln_truth,
+        "agree": pa_truth == sln_truth,
+        "formula": render(a),
+        "sigma": render_assignment(sigma),
+        "runtime": time.perf_counter() - start,
+    }
+
+
+def verify_hn2forallh(a: Formula, sigma: VarAssignment, samples: int = 50,
+                      seed: int = 0) -> dict:
+    """Sampled universal: once the translation holds on the sized table
+    heap, it holds on every heap.  Any failing heap contradicts the
+    underlying lemma and is reported."""
+    if not is_normal(a):
+        raise ValueError("verify_hn2forallh expects a normal formula")
+    start = time.perf_counter()
+    n = max_bound(sigma, a)
+    translated = circle_translate(a)
+    if not check(sigma, simple_table_heap(n), translated):
+        return {
+            "precondition": False,
+            "n": n,
+            "formula": render(a),
+            "sigma": render_assignment(sigma),
+            "runtime": time.perf_counter() - start,
+        }
+    tables = [simple_table_heap(k) for k in range(n + 1)]
+    heaps = [Heap()] + tables + list(_heap_pool(seed, samples, tuple(range(n + 1))))
+    failures = []
+    for i, h in enumerate(heaps):
+        if not check(sigma, h, translated):
+            failures.append({"heap_index": i, "heap_cells": len(h)})
+    return {
+        "precondition": True,
+        "n": n,
+        "heaps": len(heaps),
+        "failures": failures,
+        "formula": render(a),
+        "sigma": render_assignment(sigma),
+        "runtime": time.perf_counter() - start,
+    }
+
+
+def verify_representation(a: Formula, truth: str, witness: int | None = None,
+                          limits: SearchLimits = SearchLimits()) -> dict:
+    """Desk-scale check of the representation property for one closed
+    universal formula: a valid input admits no counterexample to its full
+    translation within limits; an invalid input with witness k yields a
+    directed counterexample on the table heap sized at k."""
+    if not is_pi01(a):
+        raise ValueError("verify_representation expects forall x B with B bounded")
+    start = time.perf_counter()
+    boxed = box_translate(a)
+    if truth == "valid":
+        found = bounded_counterexample_search(circle_translate(boxed), limits)
+        return {
+            "truth": "valid",
+            "as_expected": found is None,
+            "counterexample": None if found is None else {
+                "sigma": render_assignment(found.assignment),
+                "heap_cells": len(found.heap),
+            },
+            "formula": render(a),
+            "runtime": time.perf_counter() - start,
+        }
+    if truth != "invalid" or witness is None:
+        raise ValueError("truth must be 'valid' or 'invalid' with a witness")
+    body = boxed.body
+    sigma = VarAssignment({boxed.var: witness})
+    n = max_bound(sigma, body)
+    refuted = not check(sigma, simple_table_heap(n), circle_translate(body))
+    return {
+        "truth": "invalid",
+        "witness": witness,
+        "n": n,
+        "as_expected": refuted,
+        "formula": render(a),
+        "runtime": time.perf_counter() - start,
+    }
+
+
+def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
+                                  pa_witness_bound: int = 50) -> dict:
+    """The boundary example: exists x (x+0 != x) has no witness in the
+    standard model, yet its full translation holds on every sampled heap."""
+    start = time.perf_counter()
+    x = Var("x")
+    body = Not(Eq(Plus(x, Zero()), x))
+    witnesses = [k for k in range(pa_witness_bound + 1)
+                 if eval_bounded(VarAssignment({"x": k}), body)]
+    translated = Exists("x", circle_translate(normalize_bounded(body)))
+    tables = [simple_table_heap(n) for n in range(4)]
+    heaps = [Heap()] + tables + list(_heap_pool(seed, samples, (0, 1, 2, 3)))
+    sigma = VarAssignment()
+    failures = [i for i, h in enumerate(heaps) if not check(sigma, h, translated)]
+    return {
+        "pa_witnesses": witnesses,
+        "heaps": len(heaps),
+        "failures": failures,
+        "as_expected": not witnesses and not failures,
+        "formula": render(translated),
+        "runtime": time.perf_counter() - start,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Suite drivers (shared by the CLI and the acceptance tests)
+
+
+def pa2hn_instances(seed: int, count: int, profile: GenProfile = GenProfile()):
+    """Deterministic (normal formula, assignment) pairs."""
+    gens = Generators(seed, profile)
+    out = []
+    for _ in range(count):
+        a = gens.pa_normal()
+        sigma = gens.assignment(sorted(free_vars(a)))
+        out.append((a, sigma))
+    return out
+
+
+def run_pa2hn_suite(seed: int = 0, samples: int = 100) -> dict:
+    start = time.perf_counter()
+    reports = [verify_pa2hn(a, sigma) for a, sigma in pa2hn_instances(seed, samples)]
+    failures = [r for r in reports if not r["agree"]]
+    return {
+        "lemma": "pa2hn",
+        "instances": len(reports),
+        "agreements": sum(r["agree"] for r in reports),
+        "failures": failures,
+        "seed": seed,
+        "runtime": time.perf_counter() - start,
+    }
+
+
+def run_hn2forallh_suite(seed: int = 0, samples: int = 100,
+                         heap_samples: int = 50) -> dict:
+    start = time.perf_counter()
+    checked = 0
+    agreed = 0
+    failures = []
+    for a, sigma in pa2hn_instances(seed, samples):
+        report = verify_hn2forallh(a, sigma, samples=heap_samples, seed=seed)
+        if not report["precondition"]:
+            continue
+        checked += 1
+        if report["failures"]:
+            failures.append(report)
+        else:
+            agreed += 1
+    return {
+        "lemma": "hn2forallh",
+        "instances": checked,
+        "agreements": agreed,
+        "failures": failures,
+        "seed": seed,
+        "runtime": time.perf_counter() - start,
+    }
+
+
+REPRESENTATION_CASES: list[tuple[str, str, int | None]] = [
+    ("forall x. 0 <= x", "valid", None),
+    ("forall x. forall y <= x. y <= x", "valid", None),
+    ("forall x. x <= x", "valid", None),
+    ("forall x. x <= x + s(0)", "valid", None),
+    ("forall x. exists y <= x. x <= y", "valid", None),
+    ("forall x. x + x <= x", "invalid", 1),
+    ("forall x. x <= 0", "invalid", 1),
+    ("forall x. x = x + s(0)", "invalid", 0),
+    ("forall x. forall y <= x. x <= y", "invalid", 1),
+    ("forall x. x * x = x", "invalid", 2),
+]
+
+
+def run_representation_suite(limits: SearchLimits = SearchLimits()) -> dict:
+    start = time.perf_counter()
+    reports = []
+    for text, truth, witness in REPRESENTATION_CASES:
+        report = verify_representation(parse_pa(text), truth, witness, limits)
+        reports.append(report)
+    failures = [r for r in reports if not r["as_expected"]]
+    return {
+        "lemma": "representation",
+        "instances": len(reports),
+        "agreements": len(reports) - len(failures),
+        "failures": failures,
+        "seed": limits.seed,
+        "runtime": time.perf_counter() - start,
+    }
+
+
+def run_sigma01_suite(seed: int = 0, samples: int = 100) -> dict:
+    start = time.perf_counter()
+    report = verify_sigma01_counterexample(samples=samples, seed=seed)
+    return {
+        "lemma": "sigma01",
+        "instances": report["heaps"] + 1,
+        "agreements": report["heaps"] + 1 if report["as_expected"] else 0,
+        "failures": [] if report["as_expected"] else [report],
+        "seed": seed,
+        "runtime": time.perf_counter() - start,
+    }
+
+
+def run_fol_suite(seed: int = 0, samples: int = 100) -> dict:
+    """Finite-model equivalence plus the decode-encode round trip."""
+    start = time.perf_counter()
+    gens = Generators(seed)
+    agreements = 0
+    instances = 0
+    failures = []
+    for _ in range(samples):
+        m = gens.finite_structure()
+        a = gens.l_formula()
+        h = encode_structure(m)
+        if decode_heap(h) != m:
+            failures.append({"kind": "roundtrip", "structure": repr(m)})
+            continue
+        translated = triangle_translate(a)
+        names = sorted(l_free_vars(a))
+        ok = True
+        for values in itertools.product(sorted(m.universe), repeat=len(names)):
+            sigma = VarAssignment(dict(zip(names, values)))
+            if eval_fol(m, sigma, a) != check(sigma, h, translated):
+                ok = False
+                failures.append({"kind": "equivalence", "structure": repr(m),
+                                 "sigma": render_assignment(sigma)})
+                break
+        instances += 1
+        if ok:
+            agreements += 1
+    return {
+        "lemma": "fol",
+        "instances": instances,
+        "agreements": agreements,
+        "failures": failures,
+        "seed": seed,
+        "runtime": time.perf_counter() - start,
+    }
