@@ -6,19 +6,43 @@ as an address beyond the largest heap address, or as a stored value beyond
 the largest heap value, satisfy no points-to atom, so the quantifier splits
 into an enumerated block plus a guarded tail whose offending atoms are
 replaced by false.  What remains mentions quantified variables only in
-equalities and is handed to the successor-arithmetic decider.
+equalities and is handed to the successor-arithmetic decider.  The
+syntactic single-step rewrites are exposed as address_free_rewrite and
+value_free_rewrite; the checker evaluates the same splits without building
+them.
 
-The splits are evaluated lazily (enumerated branches short-circuit and
-closed subformulas are memoized per heap), which is what makes checking the
-table-heap condition on real tables affordable; the syntactic single-step
-rewrites are exposed as address_free_rewrite and value_free_rewrite.
+Environment evaluation.  A formula is compiled once into nodes and decided
+under an environment that maps variables to values; enumerating a
+quantifier rebinds its variable and never builds a substituted formula.
+Before a quantifier enumerates, its body is evaluated three-valued with the
+variable unbound, and a body that is constant regardless is returned as is.
+
+Structural memo.  Nodes are interned, so structurally equal subformulas,
+within one formula or across formulas, are one node.  Each enumerated
+quantifier's verdict is memoized on its heap, keyed on the node and the
+values of its free variables; a lookup hashes no tree.
+
+Anchored enumeration.  When the body of an exists needs a conjunct
+x+i |-> t, with t bound outside, or the body of a forall holds unless that
+conjunct does, only the values of x at which the conjunct holds can change
+the verdict: the addresses that store t (from the heap's value index),
+shifted by i.  For a conjunct t |-> x+i it is the one value stored at t,
+less i.  Every other value in the enumerated block falsifies the conjunct,
+and so leaves the body false (exists) or true (forall).  This is the
+paper's argument for the tail, applied to one atom inside the block, so the
+block's verdict, the tail and the decider path are those of the split.
+Anchors are searched through nested quantifiers that do not bind t.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import OrderedDict
+from operator import itemgetter
+
 from .ast import (
     And, Eq, Exists, Forall, Formula, GExists, GForall, Not, Or, PointsTo,
-    SLNTerm, TruthConst, and_all, free_vars, or_all, sln_num,
+    SLNTerm, TruthConst, and_all, or_all, sln_num,
 )
 from .heap import Heap
 from .semantics import VarAssignment
@@ -56,38 +80,7 @@ def _guarded(kind: str, x: str, guard: int, body: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Scoped occurrence scans and false-replacements
-
-
-def _addr_relevant(a: Formula, x: str) -> bool:
-    """Does some points-to atom use an s-iterate of x as its address?"""
-    match a:
-        case PointsTo(l, _):
-            return l.base == x
-        case Eq() | TruthConst():
-            return False
-        case Not(b):
-            return _addr_relevant(b, x)
-        case And(l, r) | Or(l, r):
-            return _addr_relevant(l, x) or _addr_relevant(r, x)
-        case Exists(y, b) | Forall(y, b) | GExists(y, _, b) | GForall(y, _, b):
-            return y != x and _addr_relevant(b, x)
-    raise TypeError(f"not an SLN formula: {a!r}")
-
-
-def _val_relevant(a: Formula, x: str) -> bool:
-    match a:
-        case PointsTo(_, r):
-            return r.base == x
-        case Eq() | TruthConst():
-            return False
-        case Not(b):
-            return _val_relevant(b, x)
-        case And(l, r) | Or(l, r):
-            return _val_relevant(l, x) or _val_relevant(r, x)
-        case Exists(y, b) | Forall(y, b) | GExists(y, _, b) | GForall(y, _, b):
-            return y != x and _val_relevant(b, x)
-    raise TypeError(f"not an SLN formula: {a!r}")
+# Constant-folding constructors and false-replacements
 
 
 def _not(a: Formula) -> Formula:
@@ -209,155 +202,508 @@ def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Partial evaluation under an environment of numeral bindings
+# Compiled nodes.  A formula is compiled once into interned nodes: two
+# structurally equal subformulas, from one formula or from two, compile to
+# the same node object, so a memo keyed on node identity is keyed on shape
+# and a lookup never hashes a tree.  The intern table holds its nodes
+# weakly; a node lives as long as a compiled root or a heap memo uses it.
+
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_UNSET = object()
 
 
-def _env_term(t: SLNTerm, env: dict[str, int]) -> SLNTerm:
-    if t.base is not None and t.base in env:
-        return sln_num(env[t.base] + t.offset)
-    return t
+def _intern(key: tuple, build):
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = build()
+    return node
 
 
-def _peval(a: Formula, env: dict[str, int], h: Heap) -> Formula:
-    """Substitute env numerals, evaluate ground atoms against h, and fold
-    constants; returns the input object unchanged where possible."""
+class _Node:
+    """Every node evaluates two ways under an environment `env` (a dict
+    from variable names to values) against a heap:
+
+    ev    three-valued: a variable missing from env is unknown, and the
+          result is None unless the node's truth does not depend on it.
+          A quantifier whose free variables env binds is decided; one
+          that mentions an unknown variable is only folded.
+    res   the node with bound variables replaced by numerals and every
+          points-to atom decided, as a successor-arithmetic formula over
+          the variables missing from env; points-to atoms never mention
+          those variables.
+    """
+
+    __slots__ = ("free", "addr_vars", "val_vars", "__weakref__")
+
+    def _facts(self, free, addr_vars, val_vars) -> None:
+        self.free = free
+        self.addr_vars = addr_vars  # variables some points-to atom addresses by
+        self.val_vars = val_vars  # variables some points-to atom stores
+
+
+class _Const(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
+        self._facts(frozenset(), frozenset(), frozenset())
+
+    def ev(self, env, h) -> bool:
+        return self.value
+
+    def res(self, env, h) -> Formula:
+        return TRUE if self.value else FALSE
+
+
+_TRUE_NODE, _FALSE_NODE = _Const(True), _Const(False)
+
+
+def _term_vars(*bases) -> frozenset[str]:
+    return frozenset(b for b in bases if b is not None)
+
+
+def _known(base: str | None, offset: int, env) -> int | None:
+    if base is None:
+        return offset
+    v = env.get(base)
+    return None if v is None else v + offset
+
+
+class _Atom(_Node):
+    """An atom between s^lo(lb) and s^ro(rb), a base None meaning 0."""
+
+    __slots__ = ("lb", "lo", "rb", "ro")
+
+    def __init__(self, lb, lo, rb, ro) -> None:
+        self.lb, self.lo, self.rb, self.ro = lb, lo, rb, ro
+        self._facts(_term_vars(lb, rb), frozenset(), frozenset())
+
+
+class _Eq(_Atom):
+    """The bases differ."""
+
+    __slots__ = ()
+
+    def ev(self, env, h) -> bool | None:
+        l, r = _known(self.lb, self.lo, env), _known(self.rb, self.ro, env)
+        if l is None:
+            # s^lo(v) = r has no solution when r < lo
+            return False if r is not None and r < self.lo else None
+        if r is None:
+            return False if l < self.ro else None
+        return l == r
+
+    def res(self, env, h) -> Formula:
+        verdict = self.ev(env, h)
+        if verdict is not None:
+            return TRUE if verdict else FALSE
+
+        def term(base, offset):
+            value = _known(base, offset, env)
+            return SLNTerm(base, offset) if value is None else sln_num(value)
+
+        return Eq(term(self.lb, self.lo), term(self.rb, self.ro))
+
+
+class _PointsTo(_Atom):
+    __slots__ = ()
+
+    def __init__(self, lb, lo, rb, ro) -> None:
+        super().__init__(lb, lo, rb, ro)
+        self.addr_vars, self.val_vars = _term_vars(lb), _term_vars(rb)
+
+    def ev(self, env, h) -> bool | None:
+        l, r = _known(self.lb, self.lo, env), _known(self.rb, self.ro, env)
+        if l is not None:
+            stored = h.get(l)
+            if stored is None:
+                return False
+            if r is not None:
+                return stored == r
+            return False if stored < self.ro else None
+        if r is not None and not h.addresses_holding(r):
+            return False
+        return None
+
+    def res(self, env, h) -> Formula:
+        verdict = self.ev(env, h)
+        if verdict is None:
+            raise AssertionError(f"points-to atom escaped its rewrites: "
+                                 f"{self.lb}+{self.lo} |-> {self.rb}+{self.ro}")
+        return TRUE if verdict else FALSE
+
+
+class _Not(_Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: _Node) -> None:
+        self.body = body
+        self._facts(body.free, body.addr_vars, body.val_vars)
+
+    def ev(self, env, h) -> bool | None:
+        verdict = self.body.ev(env, h)
+        return None if verdict is None else not verdict
+
+    def res(self, env, h) -> Formula:
+        return _not(self.body.res(env, h))
+
+
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: _Node, right: _Node) -> None:
+        self.left, self.right = left, right
+        self._facts(left.free | right.free, left.addr_vars | right.addr_vars,
+                    left.val_vars | right.val_vars)
+
+
+class _And(_Binary):
+    __slots__ = ()
+
+    def ev(self, env, h) -> bool | None:
+        l = self.left.ev(env, h)
+        if l is False:
+            return False
+        r = self.right.ev(env, h)
+        if r is False:
+            return False
+        return None if l is None or r is None else True
+
+    def res(self, env, h) -> Formula:
+        l = self.left.res(env, h)
+        return FALSE if l == FALSE else _and(l, self.right.res(env, h))
+
+
+class _Or(_Binary):
+    __slots__ = ()
+
+    def ev(self, env, h) -> bool | None:
+        l = self.left.ev(env, h)
+        if l is True:
+            return True
+        r = self.right.ev(env, h)
+        if r is True:
+            return True
+        return None if l is None or r is None else False
+
+    def res(self, env, h) -> Formula:
+        l = self.left.res(env, h)
+        return TRUE if l == TRUE else _or(l, self.right.res(env, h))
+
+
+def _needs(node: _Node, x: str, positive: bool) -> frozenset:
+    """Points-to atoms mentioning x that hold whenever node is true
+    (positive) or false.
+
+    The domain is never empty, so an atom needed by the body of any
+    quantifier is needed by the quantifier too, unless it mentions the
+    bound variable."""
+    if x not in node.free:
+        return frozenset()
+    if isinstance(node, _PointsTo):
+        return frozenset((node,)) if positive else frozenset()
+    if isinstance(node, _Not):
+        return _needs(node.body, x, not positive)
+    if isinstance(node, _Binary):
+        l, r = _needs(node.left, x, positive), _needs(node.right, x, positive)
+        return l | r if isinstance(node, _And) == positive else l & r
+    if isinstance(node, _Quant):
+        y = node.shape.var
+        return frozenset(p for p in _needs(node.shape.body, x, positive)
+                         if p.lb != y and p.rb != y)
+    return frozenset()
+
+
+def _replace(node: _Node, x: str, side: str) -> _Node:
+    """node with the points-to atoms whose `side` term iterates x replaced
+    by false, as _replace_atoms does on formulas."""
+    if x not in (node.addr_vars if side == "addr" else node.val_vars):
+        return node
+    if isinstance(node, _PointsTo):
+        return _FALSE_NODE
+    if isinstance(node, _Not):
+        return _not_node(_replace(node.body, x, side))
+    if isinstance(node, _Binary):
+        return _binary_node(type(node), _replace(node.left, x, side),
+                            _replace(node.right, x, side))
+    shape = node.shape  # binds a variable other than x, which is free in it
+    return _quant_node(shape.exists, shape.var, node.guard,
+                       _replace(shape.body, x, side))
+
+
+class _Shape:
+    """A quantifier without its guard, with the facts the enumeration
+    needs, each derived once on first use: the side the variable is
+    enumerated on, its anchors, and the body of the guarded tail."""
+
+    __slots__ = ("exists", "var", "body", "_side", "_anchors", "_tail", "__weakref__")
+
+    def __init__(self, exists: bool, var: str, body: _Node) -> None:
+        self.exists, self.var, self.body = exists, var, body
+        self._anchors = None
+        self._tail = None
+
+    @property
+    def kind(self) -> str:
+        return "exists" if self.exists else "forall"
+
+    def side(self) -> str | None:
+        if self._anchors is None:
+            self._prepare()
+        return self._side
+
+    def _prepare(self) -> None:
+        x, body = self.var, self.body
+        self._side = ("addr" if x in body.addr_vars else
+                      "val" if x in body.val_vars else None)
+        # For exists, the atoms the body needs; for forall, the atoms whose
+        # failure makes the body true.  Value-side anchors come first: each
+        # yields at most one candidate.
+        addr, val = [], []
+        for p in _needs(body, x, self.exists):
+            # (on the value side?, base and offset of t, offset of x)
+            if p.lb == x and p.rb != x:
+                addr.append((False, p.rb, p.ro, p.lo))
+            elif p.rb == x and p.lb != x:
+                val.append((True, p.lb, p.lo, p.ro))
+        self._anchors = tuple(val + addr)
+
+    def candidates(self, env, h, guard: int, bound: int):
+        """The values in [guard, bound] at which the body can differ from
+        its neutral verdict.  An anchor, x+i |-> t or t |-> x+i, is false
+        at every other value, and so is the body of an exists (for a
+        forall, its body is true).  Anchors whose t is not bound in env
+        are skipped; of the others, the one with the fewest values wins."""
+        best = None
+        for is_val, base, offset, i in self._anchors:
+            t = _known(base, offset, env)
+            if t is None:
+                continue
+            if is_val:
+                # t |-> x+i: x is the value stored at t, minus i
+                stored = h.get(t)
+                k = -1 if stored is None else stored - i
+                return (k,) if guard <= k <= bound else ()
+            addrs = h.addresses_holding(t)
+            if best is None or len(addrs) < len(best[0]):
+                best = (addrs, i)
+        if best is None:
+            return range(guard, bound + 1)
+        addrs, i = best
+        return [a - i for a in addrs if guard <= a - i <= bound]
+
+    def tail(self) -> "_Shape":
+        """The same quantifier with the atoms on its side replaced by
+        false, which is its body beyond the side's bound."""
+        if self._tail is None:
+            self._tail = _shape(self.exists, self.var,
+                                _replace(self.body, self.var, self.side()))
+        return self._tail
+
+
+def _shape(exists: bool, var: str, body: _Node) -> _Shape:
+    return _intern((_Shape, exists, var, body), lambda: _Shape(exists, var, body))
+
+
+class _Quant(_Node):
+    __slots__ = ("shape", "guard", "_values")
+
+    def __init__(self, shape: _Shape, guard: int) -> None:
+        self.shape, self.guard = shape, guard
+        body, x = shape.body, {shape.var}
+        self._facts(body.free - x, body.addr_vars - x, body.val_vars - x)
+        names = sorted(self.free)
+        self._values = itemgetter(*names) if names else None
+
+    def _key(self, env):
+        return self if self._values is None else (self, self._values(env))
+
+    def ev(self, env, h) -> bool | None:
+        """The body is first evaluated with the variable unbound.  If that
+        gives no verdict and env binds every free variable, the quantifier
+        is decided by enumeration, and that verdict is memoized per heap
+        on (node, free values)."""
+        closed = env.keys() >= self.free
+        if closed:
+            key = self._key(env)
+            verdict = h._memo.get(key)
+            if verdict is not None:
+                return verdict
+        shape = self.shape
+        saved = env.pop(shape.var, _UNSET)
+        try:
+            verdict = shape.body.ev(env, h)
+            if verdict is None and closed:
+                verdict = h._memo[key] = _decide(shape, self.guard, env, h)
+            return verdict
+        finally:
+            if saved is not _UNSET:
+                env[shape.var] = saved
+
+    def res(self, env, h) -> Formula:
+        verdict = self.ev(env, h)
+        if verdict is not None:
+            return TRUE if verdict else FALSE
+        shape = self.shape
+        saved = env.pop(shape.var, _UNSET)
+        try:
+            return _residual(shape, self.guard, env, h)
+        finally:
+            if saved is not _UNSET:
+                env[shape.var] = saved
+
+
+# Node constructors: they fold constants and intern what is left.
+
+
+def _atom_node(cls, l: SLNTerm, r: SLNTerm) -> _Node:
+    fields = (l.base, l.offset, r.base, r.offset)
+    return _intern((cls, *fields), lambda: cls(*fields))
+
+
+def _not_node(body: _Node) -> _Node:
+    if isinstance(body, _Const):
+        return _FALSE_NODE if body.value else _TRUE_NODE
+    return _intern((_Not, body), lambda: _Not(body))
+
+
+def _binary_node(cls, left: _Node, right: _Node) -> _Node:
+    unit = cls is _And  # the value that drops out of the connective
+    if isinstance(left, _Const):
+        return right if left.value == unit else left
+    if isinstance(right, _Const):
+        return left if right.value == unit else right
+    return _intern((cls, left, right), lambda: cls(left, right))
+
+
+def _quant_node(exists: bool, x: str, guard: int, body: _Node) -> _Node:
+    if isinstance(body, _Const):
+        return body
+    shape = _shape(exists, x, body)
+    return _intern((_Quant, shape, guard), lambda: _Quant(shape, guard))
+
+
+def _compile(a: Formula, seen: dict) -> _Node:
+    """The interned node of a; `seen` maps the ids of subformulas already
+    compiled from the same root, so a shared subtree compiles once."""
+    node = seen.get(id(a))
+    if node is not None:
+        return node
     match a:
-        case TruthConst():
-            return a
+        case TruthConst(v):
+            node = _TRUE_NODE if v else _FALSE_NODE
         case Eq(l, r):
             if not isinstance(l, SLNTerm) or not isinstance(r, SLNTerm):
                 raise TypeError("check operates on SLN formulas")
-            l2, r2 = _env_term(l, env), _env_term(r, env)
-            if l2.base is None and r2.base is None:
-                return TruthConst(l2.offset == r2.offset)
-            if l2.base == r2.base:
-                return TruthConst(l2.offset == r2.offset)
-            if l2 is l and r2 is r:
-                return a
-            return Eq(l2, r2)
+            if l.base == r.base:
+                node = _TRUE_NODE if l.offset == r.offset else _FALSE_NODE
+            else:
+                node = _atom_node(_Eq, l, r)
         case PointsTo(l, r):
-            l2, r2 = _env_term(l, env), _env_term(r, env)
-            if l2.base is None and r2.base is None:
-                return TruthConst(h.get(l2.offset) == r2.offset)
-            if l2 is l and r2 is r:
-                return a
-            return PointsTo(l2, r2)
+            node = _atom_node(_PointsTo, l, r)
         case Not(b):
-            b2 = _peval(b, env, h)
-            if isinstance(b2, TruthConst):
-                return TruthConst(not b2.value)
-            return a if b2 is b else Not(b2)
+            node = _not_node(_compile(b, seen))
         case And(l, r):
-            l2 = _peval(l, env, h)
-            if l2 == FALSE:
-                return FALSE
-            r2 = _peval(r, env, h)
-            folded = _and(l2, r2)
-            if l2 is l and r2 is r and isinstance(folded, And):
-                return a
-            return folded
+            node = _binary_node(_And, _compile(l, seen), _compile(r, seen))
         case Or(l, r):
-            l2 = _peval(l, env, h)
-            if l2 == TRUE:
-                return TRUE
-            r2 = _peval(r, env, h)
-            folded = _or(l2, r2)
-            if l2 is l and r2 is r and isinstance(folded, Or):
-                return a
-            return folded
-        case Exists(x, b) | Forall(x, b) | GExists(x, _, b) | GForall(x, _, b):
-            inner_env = env
-            if x in env:
-                inner_env = {k: v for k, v in env.items() if k != x}
-            b2 = _peval(b, inner_env, h)
-            if isinstance(b2, TruthConst):
-                return b2
-            if b2 is b:
-                return a
-            match a:
-                case Exists():
-                    return Exists(x, b2)
-                case Forall():
-                    return Forall(x, b2)
-                case GExists(_, m, _):
-                    return GExists(x, m, b2)
-                case GForall(_, m, _):
-                    return GForall(x, m, b2)
-    raise TypeError(f"not an SLN formula: {a!r}")
+            node = _binary_node(_Or, _compile(l, seen), _compile(r, seen))
+        case Exists() | Forall() | GExists() | GForall():
+            kind, x, guard, b = _split_quant(a)
+            node = _quant_node(kind == "exists", x, guard, _compile(b, seen))
+        case _:
+            raise TypeError(f"not an SLN formula: {a!r}")
+    seen[id(a)] = node
+    return node
 
 
 # ---------------------------------------------------------------------------
-# The decision recursion
+# Enumeration
 
 
-def _dec(a: Formula, h: Heap) -> bool:
-    """Decide a closed, partially evaluated SLN formula."""
-    match a:
-        case TruthConst(v):
-            return v
-        case Not(b):
-            return not _dec(b, h)
-        case And(l, r):
-            return _dec(l, h) and _dec(r, h)
-        case Or(l, r):
-            return _dec(l, h) or _dec(r, h)
-        case Eq() | PointsTo():
-            return _peval(a, {}, h) == TRUE
-    kind, x, guard, body = _split_quant(a)
-    cached = h._memo.get(a)
-    if cached is not None:
-        return cached
-    result = _dec_quant(kind, x, guard, body, h)
-    h._memo[a] = result
-    return result
+def _decide(shape: _Shape, guard: int, env: dict, h: Heap) -> bool:
+    """Truth of `Q x >= guard. body` under env, where env does not bind x
+    and the body does not fold to a constant."""
+    side = shape.side()
+    if side is None:
+        residual = shape.body.res(env, h)
+        return decide_sentence(_guarded(shape.kind, shape.var, guard, residual))
+    bound = h.max_addr if side == "addr" else h.max_val
+    x, body, want = shape.var, shape.body, shape.exists
+    try:
+        for k in shape.candidates(env, h, guard, bound):
+            env[x] = k
+            if body.ev(env, h) == want:
+                return want
+    finally:
+        env.pop(x, None)
+    tail = shape.tail()
+    verdict = tail.body.ev(env, h)
+    if verdict is not None:
+        return verdict
+    return _decide(tail, max(guard, bound + 1), env, h)
 
 
-def _dec_quant(kind: str, x: str, guard: int, body: Formula, h: Heap) -> bool:
-    want_witness = kind == "exists"
-    if _addr_relevant(body, x):
-        bound, side = h.max_addr, "addr"
-    elif _val_relevant(body, x):
-        bound, side = h.max_val, "val"
+def _join(parts: list[Formula], exists: bool) -> Formula:
+    """The disjunction (exists) or conjunction of parts, as a balanced
+    tree, so its depth grows with the log of their number."""
+    kept = []
+    for p in parts:
+        if isinstance(p, TruthConst):
+            if p.value == exists:
+                return p
+        else:
+            kept.append(p)
+    if not kept:
+        return TruthConst(not exists)
+    while len(kept) > 1:
+        joined = [(Or if exists else And)(l, r) for l, r in zip(kept[::2], kept[1::2])]
+        kept = joined + kept[len(joined) * 2:]
+    return kept[0]
+
+
+def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
+    """`Q x >= guard. body` as successor arithmetic over the variables
+    env leaves unbound, x excluded from env."""
+    side = shape.side()
+    if side is None:
+        return _guarded(shape.kind, shape.var, guard, shape.body.res(env, h))
+    bound = h.max_addr if side == "addr" else h.max_val
+    x, body = shape.var, shape.body
+    parts = []
+    try:
+        for k in shape.candidates(env, h, guard, bound):
+            env[x] = k
+            parts.append(body.res(env, h))
+    finally:
+        env.pop(x, None)
+    tail = shape.tail()
+    verdict = tail.body.ev(env, h)
+    if verdict is None:
+        parts.append(_residual(tail, max(guard, bound + 1), env, h))
     else:
-        residual = _elim(body, h)
-        return decide_sentence(_guarded(kind, x, guard, residual))
-    for k in range(guard, bound + 1):
-        verdict = _dec(_peval(body, {x: k}, h), h)
-        if verdict == want_witness:
-            return want_witness
-    tail = _guarded(kind, x, max(guard, bound + 1), _replace_atoms(body, x, side))
-    return _dec(tail, h)
+        parts.append(TruthConst(verdict))
+    return _join(parts, shape.exists)
 
 
-def _elim(a: Formula, h: Heap) -> Formula:
-    """Rewrite away every points-to atom, preserving truth under h for all
-    values of the free variables; the result is pure successor arithmetic."""
-    match a:
-        case TruthConst():
-            return a
-        case Eq():
-            return _peval(a, {}, h)
-        case PointsTo(l, r):
-            if l.base is not None or r.base is not None:
-                raise AssertionError(f"points-to atom escaped its rewrites: {a!r}")
-            return TruthConst(h.get(l.offset) == r.offset)
-        case Not(b):
-            return _not(_elim(b, h))
-        case And(l, r):
-            return _and(_elim(l, h), _elim(r, h))
-        case Or(l, r):
-            return _or(_elim(l, h), _elim(r, h))
-    kind, x, guard, body = _split_quant(a)
-    if not free_vars(a):
-        return TruthConst(_dec(_peval(a, {}, h), h))
-    if _addr_relevant(body, x):
-        return _elim(address_free_rewrite(a, h.max_addr), h)
-    if _val_relevant(body, x):
-        return _elim(value_free_rewrite(a, h.max_val), h)
-    return _guarded(kind, x, guard, _elim(body, h))
+# ---------------------------------------------------------------------------
+# Entry point
+
+# Compiled roots, most recent last, each kept with its formula so that the
+# id cannot be reused while the entry lives.
+_ROOTS: OrderedDict[int, tuple[Formula, _Node]] = OrderedDict()
+_ROOTS_KEPT = 64
+
+
+def _compiled(a: Formula) -> _Node:
+    entry = _ROOTS.pop(id(a), None)
+    node = _compile(a, {}) if entry is None else entry[1]
+    _ROOTS[id(a)] = (a, node)
+    while len(_ROOTS) > _ROOTS_KEPT:
+        _ROOTS.popitem(last=False)
+    return node
 
 
 def check(sigma: VarAssignment, h: Heap, a: Formula) -> bool:
     """Truth of sigma, h |= a.  Total on every SLN formula."""
-    env = {v: sigma(v) for v in free_vars(a)}
-    return _dec(_peval(a, env, h), h)
+    root = _compiled(a)
+    return root.ev({v: sigma(v) for v in root.free}, h)

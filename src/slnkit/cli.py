@@ -3,7 +3,8 @@
 Every subcommand is a thin adapter over the library: parse the arguments,
 call one function, format the result.  Formulas are taken inline or from a
 file via @path.  Exit codes: 0 success or true, 1 false or counterexample
-found, 2 usage or input error.
+found, 2 usage or input error, or an input that exhausts the recursion
+depth or memory.
 """
 
 from __future__ import annotations
@@ -227,6 +228,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: recursion limit exceeded: input too deeply nested or too large",
+              file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

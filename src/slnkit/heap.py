@@ -3,7 +3,7 @@
 A heap is a finite partial map from naturals to naturals; lookups outside
 the domain are a distinguishable absence, never a default.  Heaps are
 immutable after construction, so they can be shared freely and carry a
-model-checking memo."""
+model-checking memo and a lazily built index from values to addresses."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ DEFAULT_CELL_BUDGET = 10_000_000
 
 
 class Heap:
-    __slots__ = ("_cells", "_max_addr", "_max_val", "_memo")
+    __slots__ = ("_cells", "_max_addr", "_max_val", "_index", "_memo")
 
     def __init__(self, cells: Mapping[int, int] | None = None) -> None:
         data = dict(cells or {})
@@ -25,10 +25,21 @@ class Heap:
         self._cells = data
         self._max_addr = max(data) if data else -1
         self._max_val = max(data.values()) if data else -1
+        self._index: dict[int, tuple[int, ...]] | None = None
         self._memo: dict = {}  # checker verdict cache
 
     def get(self, addr: int) -> int | None:
         return self._cells.get(addr)
+
+    def addresses_holding(self, value: int) -> tuple[int, ...]:
+        """The addresses whose cell stores value, ascending.  The index
+        from values to addresses is built on first use."""
+        if self._index is None:
+            index: dict[int, list[int]] = {}
+            for addr in sorted(self._cells):
+                index.setdefault(self._cells[addr], []).append(addr)
+            self._index = {v: tuple(addrs) for v, addrs in index.items()}
+        return self._index.get(value, ())
 
     def __contains__(self, addr: int) -> bool:
         return addr in self._cells

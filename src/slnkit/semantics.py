@@ -122,7 +122,9 @@ def max_bound(sigma: VarAssignment, a: Formula) -> int:
 
     Quantifier cases substitute the numeral of the evaluated bound for the
     variable, which keeps terms small and agrees with substituting the term
-    itself.  Equalities contribute 0.
+    itself.  A defining term u + v or u * v also contributes its operands,
+    which the table row for it must hold: a zero product is smaller than
+    its other operand.  Equalities contribute 0.
     """
     match a:
         case Leq(t, u):
@@ -137,5 +139,7 @@ def max_bound(sigma: VarAssignment, a: Formula) -> int:
             return max(max_bound(sigma, l), max_bound(sigma, r))
         case BForall(x, t, b) | BExists(x, t, b) | ExistsEq(x, t, b):
             k = eval_term(sigma, t)
-            return max(k, max_bound(sigma, substitute(b, x, pa_num(k))))
+            operands = (t.left, t.right) if isinstance(t, (Plus, Times)) else ()
+            return max(k, *(eval_term(sigma, u) for u in operands),
+                       max_bound(sigma, substitute(b, x, pa_num(k))))
     raise TypeError(f"max_bound does not handle {a!r}")

@@ -1,10 +1,12 @@
 """Model checker tests: the worked examples, the syntactic rewrites, and
 differential comparison against the brute-force oracle."""
 
+import random
+
 import pytest
 
 from slnkit.ast import (
-    And, Eq, Exists, Forall, GExists, GForall, Or, PointsTo, SLNTerm,
+    And, Eq, Exists, Forall, GExists, GForall, Not, Or, PointsTo, SLNTerm,
     TruthConst, free_vars, sln_num, svar,
 )
 from slnkit.checker import (
@@ -142,3 +144,148 @@ def test_memo_is_per_heap():
     f = parse_sln("exists x (x |-> s(0))")
     assert check(SIGMA, h1, f)
     assert not check(SIGMA, h2, f)
+    assert check(SIGMA, h1, f)
+    # a verdict is cached on the heap it was reached on, and only there
+    g = parse_sln("forall y. exists x. (x |-> y \\/ y = s(s(0)))")
+    before = dict(h1._memo)
+    assert not check(SIGMA, h2, g)
+    assert h1._memo == before
+    assert not check(SIGMA, h1, g)
+    assert len(h1._memo) > len(before)
+    assert check(SIGMA, h1, f) and not check(SIGMA, h2, f)
+
+
+def test_memo_is_keyed_on_shape():
+    """Two formulas sharing a structurally equal subformula, parsed apart,
+    share its memo entries on one heap."""
+    h = Heap({0: 2, 1: 0, 2: 3, 4: 0, 5: 1})
+    shared = "forall b. exists c. (b |-> c => c |-> b \\/ s(c) |-> b)"
+    f = parse_sln(f"exists a. (a |-> 0 /\\ {shared})")
+    g = parse_sln(f"{shared} \\/ forall a. !(a |-> s(s(s(s(0)))))")
+    assert check(SIGMA, h, f) == stable_brute_force(SIGMA, h, f)
+    entries = len(h._memo)
+    assert check(SIGMA, h, parse_sln(shared)) == stable_brute_force(SIGMA, h, parse_sln(shared))
+    assert len(h._memo) == entries
+    assert check(SIGMA, h, g) == stable_brute_force(SIGMA, h, g)
+
+
+def _term(rng, scope):
+    if scope and rng.random() < 0.7:
+        return SLNTerm(rng.choice(scope), rng.randint(0, 2))
+    return sln_num(rng.randint(0, 4))
+
+
+def _anchored(rng, scope, depth):
+    """A quantifier whose body needs a points-to conjunct on its variable,
+    as address (x+i |-> t) or value (t |-> x+i), under a negation for
+    forall, optionally under a nested quantifier, a guard or a binder that
+    shadows an outer one."""
+    x = rng.choice(["a", "b", "y", "x"])
+    if rng.random() < 0.5:
+        atom = PointsTo(SLNTerm(x, rng.randint(0, 2)), _term(rng, scope))
+    else:
+        atom = PointsTo(_term(rng, scope), SLNTerm(x, rng.randint(0, 2)))
+    rest = _random_formula(rng, scope + [x], depth - 1)
+    exists = rng.random() < 0.5
+    body = And(atom, rest) if exists else Or(Not(atom), rest)
+    if rng.random() < 0.4:
+        y = rng.choice(["a", "b", "z"])
+        same_kind = rng.random() < 0.7
+        body = (Exists if exists == same_kind else Forall)(y, body)
+    if rng.random() < 0.3:
+        guard = rng.randint(0, 3)
+        return GExists(x, guard, body) if exists else GForall(x, guard, body)
+    return Exists(x, body) if exists else Forall(x, body)
+
+
+def _random_formula(rng, scope, depth):
+    if depth <= 0:
+        l, r = _term(rng, scope), _term(rng, scope)
+        return PointsTo(l, r) if rng.random() < 0.6 else Eq(l, r)
+    roll = rng.random()
+    if roll < 0.35:
+        return _anchored(rng, scope, depth)
+    if roll < 0.5:
+        return Not(_random_formula(rng, scope, depth - 1))
+    if roll < 0.8:
+        op = And if roll < 0.65 else Or
+        return op(_random_formula(rng, scope, depth - 1), _random_formula(rng, scope, depth - 1))
+    x = rng.choice(["a", "b", "y", "z"])
+    return rng.choice([Exists, Forall])(x, _random_formula(rng, scope + [x], depth - 1))
+
+
+def test_anchored_enumeration_against_oracle():
+    rng = random.Random(54)
+    for _ in range(400):
+        a = _random_formula(rng, ["x"] if rng.random() < 0.5 else [], rng.randint(1, 3))
+        heap = Heap({rng.randint(0, 7): rng.randint(0, 4) for _ in range(rng.randint(0, 6))})
+        sigma = VarAssignment({v: rng.randint(0, 4) for v in free_vars(a)})
+        assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a), a
+
+
+@pytest.mark.parametrize("text", [
+    # address anchors, on the quantifier itself and under a nested one
+    "exists a. (s(a) |-> s(s(0)) /\\ a |-> 0)",
+    "forall a. forall y. (a |-> 0 /\\ s(a) |-> y => s(s(a)) |-> s(y))",
+    "forall a. exists y. !(a |-> 0) \\/ s(a) |-> y /\\ !(y = 0)",
+    # value anchors
+    "forall y. (s(0) |-> s(y) => exists a. a |-> y)",
+    "exists y. (0 |-> y /\\ !(y = s(s(0))))",
+    # guarded, shadowed, and the residual path over an anchored inner block
+    "exists a >= 2. (a |-> 0 /\\ forall a. (a |-> 0 => a = a))",
+    "forall x. exists a. (a |-> 0 /\\ x = s(a)) \\/ x = 0",
+    "forall x >= 1. exists a. (a |-> x \\/ s(a) |-> x) \\/ !(x = s(0))",
+])
+def test_anchored_shapes(text):
+    a = parse_sln(text)
+    for heap in (Heap(), Heap({0: 2, 1: 3, 2: 0, 3: 1, 4: 0, 5: 2}), Heap({1: 0, 2: 1, 3: 2, 6: 0, 7: 1})):
+        assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a)
+
+
+@pytest.mark.parametrize("text, heap, sigma", [
+    # the inner binder's atom belongs to the inner a, not to the outer one
+    ("exists a. (exists a. a |-> s(0)) /\\ a |-> s(s(0))", Heap({0: 1, 5: 2, 6: 2}), {}),
+    # t mentions the inner y, not the y that sigma or an outer binder binds
+    ("exists a. exists y. (a |-> y /\\ y = s(0))", Heap({0: 1}), {"y": 3}),
+    ("exists y. (0 |-> y /\\ exists a. (!(a = y) /\\ exists y. (a |-> y /\\ y = s(s(0)))))",
+     Heap({0: 1, 3: 2}), {}),
+    # the inner x is unbound while its body folds, whatever the outer x is
+    ("exists x. (0 |-> x /\\ exists w. (s(0) |-> w /\\ !(w = x) /\\ forall x. !(x |-> w)))",
+     Heap({0: 3, 1: 5, 3: 7, 4: 5}), {}),
+    # a points-to atom under a disjunction is no anchor
+    ("exists a. (a |-> 0 \\/ a = s(0))", Heap({0: 1, 1: 5}), {}),
+    ("forall a. !(a |-> 0 \\/ a = s(0))", Heap({0: 1, 1: 5}), {}),
+    ("forall a. !((a |-> 0 \\/ a = s(s(0))) /\\ s(a) |-> s(0))", Heap({2: 3, 3: 1}), {}),
+    # residual blocks with several copies join by the quantifier's kind
+    ("exists x. exists a. (a |-> 0 /\\ x = s(a))", Heap({2: 0, 4: 0}), {}),
+    ("forall x. forall a. (!(a |-> 0) \\/ !(x = a))", Heap({2: 0, 4: 0}), {}),
+])
+def test_anchor_scoping(text, heap, sigma):
+    a, sigma = parse_sln(text), VarAssignment(sigma)
+    assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a)
+
+
+@pytest.mark.parametrize("heap", [Heap(), Heap({0: 2, 3: 0}), Heap({1: 4, 2: 1, 5: 4})])
+def test_tail_starts_right_after_the_block(heap):
+    """The tail takes over at the bound plus one, on either side."""
+    past_addr = "s(" * (heap.max_addr + 1) + "0" + ")" * (heap.max_addr + 1)
+    past_val = "s(" * (heap.max_val + 1) + "0" + ")" * (heap.max_val + 1)
+    for text in (f"exists x. (x |-> s(0) \\/ x = {past_addr})",
+                 f"forall x. (!(s(s(0)) |-> x) /\\ !(x = {past_val}))"):
+        a = parse_sln(text)
+        assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a)
+
+
+def test_residual_chain_stays_shallow():
+    """The enumerated copies under a residual quantifier are joined in a
+    balanced tree: on h_4 the chain would be thousands deep."""
+    f = parse_sln("forall x. exists a. (a |-> 0 /\\ x = a) \\/ !(x = x)")
+    assert check(SIGMA, simple_table_heap(4), f) is False
+
+
+def test_table_heap_condition_on_larger_tables():
+    H = table_heap_condition()
+    assert check(SIGMA, simple_table_heap(6), H) is True
+    h5 = simple_table_heap(5)
+    cell = 4 * 17 + 3  # the result of addition row 17
+    assert check(SIGMA, h5.mutated(cell, h5.get(cell) + 1), H) is False

@@ -117,3 +117,20 @@ def test_verify_subcommand_small(capsys):
     assert report["lemma"] == "fol"
     assert report["agreements"] == report["instances"] == 10
     assert report["seed"] == 4
+
+
+def test_deep_nesting_exits_2(capsys):
+    code, out, err = run(capsys, "parse-sln", "!" * 3000 + "(0 = 0)")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_decider_recursion_exits_2(capsys):
+    """An alternation the successor-arithmetic decider cannot finish within
+    the recursion limit is an error, not a false verdict."""
+    sentence = ("forall x0. exists x1. forall x2. exists x3. "
+                "((x0 = s(x1) \\/ x0 = x2) /\\ (x1 = s(x2) \\/ x1 = x3) "
+                "/\\ (x0 = s(x1) \\/ x0 = x2))")
+    code, out, err = run(capsys, "decide-succ", sentence)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

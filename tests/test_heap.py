@@ -79,3 +79,11 @@ def test_load_heap_errors():
         load_heap("3 -1")
     with pytest.raises(ValueError):
         load_heap("1 2 3")
+
+
+def test_addresses_holding():
+    h = Heap({5: 1, 0: 1, 3: 2})
+    assert h.addresses_holding(1) == (0, 5)
+    assert h.addresses_holding(2) == (3,)
+    assert h.addresses_holding(7) == ()
+    assert h.mutated(3, 1).addresses_holding(1) == (0, 3, 5)

@@ -53,6 +53,15 @@ def test_max_bound_quantifier_case():
     assert max_bound(VarAssignment({"x": 3}), a) == 3
 
 
+def test_max_bound_counts_defining_operands():
+    # a zero product is smaller than its other operand
+    assert max_bound(VarAssignment(), parse_pa("exists (z = 0 * s(s(0))) !(z = 0)")) == 2
+    assert max_bound(VarAssignment({"x": 4}), parse_pa("exists (z = x * 0) z = 0")) == 4
+    # sums and nonzero products already cover their operands
+    assert max_bound(VarAssignment({"x": 3}), parse_pa("exists (z = x * s(0)) z = x")) == 3
+    assert max_bound(VarAssignment({"x": 3}), parse_pa("exists (z = x + 0) z = x")) == 3
+
+
 @given(st.integers(0, 30), st.integers(0, 30))
 def test_update_law(n, m):
     sigma = VarAssignment({"y": m})

@@ -66,6 +66,13 @@ def test_verify_pa2hn_known_cases():
     assert report["agree"] and report["pa"] and report["n"] == 0
 
 
+def test_verify_pa2hn_zero_product():
+    """The table must hold the row for 0 * 2, so its size covers the
+    operand 2 even though the product is 0."""
+    report = verify_pa2hn(parse_pa("exists (z = 0 * s(s(0))) !(z = 0)"), VarAssignment())
+    assert report["agree"] and not report["pa"] and report["n"] == 2
+
+
 def test_verify_hn2forallh():
     report = verify_hn2forallh(parse_pa("0 = 0"), VarAssignment(), samples=10)
     assert report["precondition"] and not report["failures"]
