@@ -274,28 +274,102 @@ def or_all(parts: list[Formula]) -> Formula:
     return out
 
 
+# Folding constructors: truth constants are folded away, and what is left
+# of a conjunction or disjunction is nested to the right.
+
+
+def neg(a: Formula) -> Formula:
+    return TruthConst(not a.value) if isinstance(a, TruthConst) else Not(a)
+
+
+def _fold(parts: tuple, cls, unit: bool) -> Formula:
+    out = None
+    for p in reversed(parts):
+        if isinstance(p, TruthConst):
+            if p.value != unit:
+                return p
+        else:
+            out = p if out is None else cls(p, out)
+    return TruthConst(unit) if out is None else out
+
+
+def conj(*parts: Formula) -> Formula:
+    """The conjunction of parts: false if one is false, true parts dropped,
+    and true when none is left."""
+    return _fold(parts, And, True)
+
+
+def disj(*parts: Formula) -> Formula:
+    """The disjunction of parts: true if one is true, false parts dropped,
+    and false when none is left."""
+    return _fold(parts, Or, False)
+
+
+# Binder-generic access.  Every quantifier has a var and a body; five of the
+# seven classes also carry a term between them.
+
+
+def binder_term(a: Formula) -> PATerm | int | None:
+    """The bound (BForall, BExists), definition (ExistsEq) or guard
+    (GForall, GExists) of a quantifier; None for Exists and Forall."""
+    match a:
+        case Exists() | Forall():
+            return None
+        case BForall(_, t, _) | BExists(_, t, _) | ExistsEq(_, t, _):
+            return t
+        case GForall(_, m, _) | GExists(_, m, _):
+            return m
+    raise TypeError(f"not a quantifier: {a!r}")
+
+
+def binder_vars(a: Formula) -> frozenset[str]:
+    """Variables of a quantifier's bound or definition; a guard has none."""
+    t = binder_term(a)
+    return frozenset() if t is None or isinstance(t, int) else pa_term_vars(t)
+
+
+def quantifier(cls, var: str, term: PATerm | int | None, body: Formula) -> Formula:
+    """The quantifier of class cls binding var in body, with term as its
+    bound, definition or guard (None for Exists and Forall)."""
+    return cls(var, body) if term is None else cls(var, term, body)
+
+
+def rebind(a: Formula, var: str, body: Formula) -> Formula:
+    """Quantifier a, of the same class and term, binding var in body."""
+    return quantifier(type(a), var, binder_term(a), body)
+
+
+def map_children(a: Formula, f) -> Formula:
+    """a with f applied to each immediate subformula; atoms are returned
+    as they are."""
+    match a:
+        case Eq() | Leq() | PointsTo() | TruthConst():
+            return a
+        case Not(b):
+            return Not(f(b))
+        case And(l, r):
+            return And(f(l), f(r))
+        case Or(l, r):
+            return Or(f(l), f(r))
+    if isinstance(a, QUANTIFIERS):
+        return rebind(a, a.var, f(a.body))
+    raise TypeError(f"not a formula: {a!r}")
+
+
 def free_vars(a: Formula) -> frozenset[str]:
     match a:
-        case Eq(l, r):
+        case Eq(l, r) | PointsTo(l, r):
             return term_vars(l) | term_vars(r)
         case Leq(l, r):
             return pa_term_vars(l) | pa_term_vars(r)
-        case PointsTo(l, r):
-            return term_vars(l) | term_vars(r)
         case TruthConst():
             return frozenset()
         case Not(b):
             return free_vars(b)
         case And(l, r) | Or(l, r):
             return free_vars(l) | free_vars(r)
-        case Exists(x, b) | Forall(x, b):
-            return free_vars(b) - {x}
-        case BForall(x, t, b) | BExists(x, t, b):
-            return (free_vars(b) - {x}) | pa_term_vars(t)
-        case ExistsEq(x, t, b):
-            return (free_vars(b) - {x}) | pa_term_vars(t)
-        case GForall(x, _, b) | GExists(x, _, b):
-            return free_vars(b) - {x}
+    if isinstance(a, QUANTIFIERS):
+        return (free_vars(a.body) - {a.var}) | binder_vars(a)
     raise TypeError(f"not a formula: {a!r}")
 
 
@@ -320,10 +394,8 @@ def subformulas(a: Formula):
         case And(l, r) | Or(l, r):
             yield from subformulas(l)
             yield from subformulas(r)
-        case Exists(_, b) | Forall(_, b) | GForall(_, _, b) | GExists(_, _, b):
-            yield from subformulas(b)
-        case BForall(_, _, b) | BExists(_, _, b) | ExistsEq(_, _, b):
-            yield from subformulas(b)
+    if isinstance(a, QUANTIFIERS):
+        yield from subformulas(a.body)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +452,13 @@ def alpha_eq(a: Formula, b: Formula) -> bool:
                 return go(x, y, lr, rl)
             case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
                 return go(l1, l2, lr, rl) and go(r1, r2, lr, rl)
-            case (Exists(x, ba), Exists(y, bb)) | (Forall(x, ba), Forall(y, bb)):
-                return under(x, y, ba, bb)
-            case (BForall(x, t, ba), BForall(y, u, bb)) | (BExists(x, t, ba), BExists(y, u, bb)):
-                return _term_alpha(t, u, lr, rl) and under(x, y, ba, bb)
-            case ExistsEq(x, t, ba), ExistsEq(y, u, bb):
-                return _term_alpha(t, u, lr, rl) and under(x, y, ba, bb)
-            case (GForall(x, m, ba), GForall(y, k, bb)) | (GExists(x, m, ba), GExists(y, k, bb)):
-                return m == k and under(x, y, ba, bb)
-            case _:
-                return False
+        if type(a) is not type(b) or not isinstance(a, QUANTIFIERS):
+            return False
+        t, u = binder_term(a), binder_term(b)
+        if t is None or isinstance(t, int):
+            same_term = t == u
+        else:
+            same_term = _term_alpha(t, u, lr, rl)
+        return same_term and under(a.var, b.var, a.body, b.body)
 
     return go(a, b, {}, {})

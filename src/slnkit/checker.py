@@ -42,7 +42,7 @@ from operator import itemgetter
 
 from .ast import (
     And, Eq, Exists, Forall, Formula, GExists, GForall, Not, Or, PointsTo,
-    SLNTerm, TruthConst, and_all, or_all, sln_num,
+    SLNTerm, TruthConst, and_all, conj, disj, neg, or_all, sln_num,
 )
 from .heap import Heap
 from .semantics import VarAssignment
@@ -80,67 +80,39 @@ def _guarded(kind: str, x: str, guard: int, body: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Constant-folding constructors and false-replacements
+# Folding rebuild
 
 
-def _not(a: Formula) -> Formula:
-    if isinstance(a, TruthConst):
-        return TruthConst(not a.value)
-    return Not(a)
-
-
-def _and(l: Formula, r: Formula) -> Formula:
-    if l == FALSE or r == FALSE:
-        return FALSE
-    if l == TRUE:
-        return r
-    if r == TRUE:
-        return l
-    return And(l, r)
-
-
-def _or(l: Formula, r: Formula) -> Formula:
-    if l == TRUE or r == TRUE:
-        return TRUE
-    if l == FALSE:
-        return r
-    if r == FALSE:
-        return l
-    return Or(l, r)
+def _fold_atoms(a: Formula, atom, shadow: str | None = None) -> Formula:
+    """a with each atom p replaced by atom(p), folding constants on the way
+    up; a quantifier that binds `shadow` is kept as it is."""
+    match a:
+        case PointsTo() | Eq() | TruthConst():
+            return atom(a)
+        case Not(b):
+            return neg(_fold_atoms(b, atom, shadow))
+        case And(l, r):
+            return conj(_fold_atoms(l, atom, shadow), _fold_atoms(r, atom, shadow))
+        case Or(l, r):
+            return disj(_fold_atoms(l, atom, shadow), _fold_atoms(r, atom, shadow))
+        case Exists() | Forall() | GExists() | GForall():
+            if a.var == shadow:
+                return a
+            kind, x, guard, body = _split_quant(a)
+            return _guarded(kind, x, guard, _fold_atoms(body, atom, shadow))
+    raise TypeError(f"not an SLN formula: {a!r}")
 
 
 def _replace_atoms(a: Formula, x: str, side: str) -> Formula:
     """Replace points-to atoms whose `side` term iterates x by false,
     folding constants on the way up."""
-    match a:
-        case PointsTo(l, r):
-            hit = (l.base == x) if side == "addr" else (r.base == x)
-            return FALSE if hit else a
-        case Eq() | TruthConst():
-            return a
-        case Not(b):
-            return _not(_replace_atoms(b, x, side))
-        case And(l, r):
-            return _and(_replace_atoms(l, x, side), _replace_atoms(r, x, side))
-        case Or(l, r):
-            return _or(_replace_atoms(l, x, side), _replace_atoms(r, x, side))
-        case Exists(y, b):
-            if y == x:
-                return a
-            return _guarded("exists", y, 0, _replace_atoms(b, x, side))
-        case Forall(y, b):
-            if y == x:
-                return a
-            return _guarded("forall", y, 0, _replace_atoms(b, x, side))
-        case GExists(y, m, b):
-            if y == x:
-                return a
-            return _guarded("exists", y, m, _replace_atoms(b, x, side))
-        case GForall(y, m, b):
-            if y == x:
-                return a
-            return _guarded("forall", y, m, _replace_atoms(b, x, side))
-    raise TypeError(f"not an SLN formula: {a!r}")
+
+    def atom(p: Formula) -> Formula:
+        if isinstance(p, PointsTo) and (p.addr if side == "addr" else p.val).base == x:
+            return FALSE
+        return p
+
+    return _fold_atoms(a, atom, shadow=x)
 
 
 # ---------------------------------------------------------------------------
@@ -177,28 +149,15 @@ def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
     A points-to atom still mentioning a variable signals a pipeline bug and
     is rejected.
     """
-    match a:
-        case PointsTo(l, r):
-            if l.base is not None or r.base is not None:
-                raise ValueError(f"non-closed points-to atom: {a!r}")
-            return TruthConst(h.get(l.offset) == r.offset)
-        case Eq() | TruthConst():
-            return a
-        case Not(b):
-            return _not(ground_points_to_eval(h, b))
-        case And(l, r):
-            return _and(ground_points_to_eval(h, l), ground_points_to_eval(h, r))
-        case Or(l, r):
-            return _or(ground_points_to_eval(h, l), ground_points_to_eval(h, r))
-        case Exists(x, b):
-            return _guarded("exists", x, 0, ground_points_to_eval(h, b))
-        case Forall(x, b):
-            return _guarded("forall", x, 0, ground_points_to_eval(h, b))
-        case GExists(x, m, b):
-            return _guarded("exists", x, m, ground_points_to_eval(h, b))
-        case GForall(x, m, b):
-            return _guarded("forall", x, m, ground_points_to_eval(h, b))
-    raise TypeError(f"not an SLN formula: {a!r}")
+
+    def atom(p: Formula) -> Formula:
+        if not isinstance(p, PointsTo):
+            return p
+        if p.addr.base is not None or p.val.base is not None:
+            raise ValueError(f"non-closed points-to atom: {p!r}")
+        return TruthConst(h.get(p.addr.offset) == p.val.offset)
+
+    return _fold_atoms(a, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +304,7 @@ class _Not(_Node):
         return None if verdict is None else not verdict
 
     def res(self, env, h) -> Formula:
-        return _not(self.body.res(env, h))
+        return neg(self.body.res(env, h))
 
 
 class _Binary(_Node):
@@ -371,7 +330,7 @@ class _And(_Binary):
 
     def res(self, env, h) -> Formula:
         l = self.left.res(env, h)
-        return FALSE if l == FALSE else _and(l, self.right.res(env, h))
+        return FALSE if l == FALSE else conj(l, self.right.res(env, h))
 
 
 class _Or(_Binary):
@@ -388,7 +347,7 @@ class _Or(_Binary):
 
     def res(self, env, h) -> Formula:
         l = self.left.res(env, h)
-        return TRUE if l == TRUE else _or(l, self.right.res(env, h))
+        return TRUE if l == TRUE else disj(l, self.right.res(env, h))
 
 
 def _needs(node: _Node, x: str, positive: bool) -> frozenset:

@@ -15,7 +15,7 @@ from .ast import (
     And, Eq, Exists, Formula, Not, and_all, imp, shift, sln_num, svar,
 )
 from .heap import Heap
-from .parser import ParseError, Token, _tokenize
+from .parser import _Parser
 from .semantics import VarAssignment
 from .translate import row
 
@@ -263,95 +263,35 @@ def render_structure(m: FiniteStructure) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Minimal parser for L formulas (CLI input)
+# L formulas (CLI input): the connective grammar of the PA and SLN parsers
+# over L atoms and nodes
 
 
-class _LParser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.pos = 0
+class _LParser(_Parser):
+    NOT, AND, EXISTS = LNot, LAnd, LExists
+    OR, IMP, FORALL = staticmethod(l_or), staticmethod(l_imp), staticmethod(l_forall)
+    RESERVED = ()  # s and P are variables too
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("sym", "kw")
-
-    def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, text: str) -> None:
-        if not self.eat(text):
-            tok = self.peek()
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-
-    def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError("expected a variable name", tok.line, tok.col)
-        self.pos += 1
-        return tok.text
-
-    def formula(self) -> LFormula:
-        left = self._or()
-        if self.eat("=>"):
-            return l_imp(left, self.formula())
-        return left
-
-    def _or(self) -> LFormula:
-        left = self._and()
-        if self.eat("\\/"):
-            return l_or(left, self._or())
-        return left
-
-    def _and(self) -> LFormula:
-        left = self._unary()
-        if self.eat("/\\"):
-            return LAnd(left, self._and())
-        return left
-
-    def _unary(self) -> LFormula:
-        if self.eat("!"):
-            return LNot(self._unary())
-        tok = self.peek()
-        if tok.kind == "kw":
-            self.pos += 1
-            name = self.ident()
-            self.eat(".")
-            body = self.formula()
-            return LExists(name, body) if tok.text == "exists" else l_forall(name, body)
+    def _atom_or_paren(self) -> LFormula:
         if self.eat("("):
             inner = self.formula()
             self.expect(")")
             return inner
-        if tok.kind == "ident" and tok.text == "P":
-            self.pos += 1
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+        self.next()
+        if tok.text == "P":
             self.expect("(")
-            left = self.ident()
+            left = self._ident()
             self.expect(",")
-            right = self.ident()
+            right = self._ident()
             self.expect(")")
             return LPred(left, right)
-        if tok.kind == "ident":
-            self.pos += 1
-            self.expect("=")
-            return LEq(tok.text, self.ident())
-        raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
-
-    def parse(self) -> LFormula:
-        out = self.formula()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        return out
+        self.expect("=")
+        return LEq(tok.text, self._ident())
 
 
 def parse_l(text: str) -> LFormula:
     """Parse an L formula: P(x,y), x = y, !, /\\, \\/, =>, exists/forall."""
-    return _LParser(text).parse()
+    return _LParser(text, "l").parse()

@@ -9,8 +9,8 @@ prefix whose binder terms do not mention the fresh variable.
 from __future__ import annotations
 
 from .ast import (
-    And, Eq, Forall, Formula, Leq, Not, Or, PATerm, Plus, Succ, Times, Var,
-    has_arith,
+    And, BExists, BForall, Eq, ExistsEq, Forall, Formula, Leq, Not, Or,
+    PATerm, Plus, Succ, Times, Var, has_arith,
 )
 from .transform import (
     Binder, FreshNames, is_bounded, is_normal, is_pi01, prenex_parts,
@@ -130,7 +130,7 @@ def normalize_bounded(a: Formula) -> Formula:
     def measure() -> int:
         total = sum(_arith_nodes(t) for t in _matrix_terms(matrix))
         for b in prefix:
-            if b.kind in ("bforall", "bexists"):
+            if b.quant in (BForall, BExists):
                 assert b.term is not None
                 total += _arith_nodes(b.term)
         return total
@@ -140,7 +140,7 @@ def normalize_bounded(a: Formula) -> Formula:
         occ: PATerm | None = None
         where = -1  # binder index, or len(prefix) for the matrix
         for i, b in enumerate(prefix):
-            if b.kind in ("bforall", "bexists"):
+            if b.quant in (BForall, BExists):
                 assert b.term is not None
                 occ = _innermost(b.term)
                 if occ is not None:
@@ -161,11 +161,11 @@ def normalize_bounded(a: Formula) -> Formula:
             assert b.term is not None
             new_term, done = _replace_once(b.term, occ, z)
             assert done
-            prefix[where] = Binder(b.kind, b.var, new_term)
+            prefix[where] = Binder(b.quant, b.var, new_term)
         else:
             matrix, done = _rewrite_matrix_term(matrix, occ, z)
             assert done
-        prefix.insert(where, Binder("existseq", z, occ))
+        prefix.insert(where, Binder(ExistsEq, z, occ))
         if measure() >= before:
             raise AssertionError("extraction step failed to decrease the "
                                  "arithmetic-node measure")

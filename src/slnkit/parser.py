@@ -1,6 +1,7 @@
-"""Recursive-descent parsers for the PA and SLN surface grammars.
+"""Recursive-descent parsers for the PA and SLN surface grammars, and the
+connective grammar that the L parser in `finite` shares.
 
-The two grammars share tokens and structure; PA owns +, * and <= (atoms and
+The grammars share tokens and structure; PA owns +, * and <= (atoms and
 bounded quantifiers, plus the defining existential), SLN owns |-> and the
 guarded quantifiers.  A -> B desugars to !A \\/ B at parse time.  The dot
 after a quantifier binder may be omitted when the body is self-delimiting.
@@ -81,6 +82,14 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
+    """The grammar of `mode`, "pa" or "sln".  The L parser in `finite`
+    (mode "l") replaces the node constructors, the atoms and the reserved
+    names."""
+
+    NOT, AND, OR, EXISTS, FORALL = Not, And, Or, Exists, Forall
+    IMP = staticmethod(imp)
+    RESERVED = ("s",)  # names that are not variables
+
     def __init__(self, text: str, mode: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -175,27 +184,33 @@ class _Parser:
         left = self._or()
         if self.eat("=>"):
             right = self.formula()
-            return imp(left, right)
+            return self.IMP(left, right)
         return left
 
     def _or(self) -> Formula:
         left = self._and()
         if self.eat("\\/"):
-            return Or(left, self._or())
+            return self.OR(left, self._or())
         return left
 
     def _and(self) -> Formula:
         left = self._unary()
         if self.eat("/\\"):
-            return And(left, self._and())
+            return self.AND(left, self._and())
         return left
 
     def _unary(self) -> Formula:
-        if self.eat("!"):
-            return Not(self._unary())
+        # a loop, not a recursion, so a long run of ! cannot exhaust the stack
+        negations = 0
+        while self.eat("!"):
+            negations += 1
         if self.at("forall") or self.at("exists"):
-            return self._quantified()
-        return self._atom_or_paren()
+            out = self._quantified()
+        else:
+            out = self._atom_or_paren()
+        for _ in range(negations):
+            out = self.NOT(out)
+        return out
 
     def _quantified(self) -> Formula:
         tok = self.next()
@@ -231,11 +246,11 @@ class _Parser:
             return GForall(name, guard, body) if kind == "forall" else GExists(name, guard, body)
         self.eat(".")
         body = self.formula()
-        return Forall(name, body) if kind == "forall" else Exists(name, body)
+        return self.FORALL(name, body) if kind == "forall" else self.EXISTS(name, body)
 
     def _ident(self) -> str:
         tok = self.peek()
-        if tok.kind != "ident" or tok.text == "s":
+        if tok.kind != "ident" or tok.text in self.RESERVED:
             raise self.fail("expected a variable name")
         self.next()
         return tok.text

@@ -5,12 +5,21 @@ round-trip to that encoding instead)."""
 from __future__ import annotations
 
 from .ast import (
-    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
-    GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times,
-    TruthConst, Var, Zero,
+    QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
+    Formula, GExists, GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm,
+    Succ, Times, TruthConst, Var, Zero, binder_term,
 )
 
 _PLUS, _TIMES, _PRIM = 1, 2, 3
+
+# The text before each binder's body: x is its variable, t its bound,
+# definition or guard.
+_HEADS = {
+    Forall: "forall {x}. ", Exists: "exists {x}. ",
+    BForall: "forall {x} <= {t}. ", BExists: "exists {x} <= {t}. ",
+    ExistsEq: "exists ({x} = {t}) ",
+    GForall: "forall {x} >= {t}. ", GExists: "exists {x} >= {t}. ",
+}
 
 
 def render_term(t) -> str:
@@ -62,36 +71,11 @@ def _fmt(a: Formula, req: int, tail: bool) -> str:
             if req > 1:
                 return f"({_fmt(l, 2, False)} \\/ {_fmt(r, 1, True)})"
             return f"{_fmt(l, 2, False)} \\/ {_fmt(r, 1, tail)}"
-        case _:
-            head = _binder_head(a)
-            body = _binder_body(a)
-            if tail:
-                return f"{head}{_fmt(body, 0, True)}"
-            return f"({head}{_fmt(body, 0, True)})"
-
-
-def _binder_head(a: Formula) -> str:
-    match a:
-        case Forall(x, _):
-            return f"forall {x}. "
-        case Exists(x, _):
-            return f"exists {x}. "
-        case BForall(x, t, _):
-            return f"forall {x} <= {render_term(t)}. "
-        case BExists(x, t, _):
-            return f"exists {x} <= {render_term(t)}. "
-        case ExistsEq(x, t, _):
-            return f"exists ({x} = {render_term(t)}) "
-        case GForall(x, m, _):
-            return f"forall {x} >= {m}. "
-        case GExists(x, m, _):
-            return f"exists {x} >= {m}. "
-    raise TypeError(f"not a formula: {a!r}")
-
-
-def _binder_body(a: Formula) -> Formula:
-    match a:
-        case (Forall(_, b) | Exists(_, b) | BForall(_, _, b) | BExists(_, _, b)
-              | ExistsEq(_, _, b) | GForall(_, _, b) | GExists(_, _, b)):
-            return b
-    raise TypeError(f"not a formula: {a!r}")
+    if not isinstance(a, QUANTIFIERS):
+        raise TypeError(f"not a formula: {a!r}")
+    t = binder_term(a)
+    if t is not None and not isinstance(t, int):
+        t = render_term(t)
+    head = _HEADS[type(a)].format(x=a.var, t=t)
+    body = _fmt(a.body, 0, True)
+    return f"{head}{body}" if tail else f"({head}{body})"

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
-    Or, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero, pa_num,
+    Or, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero,
 )
-from .transform import substitute
 
 
 class VarAssignment:
@@ -120,11 +119,11 @@ def max_bound(sigma: VarAssignment, a: Formula) -> int:
     """Largest value any argument of +, * or <= takes while expanding the
     quantifiers of a normal-shaped formula under sigma.
 
-    Quantifier cases substitute the numeral of the evaluated bound for the
-    variable, which keeps terms small and agrees with substituting the term
-    itself.  A defining term u + v or u * v also contributes its operands,
-    which the table row for it must hold: a zero product is smaller than
-    its other operand.  Equalities contribute 0.
+    Quantifier cases bind the variable to the value of its bound or
+    definition, as eval_bounded does, which agrees with substituting the
+    term itself.  A defining term u + v or u * v also contributes its
+    operands, which the table row for it must hold: a zero product is
+    smaller than its other operand.  Equalities contribute 0.
     """
     match a:
         case Leq(t, u):
@@ -141,5 +140,5 @@ def max_bound(sigma: VarAssignment, a: Formula) -> int:
             k = eval_term(sigma, t)
             operands = (t.left, t.right) if isinstance(t, (Plus, Times)) else ()
             return max(k, *(eval_term(sigma, u) for u in operands),
-                       max_bound(sigma, substitute(b, x, pa_num(k))))
+                       max_bound(sigma.update(x, k), b))
     raise TypeError(f"max_bound does not handle {a!r}")

@@ -11,43 +11,13 @@ from __future__ import annotations
 
 from .ast import (
     And, Eq, Exists, Forall, Formula, GExists, GForall, Not, Or, PointsTo,
-    SLNTerm, TruthConst, free_vars, is_quantifier_free, shift, sln_num,
-    subformulas, svar,
+    SLNTerm, TruthConst, conj, disj, free_vars, is_quantifier_free,
+    map_children, shift, sln_num, subformulas, svar,
 )
 from .transform import dnf_cubes, nnf
 
 TRUE = TruthConst(True)
 FALSE = TruthConst(False)
-
-
-def _fold_and(parts: list[Formula]) -> Formula:
-    kept: list[Formula] = []
-    for p in parts:
-        if p == FALSE:
-            return FALSE
-        if p != TRUE:
-            kept.append(p)
-    if not kept:
-        return TRUE
-    out = kept[-1]
-    for p in reversed(kept[:-1]):
-        out = And(p, out)
-    return out
-
-
-def _fold_or(parts: list[Formula]) -> Formula:
-    kept: list[Formula] = []
-    for p in parts:
-        if p == TRUE:
-            return TRUE
-        if p != FALSE:
-            kept.append(p)
-    if not kept:
-        return FALSE
-    out = kept[-1]
-    for p in reversed(kept[:-1]):
-        out = Or(p, out)
-    return out
 
 
 def _norm_literal(lit: Formula, x: str) -> Formula:
@@ -136,7 +106,7 @@ def _solve_cube(x: str, literals: list[Formula]) -> Formula:
     if equation is None:
         # Only disequalities constrain x; the domain is infinite, so a
         # witness always exists.
-        return _fold_and(rest)
+        return conj(*rest)
 
     on_x.remove(equation)
     lhs, rhs = equation.left, equation.right
@@ -163,7 +133,7 @@ def _solve_cube(x: str, literals: list[Formula]) -> Formula:
             return FALSE
         if folded != TRUE:
             rest.append(folded)
-    return _fold_and(rest)
+    return conj(*rest)
 
 
 def _eliminate_exists(x: str, guard: int, body: Formula) -> Formula:
@@ -171,21 +141,15 @@ def _eliminate_exists(x: str, guard: int, body: Formula) -> Formula:
     out = []
     for cube in dnf_cubes(nnf(body)):
         out.append(_solve_cube(x, cube + guard_lits))
-    result = _fold_or(out)
+    result = disj(*out)
     assert is_quantifier_free(result)
     return result
 
 
 def _eliminate_all(a: Formula) -> Formula:
     match a:
-        case Eq() | TruthConst():
-            return a
-        case Not(b):
-            return Not(_eliminate_all(b))
-        case And(l, r):
-            return And(_eliminate_all(l), _eliminate_all(r))
-        case Or(l, r):
-            return Or(_eliminate_all(l), _eliminate_all(r))
+        case Eq() | TruthConst() | Not() | And() | Or():
+            return map_children(a, _eliminate_all)
         case Exists(x, b):
             return _eliminate_exists(x, 0, _eliminate_all(b))
         case GExists(x, m, b):

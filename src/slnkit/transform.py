@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast import (
-    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
-    GForall, Leq, Not, Or, PATerm, PointsTo, SLNTerm, Succ, Plus, Times,
-    TruthConst, Var, Zero, free_vars, imp, is_quantifier_free, or_all,
-    and_all, pa_term_vars, has_arith, shift, sln_num, term_vars,
+    QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
+    Formula, GExists, GForall, Leq, Not, Or, PATerm, PointsTo, SLNTerm, Succ,
+    Plus, Times, TruthConst, Var, Zero, binder_term, binder_vars, free_vars,
+    imp, is_quantifier_free, map_children, or_all, and_all, has_arith,
+    quantifier, rebind, shift, sln_num, subformulas, svar, term_vars,
 )
 
 
@@ -88,45 +89,20 @@ def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formul
                 return Leq(subst_pa_term(l, x, t), subst_pa_term(r, x, t))
             case PointsTo(l, r):
                 return PointsTo(subst_sln_term(l, x, t), subst_sln_term(r, x, t))
-            case TruthConst():
-                return a
-            case Not(b):
-                return Not(go(b))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Exists(y, b):
-                y2, b2 = rename_binder(y, b)
-                return a if y == x else Exists(y2, go(b2))
-            case Forall(y, b):
-                y2, b2 = rename_binder(y, b)
-                return a if y == x else Forall(y2, go(b2))
-            case BForall(y, u, b):
-                u2 = subst_pa_term(u, x, t)
-                if y == x:
-                    return BForall(y, u2, b)
-                y2, b2 = rename_binder(y, b)
-                return BForall(y2, u2, go(b2))
-            case BExists(y, u, b):
-                u2 = subst_pa_term(u, x, t)
-                if y == x:
-                    return BExists(y, u2, b)
-                y2, b2 = rename_binder(y, b)
-                return BExists(y2, u2, go(b2))
-            case ExistsEq(y, u, b):
-                u2 = subst_pa_term(u, x, t)
-                if y == x:
-                    return ExistsEq(y, u2, b)
-                y2, b2 = rename_binder(y, b)
-                return ExistsEq(y2, u2, go(b2))
-            case GForall(y, m, b):
-                y2, b2 = rename_binder(y, b)
-                return a if y == x else GForall(y2, m, go(b2))
-            case GExists(y, m, b):
-                y2, b2 = rename_binder(y, b)
-                return a if y == x else GExists(y2, m, go(b2))
-        raise TypeError(f"not a formula: {a!r}")
+            case TruthConst() | Not() | And() | Or():
+                return map_children(a, go)
+        if not isinstance(a, QUANTIFIERS):
+            raise TypeError(f"not a formula: {a!r}")
+        y, u = a.var, binder_term(a)
+        if isinstance(a, (BForall, BExists, ExistsEq)):
+            # the bound or definition lies outside the binder's scope
+            u = subst_pa_term(u, x, t)
+            if y == x:
+                return quantifier(type(a), y, u, a.body)
+        # Plain and guarded binders try the renaming before the shadowing
+        # test, which may spend a fresh name; the numbering depends on it.
+        y2, b2 = rename_binder(y, a.body)
+        return a if y == x else quantifier(type(a), y2, u, go(b2))
 
     def rename_binder(y: str, body: Formula) -> tuple[str, Formula]:
         # Rename only when the binder would capture a variable of t.
@@ -150,42 +126,20 @@ def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formul
 def unfold_bounded(a: Formula) -> Formula:
     """Expand bounded and defining quantifiers to their plain readings."""
     match a:
-        case Eq() | Leq() | PointsTo() | TruthConst():
-            return a
-        case Not(b):
-            return Not(unfold_bounded(b))
-        case And(l, r):
-            return And(unfold_bounded(l), unfold_bounded(r))
-        case Or(l, r):
-            return Or(unfold_bounded(l), unfold_bounded(r))
-        case Exists(x, b):
-            return Exists(x, unfold_bounded(b))
-        case Forall(x, b):
-            return Forall(x, unfold_bounded(b))
         case BForall(x, t, b):
             return Forall(x, imp(Leq(Var(x), t), unfold_bounded(b)))
         case BExists(x, t, b):
             return Exists(x, And(Leq(Var(x), t), unfold_bounded(b)))
         case ExistsEq(x, t, b):
             return Exists(x, And(Eq(Var(x), t), unfold_bounded(b)))
-    raise TypeError(f"cannot unfold {a!r}")
+        case GForall() | GExists():
+            raise TypeError(f"cannot unfold {a!r}")
+    return map_children(a, unfold_bounded)
 
 
 def expand_guards(a: Formula) -> Formula:
     """Expand guarded quantifiers into the plain-quantifier abbreviations."""
     match a:
-        case Eq() | Leq() | PointsTo() | TruthConst():
-            return a
-        case Not(b):
-            return Not(expand_guards(b))
-        case And(l, r):
-            return And(expand_guards(l), expand_guards(r))
-        case Or(l, r):
-            return Or(expand_guards(l), expand_guards(r))
-        case Exists(x, b):
-            return Exists(x, expand_guards(b))
-        case Forall(x, b):
-            return Forall(x, expand_guards(b))
         case GForall(x, m, b):
             body = expand_guards(b)
             if m == 0:
@@ -198,7 +152,9 @@ def expand_guards(a: Formula) -> Formula:
                 return Exists(x, body)
             cuts: list[Formula] = [Not(Eq(SLNTerm(x, 0), sln_num(i))) for i in range(m)]
             return Exists(x, and_all(cuts + [body]))
-    raise TypeError(f"cannot expand guards in {a!r}")
+        case BForall() | BExists() | ExistsEq():
+            raise TypeError(f"cannot expand guards in {a!r}")
+    return map_children(a, expand_guards)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +220,8 @@ def to_dnf(c: Formula) -> Formula:
         match a:
             case Not(Leq(t, u)):
                 return And(Leq(u, t), Not(Eq(u, t)))
-            case Not(_):
-                return a
-            case And(l, r):
-                return And(drop_neg_leq(l), drop_neg_leq(r))
-            case Or(l, r):
-                return Or(drop_neg_leq(l), drop_neg_leq(r))
+            case And() | Or():
+                return map_children(a, drop_neg_leq)
             case _:
                 return a
 
@@ -281,38 +233,26 @@ def to_dnf(c: Formula) -> Formula:
 # Prenex normal form for PA formulas
 
 
+# The dual of each PA quantifier class under negation.  A defining
+# existential is its own dual, since its witness is unique.
+_DUAL = {Forall: Exists, Exists: Forall, BForall: BExists, BExists: BForall,
+         ExistsEq: ExistsEq}
+
+
 @dataclass(frozen=True)
 class Binder:
-    """One prefix entry: kind in {forall, exists, bforall, bexists, existseq}."""
+    """One prefix entry: a PA quantifier class, its variable, and its bound
+    or definition (None for Forall and Exists)."""
 
-    kind: str
+    quant: type
     var: str
     term: PATerm | None = None
 
     def flipped(self) -> "Binder":
-        flip = {
-            "forall": "exists", "exists": "forall",
-            "bforall": "bexists", "bexists": "bforall",
-            "existseq": "existseq",
-        }
-        return Binder(flip[self.kind], self.var, self.term)
+        return Binder(_DUAL[self.quant], self.var, self.term)
 
     def wrap(self, body: Formula) -> Formula:
-        match self.kind:
-            case "forall":
-                return Forall(self.var, body)
-            case "exists":
-                return Exists(self.var, body)
-            case "bforall":
-                assert self.term is not None
-                return BForall(self.var, self.term, body)
-            case "bexists":
-                assert self.term is not None
-                return BExists(self.var, self.term, body)
-            case "existseq":
-                assert self.term is not None
-                return ExistsEq(self.var, self.term, body)
-        raise ValueError(self.kind)
+        return quantifier(self.quant, self.var, self.term, body)
 
 
 def wrap_prefix(prefix: list[Binder], matrix: Formula) -> Formula:
@@ -329,84 +269,41 @@ def standardize_apart(a: Formula, fresh: FreshNames) -> Formula:
     seen: set[str] = set(free_vars(a))
 
     def go(a: Formula) -> Formula:
-        match a:
-            case Eq() | Leq() | PointsTo() | TruthConst():
-                return a
-            case Not(b):
-                return Not(go(b))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Exists(x, b) | Forall(x, b) | GForall(x, _, b) | GExists(x, _, b):
-                x2, b2 = reb(x, b)
-                body = go(b2)
-                match a:
-                    case Exists():
-                        return Exists(x2, body)
-                    case Forall():
-                        return Forall(x2, body)
-                    case GForall(_, m, _):
-                        return GForall(x2, m, body)
-                    case GExists(_, m, _):
-                        return GExists(x2, m, body)
-            case BForall(x, t, b):
-                x2, b2 = reb(x, b)
-                return BForall(x2, t, go(b2))
-            case BExists(x, t, b):
-                x2, b2 = reb(x, b)
-                return BExists(x2, t, go(b2))
-            case ExistsEq(x, t, b):
-                x2, b2 = reb(x, b)
-                return ExistsEq(x2, t, go(b2))
-        raise TypeError(f"not a formula: {a!r}")
+        if not isinstance(a, QUANTIFIERS):
+            return map_children(a, go)
+        x2, b2 = reb(a.var, a.body)
+        return rebind(a, x2, go(b2))
 
     def reb(x: str, body: Formula) -> tuple[str, Formula]:
         if x in seen:
             x2 = fresh.fresh(x)
             seen.add(x2)
-            kind = _binder_term_kind(body, x)
-            return x2, substitute(body, x, kind(x2), fresh)
+            return x2, substitute(body, x, _var_term(body)(x2), fresh)
         seen.add(x)
         return x, body
 
     return go(a)
 
 
-def _binder_term_kind(body: Formula, x: str):
-    # SLN formulas substitute SLNTerm variables, PA formulas Var.
-    for sub in _atom_terms(body):
-        if isinstance(sub, SLNTerm):
-            return lambda n: SLNTerm(n, 0)
-        return Var
+def _var_term(body: Formula):
+    """The variable constructor of body's logic, read off its first atom:
+    svar for SLN, Var for PA."""
+    for sub in subformulas(body):
+        match sub:
+            case Eq(l, _) | PointsTo(l, _) | Leq(l, _):
+                return svar if isinstance(l, SLNTerm) else Var
     return Var
 
 
-def _atom_terms(a: Formula):
-    from .ast import subformulas
-
-    for sub in subformulas(a):
-        match sub:
-            case Eq(l, r) | PointsTo(l, r) | Leq(l, r):
-                yield l
-                yield r
-
-
 def _all_names(a: Formula) -> set[str]:
-    from .ast import subformulas
-
     names: set[str] = set()
     for sub in subformulas(a):
         match sub:
             case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
                 names |= term_vars(l) | term_vars(r)
-            case Exists(x, _) | Forall(x, _):
-                names.add(x)
-            case BForall(x, t, _) | BExists(x, t, _) | ExistsEq(x, t, _):
-                names.add(x)
-                names |= pa_term_vars(t)
-            case GForall(x, _, _) | GExists(x, _, _):
-                names.add(x)
+        if isinstance(sub, QUANTIFIERS):
+            names.add(sub.var)
+            names |= binder_vars(sub)
     return names
 
 
@@ -436,22 +333,10 @@ def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[Bind
                 pl, ml = go(l)
                 pr, mr = go(r)
                 return pl + pr, Or(ml, mr)
-            case Exists(x, b):
-                p, m = go(b)
-                return [Binder("exists", x)] + p, m
-            case Forall(x, b):
-                p, m = go(b)
-                return [Binder("forall", x)] + p, m
-            case BForall(x, t, b):
-                p, m = go(b)
-                return [Binder("bforall", x, t)] + p, m
-            case BExists(x, t, b):
-                p, m = go(b)
-                return [Binder("bexists", x, t)] + p, m
-            case ExistsEq(x, t, b):
-                p, m = go(b)
-                return [Binder("existseq", x, t)] + p, m
-        raise TypeError(f"prenex does not handle {a!r}")
+        if type(a) not in _DUAL:
+            raise TypeError(f"prenex does not handle {a!r}")
+        p, m = go(a.body)
+        return [Binder(type(a), a.var, binder_term(a))] + p, m
 
     return go(a)
 

@@ -164,3 +164,39 @@ def test_parse_l():
     assert parse_l("x = y") == LEq("x", "y")
     assert parse_l("exists x. P(x,x) /\\ x = x") == LExists("x", LAnd(LPred("x", "x"), LEq("x", "x")))
     assert parse_l("forall x. P(x,x)") == l_forall("x", LPred("x", "x"))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("exists s. P(s,s)", LExists("s", LPred("s", "s"))),
+    ("forall P. P(P,P)", l_forall("P", LPred("P", "P"))),
+    ("x = P", LEq("x", "P")),
+    ("P(x,y) => x = y", l_imp(LPred("x", "y"), LEq("x", "y"))),
+    ("x = y \\/ P(x,x)", LNot(LAnd(LNot(LEq("x", "y")), LNot(LPred("x", "x"))))),
+    ("x = y => y = x => P(x,y)",
+     l_imp(LEq("x", "y"), l_imp(LEq("y", "x"), LPred("x", "y")))),
+    ("exists x P(x,x)", LExists("x", LPred("x", "x"))),
+    ("forall x (x = x)", l_forall("x", LEq("x", "x"))),
+    ("!!x = y /\\ (P(x,y))", LAnd(LNot(LNot(LEq("x", "y"))), LPred("x", "y"))),
+])
+def test_parse_l_accepts(text, expected):
+    assert parse_l(text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "exists x <= y. P(x,x)",
+    "forall x >= 2. x = x",
+    "exists (x = y) x = x",
+    "P = x",
+    "P(x y)",
+    "x = y y",
+    "x = y)",
+    "0 = x",
+    "x + y = x",
+    "x |-> y",
+    "",
+])
+def test_parse_l_rejects(text):
+    from slnkit.parser import ParseError
+
+    with pytest.raises(ParseError):
+        parse_l(text)

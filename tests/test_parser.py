@@ -4,6 +4,7 @@ from slnkit.ast import (
     And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
     PointsTo, SLNTerm, Succ, Times, Var, Zero, free_vars, sln_num, svar,
 )
+from slnkit.finite import LNot, parse_l
 from slnkit.gen import Generators
 from slnkit.parser import ParseError, parse_pa, parse_sln
 from slnkit.render import render
@@ -107,3 +108,15 @@ def test_round_trip_generated_sln():
     for _ in range(1000):
         a = gens.sln_formula()
         assert parse_sln(render(a)) == a
+
+
+@pytest.mark.parametrize("parse, atom", [(parse_pa, "(0 = 0)"), (parse_sln, "(0 = 0)"),
+                                         (parse_l, "x = x")])
+def test_deep_negation_chain(parse, atom):
+    """A run of 3000 negations parses without exhausting the stack."""
+    a = parse("!" * 3000 + atom)
+    depth = 0
+    while isinstance(a, (Not, LNot)):
+        a, depth = a.body, depth + 1
+    assert depth == 3000
+    assert a == parse(atom)

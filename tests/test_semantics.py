@@ -53,6 +53,13 @@ def test_max_bound_quantifier_case():
     assert max_bound(VarAssignment({"x": 3}), a) == 3
 
 
+def test_max_bound_under_a_shadowing_binder():
+    # the inner binder rebinds x: its body reads x = 3, not the outer x = 2
+    a = parse_pa("forall y <= x. exists x <= s(y). x + x <= y")
+    assert max_bound(VarAssignment({"x": 2}), a) == 6
+    b = parse_pa("exists (z = x + x) forall x <= z. x * x <= z")
+    assert max_bound(VarAssignment({"x": 1}), b) == 4
+
 def test_max_bound_counts_defining_operands():
     # a zero product is smaller than its other operand
     assert max_bound(VarAssignment(), parse_pa("exists (z = 0 * s(s(0))) !(z = 0)")) == 2
