@@ -13,7 +13,7 @@ from .ast import (
     QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
     Formula, GExists, GForall, Leq, Not, Or, PATerm, PointsTo, SLNTerm, Succ,
     Plus, Times, TruthConst, Var, Zero, binder_term, binder_vars, free_vars,
-    imp, is_quantifier_free, map_children, or_all, and_all, has_arith,
+    imp, is_quantifier_free, map_children, neg, or_all, and_all, has_arith,
     quantifier, rebind, shift, sln_num, subformulas, svar, term_vars,
 )
 
@@ -97,24 +97,18 @@ def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formul
         if isinstance(a, (BForall, BExists, ExistsEq)):
             # the bound or definition lies outside the binder's scope
             u = subst_pa_term(u, x, t)
-            if y == x:
-                return quantifier(type(a), y, u, a.body)
-        # Plain and guarded binders try the renaming before the shadowing
-        # test, which may spend a fresh name; the numbering depends on it.
+        if y == x:
+            return quantifier(type(a), y, u, a.body)
         y2, b2 = rename_binder(y, a.body)
-        return a if y == x else quantifier(type(a), y2, u, go(b2))
+        return quantifier(type(a), y2, u, go(b2))
 
     def rename_binder(y: str, body: Formula) -> tuple[str, Formula]:
         # Rename only when the binder would capture a variable of t.
         if y in t_vars and x in free_vars(body):
             y2 = fresh.fresh(y)
-            var_t = svar_like(body, y2)
+            var_t = SLNTerm(y2, 0) if isinstance(t, SLNTerm) else Var(y2)
             return y2, substitute(body, y, var_t, fresh)
         return y, body
-
-    def svar_like(body: Formula, name: str):
-        # Pick the term kind matching the logic of the body being renamed.
-        return SLNTerm(name, 0) if isinstance(t, SLNTerm) else Var(name)
 
     return go(a)
 
@@ -164,35 +158,19 @@ def expand_guards(a: Formula) -> Formula:
 def nnf(a: Formula) -> Formula:
     """Push negations down to atoms of a quantifier-free formula."""
 
-    def pos(a: Formula) -> Formula:
+    def go(a: Formula, positive: bool) -> Formula:
         match a:
             case Not(b):
-                return neg(b)
+                return go(b, not positive)
             case And(l, r):
-                return And(pos(l), pos(r))
+                return (And if positive else Or)(go(l, positive), go(r, positive))
             case Or(l, r):
-                return Or(pos(l), pos(r))
-            case TruthConst():
-                return a
-            case Eq() | Leq() | PointsTo():
-                return a
+                return (Or if positive else And)(go(l, positive), go(r, positive))
+            case Eq() | Leq() | PointsTo() | TruthConst():
+                return a if positive else neg(a)
         raise ValueError(f"nnf expects a quantifier-free formula, got {a!r}")
 
-    def neg(a: Formula) -> Formula:
-        match a:
-            case Not(b):
-                return pos(b)
-            case And(l, r):
-                return Or(neg(l), neg(r))
-            case Or(l, r):
-                return And(neg(l), neg(r))
-            case TruthConst(v):
-                return TruthConst(not v)
-            case Eq() | Leq() | PointsTo():
-                return Not(a)
-        raise ValueError(f"nnf expects a quantifier-free formula, got {a!r}")
-
-    return pos(a)
+    return go(a, True)
 
 
 def dnf_cubes(a: Formula) -> list[list[Formula]]:
@@ -374,56 +352,24 @@ def is_pi01(a: Formula) -> bool:
             return False
 
 
-def _is_literal(a: Formula) -> bool:
-    match a:
-        case Eq() | Leq():
-            return True
-        case Not(Eq()) | Not(Leq()):
-            return True
-        case _:
-            return False
-
-
-def _is_cube(a: Formula) -> bool:
-    match a:
-        case And(l, r):
-            return _is_cube(l) and _is_cube(r)
-        case _:
-            return _is_literal(a)
+def _operands(a: Formula, cls) -> list[Formula]:
+    """The operands of the chain of cls nodes at the top of a, left to
+    right; [a] when a is not a cls node."""
+    out, todo = [], [a]
+    while todo:
+        b = todo.pop()
+        if isinstance(b, cls):
+            todo += (b.right, b.left)
+        else:
+            out.append(b)
+    return out
 
 
 def is_dnf_matrix(a: Formula) -> bool:
-    match a:
-        case Or(l, r):
-            return is_dnf_matrix(l) and is_dnf_matrix(r)
-        case _:
-            return _is_cube(a)
-
-
-def _matrix_ok(a: Formula) -> bool:
-    if not is_dnf_matrix(a):
-        return False
-    for sub in _matrix_literals(a):
-        match sub:
-            case Not(Leq()):
-                return False
-            case Eq(l, r) | Leq(l, r) | Not(Eq(l, r)):
-                if has_arith(l) or has_arith(r):
-                    return False
-    return True
-
-
-def _matrix_literals(a: Formula):
-    match a:
-        case And(l, r) | Or(l, r):
-            yield from _matrix_literals(l)
-            yield from _matrix_literals(r)
-        case _:
-            yield a
-
-
-def _flat(t: PATerm) -> bool:
-    return not has_arith(t)
+    """True when every literal of every cube of a is an equation or an
+    inequality, possibly negated."""
+    return all(isinstance(lit.body if isinstance(lit, Not) else lit, (Eq, Leq))
+               for cube in _operands(a, Or) for lit in _operands(cube, And))
 
 
 def is_normal(a: Formula) -> bool:
@@ -432,12 +378,19 @@ def is_normal(a: Formula) -> bool:
     with flat bounds and definitions of shape a+b or a*b with flat sides."""
     match a:
         case BForall(_, t, b) | BExists(_, t, b):
-            return _flat(t) and is_normal(b)
-        case ExistsEq(_, t, b):
-            match t:
-                case Plus(l, r) | Times(l, r):
-                    return _flat(l) and _flat(r) and is_normal(b)
+            return not has_arith(t) and is_normal(b)
+        case ExistsEq(_, Plus(l, r) | Times(l, r), b):
+            return not (has_arith(l) or has_arith(r)) and is_normal(b)
+        case ExistsEq():
+            return False
+    # Every literal of every cube is t = u, t <= u or !(t = u), with flat
+    # sides.
+    for cube in _operands(a, Or):
+        for lit in _operands(cube, And):
+            match lit:
+                case Eq(l, r) | Leq(l, r) | Not(Eq(l, r)):
+                    if has_arith(l) or has_arith(r):
+                        return False
                 case _:
                     return False
-        case _:
-            return is_quantifier_free(a) and _matrix_ok(a)
+    return True

@@ -47,20 +47,20 @@ class Counterexample:
 
 @lru_cache(maxsize=64)
 def _heap_pool(seed: int, count: int, table_sizes: tuple[int, ...]) -> tuple[Heap, ...]:
-    """Shared sampled-heap pools: reusing the heap objects across drivers
-    lets the checker's per-heap memo amortize over a whole suite."""
+    """The empty heap, the tables of the given sizes and `count` heaps
+    sampled from them, in that order.  Reusing the heap objects across
+    drivers lets the checker's per-heap memo amortize over a whole suite."""
     gens = Generators(seed)
     tables = [simple_table_heap(n) for n in table_sizes]
-    return tuple(gens.heap_sample(tables) for _ in range(count))
+    samples = [gens.heap_sample(tables) for _ in range(count)]
+    return (Heap(), *tables, *samples)
 
 
 def bounded_counterexample_search(a: Formula, limits: SearchLimits = SearchLimits()) -> Counterexample | None:
     """First (assignment, heap) pair falsifying `a` within the limits, or
-    None.  Deterministic under the seed: tables and the empty heap first,
-    then sampled heaps; assignments in lexicographic order."""
-    tables = [simple_table_heap(n) for n in limits.table_sizes]
-    heaps: list[Heap] = [Heap()] + tables
-    heaps += list(_heap_pool(limits.seed, limits.heap_samples, limits.table_sizes))
+    None.  Deterministic under the seed: the empty heap and the tables
+    first, then sampled heaps; assignments in lexicographic order."""
+    heaps = _heap_pool(limits.seed, limits.heap_samples, limits.table_sizes)
     names = sorted(free_vars(a))
     for h in heaps:
         for values in itertools.product(range(limits.max_assign_val + 1), repeat=len(names)):
@@ -113,8 +113,7 @@ def verify_hn2forallh(a: Formula, sigma: VarAssignment, samples: int = 50,
             "sigma": render_assignment(sigma),
             "runtime": time.perf_counter() - start,
         }
-    tables = [simple_table_heap(k) for k in range(n + 1)]
-    heaps = [Heap()] + tables + list(_heap_pool(seed, samples, tuple(range(n + 1))))
+    heaps = _heap_pool(seed, samples, tuple(range(n + 1)))
     failures = []
     for i, h in enumerate(heaps):
         if not check(sigma, h, translated):
@@ -178,8 +177,7 @@ def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
     witnesses = [k for k in range(pa_witness_bound + 1)
                  if eval_bounded(VarAssignment({"x": k}), body)]
     translated = Exists("x", circle_translate(normalize_bounded(body)))
-    tables = [simple_table_heap(n) for n in range(4)]
-    heaps = [Heap()] + tables + list(_heap_pool(seed, samples, (0, 1, 2, 3)))
+    heaps = _heap_pool(seed, samples, (0, 1, 2, 3))
     sigma = VarAssignment()
     failures = [i for i, h in enumerate(heaps) if not check(sigma, h, translated)]
     return {

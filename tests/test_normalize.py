@@ -6,6 +6,7 @@ from slnkit.ast import alpha_eq, free_vars
 from slnkit.gen import Generators
 from slnkit.normalize import box_translate, normalize_bounded
 from slnkit.parser import parse_pa
+from slnkit.render import render
 from slnkit.semantics import VarAssignment, eval_bounded
 from slnkit.transform import is_normal, to_prenex
 
@@ -24,6 +25,24 @@ WORKED_NORMAL = ("exists (x1 = x + s(x)) exists (x2 = x + x1) forall y <= x2. "
 def test_worked_example():
     out = normalize_bounded(parse_pa(WORKED_INPUT))
     assert alpha_eq(out, parse_pa(WORKED_NORMAL))
+
+
+@pytest.mark.parametrize("text, normal", [
+    (WORKED_INPUT,
+     "exists (x#1 = x + s(x)) exists (x#2 = x + x#1) forall y <= x#2. "
+     "exists (x#3 = x + y) exists (x#4 = y * x#3) exists (x#5 = x + x#4) "
+     "0 <= x#5"),
+    ("forall y <= s(x + x). exists z <= y * y. (x + y = z \\/ x + y <= z)",
+     "exists (x#1 = x + x) forall y <= s(x#1). exists (x#2 = y * y) "
+     "exists z <= x#2. exists (x#3 = x + y) exists (x#4 = x + y) "
+     "x#3 = z \\/ x#4 <= z"),
+    ("!(x + x = x + x)",
+     "exists (x#1 = x + x) exists (x#2 = x + x) !(x#1 = x#2)"),
+])
+def test_fresh_names_are_numbered_in_post_order(text, normal):
+    # bounds before the matrix, each left to right; equal subterms are
+    # not shared
+    assert render(normalize_bounded(parse_pa(text))) == normal
 
 
 def test_no_arith_input_is_prenex_dnf():

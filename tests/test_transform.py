@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from slnkit.ast import (
@@ -8,6 +9,7 @@ from slnkit.ast import (
 )
 from slnkit.gen import Generators
 from slnkit.parser import parse_pa
+from slnkit.render import render
 from slnkit.semantics import VarAssignment, eval_bounded, eval_term
 from slnkit.transform import (
     is_bounded, is_dnf_matrix, is_normal, is_pi01, substitute, to_dnf,
@@ -40,6 +42,13 @@ def test_substitute_capture_avoidance():
 def test_substitute_shadowing_leaves_body():
     a = Exists("x", Eq(Var("x"), Zero()))
     assert substitute(a, "x", Succ(Zero())) == a
+
+
+@pytest.mark.parametrize("first", ["exists x.", "exists x <= w."])
+def test_substitute_shadowing_binder_spends_no_fresh_name(first):
+    a = parse_pa(f"({first} x = 0) /\\ (exists w. x = w)")
+    out = substitute(a, "x", Plus(Var("x"), Var("w")))
+    assert render(out) == f"({first} x = 0) /\\ exists w#1. x + w = w#1"
 
 
 def test_substitute_into_bounds():
