@@ -57,24 +57,24 @@ FALSE = TruthConst(False)
 # Quantifier plumbing
 
 
-def _split_quant(a: Formula) -> tuple[str, str, int, Formula]:
-    """(kind, var, guard, body) of a quantifier-rooted formula."""
+def _split_quant(a: Formula) -> tuple[bool, str, int, Formula]:
+    """(exists, var, guard, body) of a quantifier-rooted formula."""
     match a:
         case Exists(x, b):
-            return "exists", x, 0, b
+            return True, x, 0, b
         case Forall(x, b):
-            return "forall", x, 0, b
+            return False, x, 0, b
         case GExists(x, m, b):
-            return "exists", x, m, b
+            return True, x, m, b
         case GForall(x, m, b):
-            return "forall", x, m, b
+            return False, x, m, b
     raise ValueError(f"expected a quantified formula, got {a!r}")
 
 
-def _guarded(kind: str, x: str, guard: int, body: Formula) -> Formula:
+def _guarded(exists: bool, x: str, guard: int, body: Formula) -> Formula:
     if isinstance(body, TruthConst):
         return body
-    if kind == "exists":
+    if exists:
         return GExists(x, guard, body) if guard > 0 else Exists(x, body)
     return GForall(x, guard, body) if guard > 0 else Forall(x, body)
 
@@ -98,8 +98,8 @@ def _fold_atoms(a: Formula, atom, shadow: str | None = None) -> Formula:
         case Exists() | Forall() | GExists() | GForall():
             if a.var == shadow:
                 return a
-            kind, x, guard, body = _split_quant(a)
-            return _guarded(kind, x, guard, _fold_atoms(body, atom, shadow))
+            exists, x, guard, body = _split_quant(a)
+            return _guarded(exists, x, guard, _fold_atoms(body, atom, shadow))
     raise TypeError(f"not an SLN formula: {a!r}")
 
 
@@ -119,6 +119,13 @@ def _replace_atoms(a: Formula, x: str, side: str) -> Formula:
 # The syntactic single-quantifier rewrites
 
 
+def _free_rewrite(a: Formula, bound: int, side: str) -> Formula:
+    exists, x, guard, body = _split_quant(a)
+    copies = [substitute(body, x, sln_num(k)) for k in range(guard, bound + 1)]
+    tail = _guarded(exists, x, max(guard, bound + 1), _replace_atoms(body, x, side))
+    return (or_all if exists else and_all)(copies + [tail])
+
+
 def address_free_rewrite(a: Formula, max_addr: int) -> Formula:
     """Split a quantified formula at the largest heap address.
 
@@ -127,20 +134,12 @@ def address_free_rewrite(a: Formula, max_addr: int) -> Formula:
     variable, so the guarded tail replaces those atoms by false.  Pass
     max_addr = -1 for the empty heap.
     """
-    kind, x, guard, body = _split_quant(a)
-    copies = [substitute(body, x, sln_num(k)) for k in range(guard, max_addr + 1)]
-    tail = _guarded(kind, x, max(guard, max_addr + 1), _replace_atoms(body, x, "addr"))
-    parts = copies + [tail]
-    return or_all(parts) if kind == "exists" else and_all(parts)
+    return _free_rewrite(a, max_addr, "addr")
 
 
 def value_free_rewrite(a: Formula, max_val: int) -> Formula:
     """Mirror image of address_free_rewrite for stored values."""
-    kind, x, guard, body = _split_quant(a)
-    copies = [substitute(body, x, sln_num(k)) for k in range(guard, max_val + 1)]
-    tail = _guarded(kind, x, max(guard, max_val + 1), _replace_atoms(body, x, "val"))
-    parts = copies + [tail]
-    return or_all(parts) if kind == "exists" else and_all(parts)
+    return _free_rewrite(a, max_val, "val")
 
 
 def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
@@ -402,10 +401,6 @@ class _Shape:
         self._anchors = None
         self._tail = None
 
-    @property
-    def kind(self) -> str:
-        return "exists" if self.exists else "forall"
-
     def side(self) -> str | None:
         if self._anchors is None:
             self._prepare()
@@ -567,8 +562,8 @@ def _compile(a: Formula, seen: dict) -> _Node:
         case Or(l, r):
             node = _binary_node(_Or, _compile(l, seen), _compile(r, seen))
         case Exists() | Forall() | GExists() | GForall():
-            kind, x, guard, b = _split_quant(a)
-            node = _quant_node(kind == "exists", x, guard, _compile(b, seen))
+            exists, x, guard, b = _split_quant(a)
+            node = _quant_node(exists, x, guard, _compile(b, seen))
         case _:
             raise TypeError(f"not an SLN formula: {a!r}")
     seen[id(a)] = node
@@ -585,7 +580,7 @@ def _decide(shape: _Shape, guard: int, env: dict, h: Heap) -> bool:
     side = shape.side()
     if side is None:
         residual = shape.body.res(env, h)
-        return decide_sentence(_guarded(shape.kind, shape.var, guard, residual))
+        return decide_sentence(_guarded(shape.exists, shape.var, guard, residual))
     bound = h.max_addr if side == "addr" else h.max_val
     x, body, want = shape.var, shape.body, shape.exists
     try:
@@ -625,7 +620,7 @@ def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
     env leaves unbound, x excluded from env."""
     side = shape.side()
     if side is None:
-        return _guarded(shape.kind, shape.var, guard, shape.body.res(env, h))
+        return _guarded(shape.exists, shape.var, guard, shape.body.res(env, h))
     bound = h.max_addr if side == "addr" else h.max_val
     x, body = shape.var, shape.body
     parts = []

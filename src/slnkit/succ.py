@@ -1,192 +1,123 @@
 """Decision procedure for closed formulas of successor arithmetic with
 guarded quantifiers, by innermost-first quantifier elimination.
 
-Guards x >= m turn into finitely many disequalities.  Within a DNF cube an
-existential variable is either pinned by a positive equation (substitute,
-carrying a lower-bound side condition when solving u = s^k(x)) or occurs
-only in disequalities, which a witness over the infinite domain always
-avoids."""
+A literal is a tuple (positive, u, d, v) that reads s^d(u) = v, or its
+negation when positive is false; u and v are variable names, or None for 0.
+`_lit` keeps literals canonical: it cancels the common offset, so d >= 0,
+and it folds every ground or same-base equation to True or False.  What is
+left is either x = numeral, as (positive, None, k, x), or s^d(x) = y between
+two distinct variables, with the smaller name first when d = 0.
+
+`_dnf` walks the formula once, carrying the polarity down to the atoms as
+NNF does, and eliminates each quantifier on the way up: forall x. b is
+!exists x. !b, and a guard x >= m adds the disequalities x != 0, ..., m-1.
+Within a cube an existential variable is either pinned by an equation
+(substitute it) or occurs only in disequalities, which a witness over the
+infinite domain always avoids.
+
+Intermediate results are lists of cubes, each a tuple of literals, rather
+than Formula trees: they are flat, so no walk over them recurses with their
+length, and no pass re-normalizes them.  [()] is true and [] is false; a
+cube list that contains () collapses to [()], a conjunction stops at a
+false left side and a disjunction at a true one."""
 
 from __future__ import annotations
 
 from .ast import (
     And, Eq, Exists, Forall, Formula, GExists, GForall, Not, Or, PointsTo,
-    SLNTerm, TruthConst, conj, disj, free_vars, is_quantifier_free,
-    map_children, shift, sln_num, subformulas, svar,
+    SLNTerm, TruthConst, free_vars, subformulas,
 )
-from .transform import dnf_cubes, nnf
 
-TRUE = TruthConst(True)
-FALSE = TruthConst(False)
+TRUE: list[tuple] = [()]
 
 
-def _norm_literal(lit: Formula, x: str) -> Formula:
-    """Orient equalities so a live x sits on the left; fold ground and
-    same-variable cases to constants."""
-    positive = True
-    inner = lit
-    if isinstance(lit, Not):
-        positive = False
-        inner = lit.body
-    if isinstance(inner, TruthConst):
-        return inner if positive else TruthConst(not inner.value)
-    if not isinstance(inner, Eq):
-        raise ValueError(f"not a successor-arithmetic literal: {lit!r}")
-    l, r = inner.left, inner.right
-    if not isinstance(l, SLNTerm) or not isinstance(r, SLNTerm):
-        raise ValueError("successor arithmetic handles SLN terms only")
-    if l.base == r.base:
-        holds = l.offset == r.offset
-        return TruthConst(holds if positive else not holds)
-    if l.base is None and r.base is None:
-        holds = l.offset == r.offset
-        return TruthConst(holds if positive else not holds)
-    if r.base == x and l.base != x:
-        l, r = r, l
-    eq = Eq(l, r)
-    return eq if positive else Not(eq)
+def _lit(positive: bool, a: str | None, i: int, b: str | None, j: int) -> tuple | bool:
+    """s^i(a) = s^j(b), or its negation, as a canonical literal or a truth
+    value.  Offsets may be negative while a solution is substituted."""
+    if i < j or (i == j and (b or "") < (a or "")):
+        a, i, b, j = b, j, a, i
+    if a == b:
+        return positive == (i == j)
+    if b is None:  # s^d(a) = 0 with d > 0
+        return not positive
+    return (positive, a, i - j, b)
 
 
-def _mentions(t: SLNTerm, x: str) -> bool:
-    return t.base == x
+def _cube(lits) -> list[tuple]:
+    """The conjunction of lits, repeats dropped, as a cube list."""
+    out: list = []
+    for lit in lits:
+        if lit is False:
+            return []
+        if lit is not True and lit not in out:
+            out.append(lit)
+    return [tuple(out)]
 
 
-def _rewrite_with_offset(lit: Formula, x: str, y: str, drop: int) -> Formula:
-    """Rewrite an x-literal under the solution x = y with `drop` successors
-    removed, i.e. s^drop(x) = y held."""
-
-    def rw(eq: Eq) -> Eq:
-        l, r = eq.left, eq.right
-        assert isinstance(l, SLNTerm) and isinstance(r, SLNTerm)
-        if _mentions(r, x) and not _mentions(l, x):
-            l, r = r, l
-        assert _mentions(l, x) and not _mentions(r, x)
-        if l.offset >= drop:
-            return Eq(SLNTerm(y, l.offset - drop), r)
-        return Eq(svar(y), shift(r, drop - l.offset))
-
-    if isinstance(lit, Not):
-        assert isinstance(lit.body, Eq)
-        return Not(rw(lit.body))
-    assert isinstance(lit, Eq)
-    return rw(lit)
+def _or(*parts: list[tuple]) -> list[tuple]:
+    cubes = [cube for part in parts for cube in part]
+    return TRUE if () in cubes else cubes
 
 
-def _subst_value(lit: Formula, x: str, value: SLNTerm) -> Formula:
-    def sub(t: SLNTerm) -> SLNTerm:
-        return shift(value, t.offset) if t.base == x else t
-
-    if isinstance(lit, Not):
-        assert isinstance(lit.body, Eq)
-        l, r = lit.body.left, lit.body.right
-        return Not(Eq(sub(l), sub(r)))
-    assert isinstance(lit, Eq)
-    return Eq(sub(lit.left), sub(lit.right))
+def _and(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
+    return _or([x + tuple(lit for lit in y if lit not in x) for x in xs for y in ys])
 
 
-def _solve_cube(x: str, literals: list[Formula]) -> Formula:
-    """Eliminate exists x from a conjunction of literals."""
-    rest: list[Formula] = []
-    on_x: list[Formula] = []
-    for lit in literals:
-        lit = _norm_literal(lit, x)
-        if lit == FALSE:
-            return FALSE
-        if lit == TRUE:
-            continue
-        inner = lit.body if isinstance(lit, Not) else lit
-        assert isinstance(inner, Eq)
-        assert isinstance(inner.left, SLNTerm)
-        if _mentions(inner.left, x) or _mentions(inner.right, x):
-            on_x.append(lit)
-        else:
-            rest.append(lit)
-
-    equation = next((l for l in on_x if isinstance(l, Eq)), None)
-    if equation is None:
-        # Only disequalities constrain x; the domain is infinite, so a
-        # witness always exists.
-        return conj(*rest)
-
-    on_x.remove(equation)
-    lhs, rhs = equation.left, equation.right
-    assert isinstance(lhs, SLNTerm) and isinstance(rhs, SLNTerm)
-    a = lhs.offset
-    if rhs.base is None:
-        if rhs.offset < a:
-            return FALSE
-        value = sln_num(rhs.offset - a)
-        rewritten = [_subst_value(l, x, value) for l in on_x]
-    elif rhs.offset >= a:
-        value = SLNTerm(rhs.base, rhs.offset - a)
-        rewritten = [_subst_value(l, x, value) for l in on_x]
-    else:
-        # s^(a - rhs.offset)(x) = y: solvable iff y >= a - rhs.offset.
-        drop = a - rhs.offset
-        y = rhs.base
-        rest.extend(Not(Eq(svar(y), sln_num(i))) for i in range(drop))
-        rewritten = [_rewrite_with_offset(l, x, y, drop) for l in on_x]
-
-    for lit in rewritten:
-        folded = _norm_literal(lit, x)
-        if folded == FALSE:
-            return FALSE
-        if folded != TRUE:
-            rest.append(folded)
-    return conj(*rest)
+def _negate(cubes: list[tuple]) -> list[tuple]:
+    out = TRUE
+    for cube in cubes:
+        out = _and(out, [((not p, u, d, v),) for p, u, d, v in cube])
+        if not out:
+            break
+    return out
 
 
-def _eliminate_exists(x: str, guard: int, body: Formula) -> Formula:
-    guard_lits: list[Formula] = [Not(Eq(svar(x), sln_num(i))) for i in range(guard)]
-    out = []
-    for cube in dnf_cubes(nnf(body)):
-        out.append(_solve_cube(x, cube + guard_lits))
-    result = disj(*out)
-    assert is_quantifier_free(result)
-    return result
+def _solve(x: str, guard: int, cube: tuple) -> list[tuple]:
+    """exists x >= guard. cube, as a cube list."""
+    eq = next((lit for lit in cube if lit[0] and x in (lit[1], lit[3])), None)
+    if eq is None:
+        return [tuple(lit for lit in cube if x not in (lit[1], lit[3]))]
+    # x = s^delta(w); a negative delta needs w >= -delta.
+    _, u, d, v = eq
+    w, delta = (v, -d) if u == x else (u, d)
+    lits = [_lit(False, None, k, w, 0) for k in range(-delta)]
+    lits += [_lit(False, w, delta, None, k) for k in range(guard)]
+    for lit in cube:
+        if lit is not eq:
+            p, u, d, v = lit
+            i, j = (d + delta, 0) if u == x else (d, delta if v == x else 0)
+            lits.append(_lit(p, w if u == x else u, i, w if v == x else v, j))
+    return _cube(lits)
 
 
-def _eliminate_all(a: Formula) -> Formula:
+def _dnf(a: Formula, positive: bool) -> list[tuple]:
+    """Cubes of a, or of its negation when positive is false, with every
+    quantifier eliminated."""
     match a:
-        case Eq() | TruthConst() | Not() | And() | Or():
-            return map_children(a, _eliminate_all)
-        case Exists(x, b):
-            return _eliminate_exists(x, 0, _eliminate_all(b))
-        case GExists(x, m, b):
-            return _eliminate_exists(x, m, _eliminate_all(b))
-        case Forall(x, b):
-            return Not(_eliminate_exists(x, 0, Not(_eliminate_all(b))))
-        case GForall(x, m, b):
-            return Not(_eliminate_exists(x, m, Not(_eliminate_all(b))))
-        case PointsTo():
-            raise ValueError("points-to atom in successor-arithmetic input")
-    raise ValueError(f"not a successor-arithmetic formula: {a!r}")
-
-
-def _eval_ground(a: Formula) -> bool:
-    match a:
-        case TruthConst(v):
-            return v
-        case Eq(l, r):
-            assert isinstance(l, SLNTerm) and isinstance(r, SLNTerm)
-            if l.base is not None or r.base is not None:
-                raise AssertionError(f"non-ground equality survived elimination: {a!r}")
-            return l.offset == r.offset
+        case TruthConst(value):
+            return TRUE if value == positive else []
+        case Eq(SLNTerm(l, i), SLNTerm(r, j)):
+            return _cube([_lit(positive, l, i, r, j)])
         case Not(b):
-            return not _eval_ground(b)
-        case And(l, r):
-            return _eval_ground(l) and _eval_ground(r)
-        case Or(l, r):
-            return _eval_ground(l) or _eval_ground(r)
-    raise AssertionError(f"unexpected residual node: {a!r}")
+            return _dnf(b, not positive)
+        case And(l, r) | Or(l, r):
+            left = _dnf(l, positive)
+            if isinstance(a, And) == positive:
+                return _and(left, _dnf(r, positive)) if left else left
+            return left if left == TRUE else _or(left, _dnf(r, positive))
+        case Exists() | Forall() | GExists() | GForall():
+            exists = isinstance(a, (Exists, GExists))
+            guard = getattr(a, "guard", 0)
+            out = _or(*(_solve(a.var, guard, cube) for cube in _dnf(a.body, exists)))
+            return out if exists == positive else _negate(out)
+    raise ValueError(f"not a successor-arithmetic formula: {a!r}")
 
 
 def decide_sentence(a: Formula) -> bool:
     """Truth over the naturals of a closed formula built from equalities,
     connectives and (guarded) quantifiers."""
-    for sub in subformulas(a):
-        if isinstance(sub, PointsTo):
-            raise ValueError("points-to atom in successor-arithmetic input")
+    if any(isinstance(sub, PointsTo) for sub in subformulas(a)):
+        raise ValueError("points-to atom in successor-arithmetic input")
     if free_vars(a):
         raise ValueError(f"free variables in sentence: {sorted(free_vars(a))}")
-    return _eval_ground(_eliminate_all(a))
+    return _dnf(a, True) == TRUE

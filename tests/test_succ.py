@@ -37,12 +37,27 @@ def test_equality_reasoning():
 def test_rejects_points_to_and_free_variables():
     with pytest.raises(ValueError):
         decide_sentence(parse_sln("forall x. x |-> 0"))
+    # also where constant folding never reaches the atom
+    with pytest.raises(ValueError):
+        decide_sentence(parse_sln("0 = s(0) /\\ 0 |-> 0"))
     with pytest.raises(ValueError):
         decide_sentence(parse_sln("x = 0"))
 
 
 def test_against_oracle():
-    gens = Generators(61, GenProfile(max_numeral=5))
-    for _ in range(250):
-        a = gens.succ_sentence(depth=3)
-        assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a), a
+    # Depth 4 reaches six quantifiers, four of them nested, and solves
+    # equations with a negative offset, x = s^-k(w), one under a guard.
+    for seed, depth, count in ((61, 3, 250), (62, 4, 100)):
+        gens = Generators(seed, GenProfile(max_numeral=5))
+        for _ in range(count):
+            a = gens.succ_sentence(depth=depth)
+            assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a), a
+
+
+def test_long_cube_list_against_oracle():
+    """Eliminating this alternation passes through a list of over a hundred
+    cubes; deciding it must not recurse along that list."""
+    a = parse_sln("forall x0. exists x1. forall x2. exists x3. "
+                  "((x0 = s(x1) \\/ x0 = x2) /\\ (x1 = s(x2) \\/ x1 = x3) "
+                  "/\\ (x0 = s(x1) \\/ x0 = x2))")
+    assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a)
