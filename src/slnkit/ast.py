@@ -373,29 +373,21 @@ def free_vars(a: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def is_quantifier_free(a: Formula) -> bool:
-    match a:
-        case Eq() | Leq() | PointsTo() | TruthConst():
-            return True
-        case Not(b):
-            return is_quantifier_free(b)
-        case And(l, r) | Or(l, r):
-            return is_quantifier_free(l) and is_quantifier_free(r)
-        case _:
-            return False
-
-
 def subformulas(a: Formula):
-    """Preorder stream of all subformulas, a included."""
-    yield a
-    match a:
-        case Not(b):
-            yield from subformulas(b)
-        case And(l, r) | Or(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-    if isinstance(a, QUANTIFIERS):
-        yield from subformulas(a.body)
+    """Preorder stream of all subformulas, a included.  An explicit stack,
+    so a deep formula cannot exhaust the recursion limit."""
+    todo = [a]
+    while todo:
+        a = todo.pop()
+        yield a
+        if isinstance(a, (And, Or)):
+            todo += (a.right, a.left)
+        elif isinstance(a, (Not, *QUANTIFIERS)):
+            todo.append(a.body)
+
+
+def is_quantifier_free(a: Formula) -> bool:
+    return all(isinstance(b, (*ATOMS, Not, And, Or)) for b in subformulas(a))
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,10 @@ from .heap import Heap, load_heap, save_heap, simple_table_heap
 from .normalize import box_translate, normalize_bounded
 from .parser import ParseError, parse_pa, parse_sln
 from .render import render
-from .semantics import parse_assignment
+from .semantics import parse_assignment, render_assignment
 from .succ import decide_sentence
 from .translate import circle_translate
-from .verify import (
-    SearchLimits, bounded_counterexample_search, run_fol_suite,
-    run_hn2forallh_suite, run_pa2hn_suite, run_representation_suite,
-    run_sigma01_suite,
-)
+from .verify import SUITES, SearchLimits, bounded_counterexample_search, run_suite
 
 
 def _read_arg(text: str) -> str:
@@ -39,10 +35,7 @@ def _read_arg(text: str) -> str:
 
 
 def _emit(payload: dict, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, default=str))
-    else:
-        print(text if text is not None else json.dumps(payload, indent=2, default=str))
+    print(json.dumps(payload, indent=2, default=str) if as_json or text is None else text)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -119,32 +112,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
         _emit({"counterexample": None, "seed": args.seed}, args.json,
               f"no counterexample within limits (seed {args.seed})")
         return 0
-    payload = {
-        "counterexample": {
-            "sigma": ",".join(f"{k}={v}" for k, v in sorted(found.assignment.support.items())),
-            "heap": save_heap(found.heap),
-        },
-        "seed": args.seed,
-    }
-    _emit(payload, args.json,
+    sigma, heap = render_assignment(found.assignment), save_heap(found.heap)
+    _emit({"counterexample": {"sigma": sigma, "heap": heap}, "seed": args.seed}, args.json,
           f"counterexample found (seed {args.seed}):\n"
-          f"  sigma: {payload['counterexample']['sigma'] or '(all zero)'}\n"
-          f"  heap:\n" + "\n".join("    " + l for l in (save_heap(found.heap).splitlines() or ["(empty)"])))
+          f"  sigma: {sigma or '(all zero)'}\n"
+          f"  heap:\n" + "\n".join("    " + l for l in (heap.splitlines() or ["(empty)"])))
     return 1
 
 
-_VERIFY_SUITES = {
-    "pa2hn": lambda args: run_pa2hn_suite(seed=args.seed, samples=args.samples),
-    "hn2forallh": lambda args: run_hn2forallh_suite(seed=args.seed, samples=args.samples),
-    "representation": lambda args: run_representation_suite(SearchLimits(seed=args.seed)),
-    "sigma01": lambda args: run_sigma01_suite(seed=args.seed, samples=args.samples),
-    "fol": lambda args: run_fol_suite(seed=args.seed, samples=args.samples),
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = _VERIFY_SUITES[args.lemma](args)
-    print(json.dumps(report, indent=2, default=str))
+    report = run_suite(args.lemma, args.seed, args.samples)
+    _emit(report, True)
     return 0 if not report["failures"] else 1
 
 
@@ -213,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run a lemma verification suite")
-    p.add_argument("lemma", choices=sorted(_VERIFY_SUITES))
+    p.add_argument("lemma", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=_cmd_verify)

@@ -81,6 +81,14 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _nest(parts: list, node) -> Formula:
+    """The parts joined by the binary constructor node, nested to the right."""
+    out = parts.pop()
+    while parts:
+        out = node(parts.pop(), out)
+    return out
+
+
 class _Parser:
     """The grammar of `mode`, "pa" or "sln".  The L parser in `finite`
     (mode "l") replaces the node constructors, the atoms and the reserved
@@ -179,25 +187,27 @@ class _Parser:
         return t
 
     # -- formulas
+    # Each connective's chain is read in a loop in its own method, not by
+    # recursion or through a shared helper: a long chain cannot exhaust the
+    # stack, and a level of parentheses or quantifiers costs no extra frame.
 
     def formula(self) -> Formula:
-        left = self._or()
-        if self.eat("=>"):
-            right = self.formula()
-            return self.IMP(left, right)
-        return left
+        parts = [self._or()]
+        while self.eat("=>"):
+            parts.append(self._or())
+        return _nest(parts, self.IMP)
 
     def _or(self) -> Formula:
-        left = self._and()
-        if self.eat("\\/"):
-            return self.OR(left, self._or())
-        return left
+        parts = [self._and()]
+        while self.eat("\\/"):
+            parts.append(self._and())
+        return _nest(parts, self.OR)
 
     def _and(self) -> Formula:
-        left = self._unary()
-        if self.eat("/\\"):
-            return self.AND(left, self._and())
-        return left
+        parts = [self._unary()]
+        while self.eat("/\\"):
+            parts.append(self._unary())
+        return _nest(parts, self.AND)
 
     def _unary(self) -> Formula:
         # a loop, not a recursion, so a long run of ! cannot exhaust the stack

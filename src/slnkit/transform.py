@@ -331,17 +331,8 @@ def to_prenex(a: Formula) -> Formula:
 def is_bounded(a: Formula) -> bool:
     """True when every quantifier is a bounded one (strict reading: a
     defining existential does not count as bounded)."""
-    match a:
-        case Eq() | Leq() | TruthConst():
-            return True
-        case Not(b):
-            return is_bounded(b)
-        case And(l, r) | Or(l, r):
-            return is_bounded(l) and is_bounded(r)
-        case BForall(_, _, b) | BExists(_, _, b):
-            return is_bounded(b)
-        case _:
-            return False
+    return all(isinstance(b, (Eq, Leq, TruthConst, Not, And, Or, BForall, BExists))
+               for b in subformulas(a))
 
 
 def is_pi01(a: Formula) -> bool:

@@ -1,5 +1,7 @@
 """Desk-scale verification drivers: bounded counterexample search over
-assignments and heaps, and executable forms of the translation lemmas."""
+assignments and heaps, executable forms of the translation lemmas, and the
+lemma suites.  `SUITES` maps each suite name to its driver and
+`run_suite(lemma, seed, samples)` returns the suite's JSON report."""
 
 from __future__ import annotations
 
@@ -191,7 +193,8 @@ def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Suite drivers (shared by the CLI and the acceptance tests)
+# Suites.  Each maps (seed, samples) to (instances, agreements, failures);
+# run_suite wraps that triple in the report the CLI prints.
 
 
 def pa2hn_instances(seed: int, count: int, profile: GenProfile = GenProfile()):
@@ -205,43 +208,18 @@ def pa2hn_instances(seed: int, count: int, profile: GenProfile = GenProfile()):
     return out
 
 
-def run_pa2hn_suite(seed: int = 0, samples: int = 100) -> dict:
-    start = time.perf_counter()
+def _pa2hn(seed: int, samples: int):
     reports = [verify_pa2hn(a, sigma) for a, sigma in pa2hn_instances(seed, samples)]
     failures = [r for r in reports if not r["agree"]]
-    return {
-        "lemma": "pa2hn",
-        "instances": len(reports),
-        "agreements": sum(r["agree"] for r in reports),
-        "failures": failures,
-        "seed": seed,
-        "runtime": time.perf_counter() - start,
-    }
+    return len(reports), len(reports) - len(failures), failures
 
 
-def run_hn2forallh_suite(seed: int = 0, samples: int = 100,
-                         heap_samples: int = 50) -> dict:
-    start = time.perf_counter()
-    checked = 0
-    agreed = 0
-    failures = []
-    for a, sigma in pa2hn_instances(seed, samples):
-        report = verify_hn2forallh(a, sigma, samples=heap_samples, seed=seed)
-        if not report["precondition"]:
-            continue
-        checked += 1
-        if report["failures"]:
-            failures.append(report)
-        else:
-            agreed += 1
-    return {
-        "lemma": "hn2forallh",
-        "instances": checked,
-        "agreements": agreed,
-        "failures": failures,
-        "seed": seed,
-        "runtime": time.perf_counter() - start,
-    }
+def _hn2forallh(seed: int, samples: int):
+    reports = [verify_hn2forallh(a, sigma, seed=seed)
+               for a, sigma in pa2hn_instances(seed, samples)]
+    checked = [r for r in reports if r["precondition"]]  # the others are vacuous
+    failures = [r for r in checked if r["failures"]]
+    return len(checked), len(checked) - len(failures), failures
 
 
 REPRESENTATION_CASES: list[tuple[str, str, int | None]] = [
@@ -258,42 +236,27 @@ REPRESENTATION_CASES: list[tuple[str, str, int | None]] = [
 ]
 
 
-def run_representation_suite(limits: SearchLimits = SearchLimits()) -> dict:
-    start = time.perf_counter()
-    reports = []
-    for text, truth, witness in REPRESENTATION_CASES:
-        report = verify_representation(parse_pa(text), truth, witness, limits)
-        reports.append(report)
+def _representation(seed: int, samples: int):
+    """The fixed cases above; `samples` does not size this suite."""
+    limits = SearchLimits(seed=seed)
+    reports = [verify_representation(parse_pa(text), truth, witness, limits)
+               for text, truth, witness in REPRESENTATION_CASES]
     failures = [r for r in reports if not r["as_expected"]]
-    return {
-        "lemma": "representation",
-        "instances": len(reports),
-        "agreements": len(reports) - len(failures),
-        "failures": failures,
-        "seed": limits.seed,
-        "runtime": time.perf_counter() - start,
-    }
+    return len(reports), len(reports) - len(failures), failures
 
 
-def run_sigma01_suite(seed: int = 0, samples: int = 100) -> dict:
-    start = time.perf_counter()
+def _sigma01(seed: int, samples: int):
     report = verify_sigma01_counterexample(samples=samples, seed=seed)
-    return {
-        "lemma": "sigma01",
-        "instances": report["heaps"] + 1,
-        "agreements": report["heaps"] + 1 if report["as_expected"] else 0,
-        "failures": [] if report["as_expected"] else [report],
-        "seed": seed,
-        "runtime": time.perf_counter() - start,
-    }
+    instances = report["heaps"] + 1
+    if report["as_expected"]:
+        return instances, instances, []
+    return instances, 0, [report]
 
 
-def run_fol_suite(seed: int = 0, samples: int = 100) -> dict:
+def _fol(seed: int, samples: int):
     """Finite-model equivalence plus the decode-encode round trip."""
-    start = time.perf_counter()
     gens = Generators(seed)
-    agreements = 0
-    instances = 0
+    instances = agreements = 0
     failures = []
     for _ in range(samples):
         m = gens.finite_structure()
@@ -302,21 +265,35 @@ def run_fol_suite(seed: int = 0, samples: int = 100) -> dict:
         if decode_heap(h) != m:
             failures.append({"kind": "roundtrip", "structure": repr(m)})
             continue
+        instances += 1
         translated = triangle_translate(a)
         names = sorted(l_free_vars(a))
-        ok = True
         for values in itertools.product(sorted(m.universe), repeat=len(names)):
             sigma = VarAssignment(dict(zip(names, values)))
             if eval_fol(m, sigma, a) != check(sigma, h, translated):
-                ok = False
                 failures.append({"kind": "equivalence", "structure": repr(m),
                                  "sigma": render_assignment(sigma)})
                 break
-        instances += 1
-        if ok:
+        else:
             agreements += 1
+    return instances, agreements, failures
+
+
+SUITES = {
+    "pa2hn": _pa2hn,
+    "hn2forallh": _hn2forallh,
+    "representation": _representation,
+    "sigma01": _sigma01,
+    "fol": _fol,
+}
+
+
+def run_suite(lemma: str, seed: int = 0, samples: int = 100) -> dict:
+    """The JSON report of one suite; runtime is wall time in seconds."""
+    start = time.perf_counter()
+    instances, agreements, failures = SUITES[lemma](seed, samples)
     return {
-        "lemma": "fol",
+        "lemma": lemma,
         "instances": instances,
         "agreements": agreements,
         "failures": failures,

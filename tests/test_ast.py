@@ -1,10 +1,11 @@
 import pytest
 
 from slnkit.ast import (
-    And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Plus,
-    SLNTerm, Succ, Var, Zero, alpha_eq, free_vars, pa_num, shift, sln_num,
-    svar,
+    And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
+    SLNTerm, Succ, Var, Zero, alpha_eq, free_vars, is_quantifier_free, pa_num,
+    shift, sln_num, subformulas, svar,
 )
+from slnkit.transform import is_bounded
 
 
 def test_pa_num():
@@ -63,3 +64,27 @@ def test_alpha_eq_mixed_binders():
     b = BForall("v", Var("x"), Leq(Var("v"), Var("x")))
     assert alpha_eq(a, b)
     assert not alpha_eq(a, BForall("v", Var("y"), Leq(Var("v"), Var("y"))))
+
+
+def test_deep_chain_traversal():
+    """subformulas, is_quantifier_free and is_bounded walk a 10^4-deep chain
+    at the default recursion limit, subformulas in preorder."""
+    depth = 10_000
+    leaf, other = Leq(Zero(), Var("x")), Eq(Var("x"), Var("x"))
+
+    def chain(bottom, wrap):
+        a = bottom
+        for _ in range(depth):
+            a = wrap(a)
+        return a
+
+    left_deep = chain(leaf, lambda b: And(b, other))
+    subs = list(subformulas(left_deep))
+    assert len(subs) == 2 * depth + 1
+    assert all(isinstance(b, And) for b in subs[:depth])
+    assert subs[depth] is leaf and all(b is other for b in subs[depth + 1:])
+
+    assert is_quantifier_free(chain(leaf, Not))
+    assert not is_quantifier_free(chain(Exists("y", leaf), Not))
+    assert is_bounded(chain(leaf, lambda b: BForall("y", Zero(), Or(other, b))))
+    assert not is_bounded(chain(Exists("y", leaf), lambda b: BForall("y", Zero(), b)))

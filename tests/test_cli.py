@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from slnkit.cli import main
 from slnkit.heap import save_heap, simple_table_heap
 
@@ -117,6 +119,15 @@ def test_verify_subcommand_small(capsys):
     assert report["lemma"] == "fol"
     assert report["agreements"] == report["instances"] == 10
     assert report["seed"] == 4
+
+
+@pytest.mark.parametrize("lemma", ["pa2hn", "hn2forallh", "sigma01", "fol", "representation"])
+def test_verify_every_suite(capsys, lemma):
+    code, out, _ = run(capsys, "verify", lemma, "--samples", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["lemma"] == lemma
+    assert list(report) == ["lemma", "instances", "agreements", "failures", "seed", "runtime"]
 
 
 def test_deep_nesting_exits_2(capsys):

@@ -4,7 +4,7 @@ from slnkit.ast import (
     And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
     PointsTo, SLNTerm, Succ, Times, Var, Zero, free_vars, sln_num, svar,
 )
-from slnkit.finite import LNot, parse_l
+from slnkit.finite import LAnd, LNot, parse_l
 from slnkit.gen import Generators
 from slnkit.parser import ParseError, parse_pa, parse_sln
 from slnkit.render import render
@@ -120,3 +120,34 @@ def test_deep_negation_chain(parse, atom):
         a, depth = a.body, depth + 1
     assert depth == 3000
     assert a == parse(atom)
+
+
+def _chain_operands(a, op):
+    """The operands of the right-nested chain of op at the top of a."""
+    out = []
+    while True:
+        match op, a:
+            case (("/\\", And(l, r) | LAnd(l, r))
+                  | ("\\/", Or(l, r) | LNot(LAnd(LNot(l), LNot(r))))
+                  | ("=>", Or(Not(l), r) | LNot(LAnd(l, LNot(r))))):
+                out.append(l)
+                a = r
+            case _:
+                return out + [a]
+
+
+@pytest.mark.parametrize("op", ["/\\", "\\/", "=>"])
+@pytest.mark.parametrize("parse, atom", [(parse_pa, "(0 = 0)"), (parse_sln, "(0 = 0)"),
+                                         (parse_l, "x = x")])
+def test_long_connective_chain(parse, atom, op):
+    """A chain of 3000 operands joined by one connective parses without
+    exhausting the stack, nested to the right."""
+    a = parse(f" {op} ".join([atom] * 3000))
+    assert _chain_operands(a, op) == [parse(atom)] * 3000
+
+
+@pytest.mark.parametrize("parse, atom", [(parse_pa, "0 = 0"), (parse_sln, "0 = 0"),
+                                         (parse_l, "x = x")])
+def test_nested_parentheses(parse, atom):
+    """150 levels of parentheses stay within the default recursion limit."""
+    assert parse("(" * 150 + atom + ")" * 150) == parse(atom)
