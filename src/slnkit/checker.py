@@ -16,9 +16,14 @@ under an environment that maps variables to values; enumerating a
 quantifier rebinds its variable and never builds a substituted formula.
 Before a quantifier enumerates, its body is evaluated three-valued with the
 variable unbound, and a body that is constant regardless is returned as is.
+Otherwise one loop enumerates it, decided or not: it returns the verdict at
+the first value whose body gives it, else joins the residuals of the bodies
+that stay undecided with the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
-within one formula or across formulas, are one node.  Each enumerated
+within one formula or across formulas, are one node.  A formula keeps its
+compiled node, outside its fields, so a subformula shared by many formulas,
+such as H inside every translation, compiles once.  Each enumerated
 quantifier's verdict is memoized on its heap, keyed on the node and the
 values of its free variables; a lookup hashes no tree.
 
@@ -37,7 +42,6 @@ Anchors are searched through nested quantifiers that do not bind t.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from operator import itemgetter
 
 from .ast import (
@@ -164,7 +168,8 @@ def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
 # structurally equal subformulas, from one formula or from two, compile to
 # the same node object, so a memo keyed on node identity is keyed on shape
 # and a lookup never hashes a tree.  The intern table holds its nodes
-# weakly; a node lives as long as a compiled root or a heap memo uses it.
+# weakly; a node lives as long as a formula compiled to it or a heap memo
+# uses it.
 
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _UNSET = object()
@@ -391,25 +396,20 @@ def _replace(node: _Node, x: str, side: str) -> _Node:
 
 class _Shape:
     """A quantifier without its guard, with the facts the enumeration
-    needs, each derived once on first use: the side the variable is
-    enumerated on, its anchors, and the body of the guarded tail."""
+    needs: the side the variable is enumerated on, and, each derived once
+    on first use, its anchors and the body of the guarded tail."""
 
-    __slots__ = ("exists", "var", "body", "_side", "_anchors", "_tail", "__weakref__")
+    __slots__ = ("exists", "var", "body", "side", "_anchors", "_tail", "__weakref__")
 
     def __init__(self, exists: bool, var: str, body: _Node) -> None:
         self.exists, self.var, self.body = exists, var, body
+        self.side = ("addr" if var in body.addr_vars else
+                     "val" if var in body.val_vars else None)
         self._anchors = None
         self._tail = None
 
-    def side(self) -> str | None:
-        if self._anchors is None:
-            self._prepare()
-        return self._side
-
-    def _prepare(self) -> None:
+    def _find_anchors(self) -> tuple:
         x, body = self.var, self.body
-        self._side = ("addr" if x in body.addr_vars else
-                      "val" if x in body.val_vars else None)
         # For exists, the atoms the body needs; for forall, the atoms whose
         # failure makes the body true.  Value-side anchors come first: each
         # yields at most one candidate.
@@ -420,7 +420,7 @@ class _Shape:
                 addr.append((False, p.rb, p.ro, p.lo))
             elif p.rb == x and p.lb != x:
                 val.append((True, p.lb, p.lo, p.ro))
-        self._anchors = tuple(val + addr)
+        return tuple(val + addr)
 
     def candidates(self, env, h, guard: int, bound: int):
         """The values in [guard, bound] at which the body can differ from
@@ -428,6 +428,8 @@ class _Shape:
         at every other value, and so is the body of an exists (for a
         forall, its body is true).  Anchors whose t is not bound in env
         are skipped; of the others, the one with the fewest values wins."""
+        if self._anchors is None:
+            self._anchors = self._find_anchors()
         best = None
         for is_val, base, offset, i in self._anchors:
             t = _known(base, offset, env)
@@ -451,7 +453,7 @@ class _Shape:
         false, which is its body beyond the side's bound."""
         if self._tail is None:
             self._tail = _shape(self.exists, self.var,
-                                _replace(self.body, self.var, self.side()))
+                                _replace(self.body, self.var, self.side))
         return self._tail
 
 
@@ -488,7 +490,9 @@ class _Quant(_Node):
         try:
             verdict = shape.body.ev(env, h)
             if verdict is None and closed:
-                verdict = h._memo[key] = _decide(shape, self.guard, env, h)
+                residual = _residual(shape, self.guard, env, h)
+                verdict = h._memo[key] = (residual.value if isinstance(residual, TruthConst)
+                                          else decide_sentence(residual))
             return verdict
         finally:
             if saved is not _UNSET:
@@ -537,10 +541,10 @@ def _quant_node(exists: bool, x: str, guard: int, body: _Node) -> _Node:
     return _intern((_Quant, shape, guard), lambda: _Quant(shape, guard))
 
 
-def _compile(a: Formula, seen: dict) -> _Node:
-    """The interned node of a; `seen` maps the ids of subformulas already
-    compiled from the same root, so a shared subtree compiles once."""
-    node = seen.get(id(a))
+def _compile(a: Formula) -> _Node:
+    """The interned node of a.  It is kept on a, outside its fields, so a
+    subformula shared by many formulas, such as H, compiles once."""
+    node = vars(a).get("_node")
     if node is not None:
         return node
     match a:
@@ -556,45 +560,22 @@ def _compile(a: Formula, seen: dict) -> _Node:
         case PointsTo(l, r):
             node = _atom_node(_PointsTo, l, r)
         case Not(b):
-            node = _not_node(_compile(b, seen))
+            node = _not_node(_compile(b))
         case And(l, r):
-            node = _binary_node(_And, _compile(l, seen), _compile(r, seen))
+            node = _binary_node(_And, _compile(l), _compile(r))
         case Or(l, r):
-            node = _binary_node(_Or, _compile(l, seen), _compile(r, seen))
+            node = _binary_node(_Or, _compile(l), _compile(r))
         case Exists() | Forall() | GExists() | GForall():
             exists, x, guard, b = _split_quant(a)
-            node = _quant_node(exists, x, guard, _compile(b, seen))
+            node = _quant_node(exists, x, guard, _compile(b))
         case _:
             raise TypeError(f"not an SLN formula: {a!r}")
-    seen[id(a)] = node
+    vars(a)["_node"] = node
     return node
 
 
 # ---------------------------------------------------------------------------
 # Enumeration
-
-
-def _decide(shape: _Shape, guard: int, env: dict, h: Heap) -> bool:
-    """Truth of `Q x >= guard. body` under env, where env does not bind x
-    and the body does not fold to a constant."""
-    side = shape.side()
-    if side is None:
-        residual = shape.body.res(env, h)
-        return decide_sentence(_guarded(shape.exists, shape.var, guard, residual))
-    bound = h.max_addr if side == "addr" else h.max_val
-    x, body, want = shape.var, shape.body, shape.exists
-    try:
-        for k in shape.candidates(env, h, guard, bound):
-            env[x] = k
-            if body.ev(env, h) == want:
-                return want
-    finally:
-        env.pop(x, None)
-    tail = shape.tail()
-    verdict = tail.body.ev(env, h)
-    if verdict is not None:
-        return verdict
-    return _decide(tail, max(guard, bound + 1), env, h)
 
 
 def _join(parts: list[Formula], exists: bool) -> Formula:
@@ -608,7 +589,7 @@ def _join(parts: list[Formula], exists: bool) -> Formula:
         else:
             kept.append(p)
     if not kept:
-        return TruthConst(not exists)
+        return FALSE if exists else TRUE
     while len(kept) > 1:
         joined = [(Or if exists else And)(l, r) for l, r in zip(kept[::2], kept[1::2])]
         kept = joined + kept[len(joined) * 2:]
@@ -617,17 +598,23 @@ def _join(parts: list[Formula], exists: bool) -> Formula:
 
 def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
     """`Q x >= guard. body` as successor arithmetic over the variables
-    env leaves unbound, x excluded from env."""
-    side = shape.side()
+    env leaves unbound, x excluded from env: a constant once some value of
+    x decides it, else the join of the bodies that stay undecided with the
+    tail."""
+    side = shape.side
     if side is None:
         return _guarded(shape.exists, shape.var, guard, shape.body.res(env, h))
     bound = h.max_addr if side == "addr" else h.max_val
-    x, body = shape.var, shape.body
+    x, body, want = shape.var, shape.body, shape.exists
     parts = []
     try:
         for k in shape.candidates(env, h, guard, bound):
             env[x] = k
-            parts.append(body.res(env, h))
+            verdict = body.ev(env, h)
+            if verdict == want:
+                return TRUE if want else FALSE
+            if verdict is None:
+                parts.append(body.res(env, h))
     finally:
         env.pop(x, None)
     tail = shape.tail()
@@ -635,29 +622,15 @@ def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
     if verdict is None:
         parts.append(_residual(tail, max(guard, bound + 1), env, h))
     else:
-        parts.append(TruthConst(verdict))
+        parts.append(TRUE if verdict else FALSE)
     return _join(parts, shape.exists)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 
-# Compiled roots, most recent last, each kept with its formula so that the
-# id cannot be reused while the entry lives.
-_ROOTS: OrderedDict[int, tuple[Formula, _Node]] = OrderedDict()
-_ROOTS_KEPT = 64
-
-
-def _compiled(a: Formula) -> _Node:
-    entry = _ROOTS.pop(id(a), None)
-    node = _compile(a, {}) if entry is None else entry[1]
-    _ROOTS[id(a)] = (a, node)
-    while len(_ROOTS) > _ROOTS_KEPT:
-        _ROOTS.popitem(last=False)
-    return node
-
 
 def check(sigma: VarAssignment, h: Heap, a: Formula) -> bool:
     """Truth of sigma, h |= a.  Total on every SLN formula."""
-    root = _compiled(a)
+    root = _compile(a)
     return root.ev({v: sigma(v) for v in root.free}, h)

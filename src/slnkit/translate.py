@@ -9,6 +9,9 @@ reserved "$" namespace so user variables never collide.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
     Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
@@ -39,53 +42,40 @@ def pa_term_to_sln(t: PATerm) -> SLNTerm:
     raise ValueError(f"term contains + or *: {t!r}")
 
 
-def _helpers(count: int, taken: frozenset[str]) -> list[str]:
-    names = []
-    i = 0
-    while len(names) < count:
-        for stem in ("$a", "$b", "$c"):
-            name = stem if i == 0 else f"{stem}{i}"
-            if name not in taken and name not in names:
-                names.append(name)
-                if len(names) == count:
-                    break
-        i += 1
-    return names
+def _helper(taken: frozenset[str]) -> str:
+    """The first of $a, $b, $c, $a1, $b1, ... that is not taken."""
+    names = (f"{stem}{i or ''}" for i in itertools.count() for stem in ("$a", "$b", "$c"))
+    return next(name for name in names if name not in taken)
+
+
+def _lookup(tag: int, x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
+    """Every row tagged `tag` for (x, y) must carry result z.  Vacuously
+    true when the table has no such row."""
+    a = svar(_helper(term_vars(x) | term_vars(y) | term_vars(z)))
+    return Forall(a.base, imp(row(a, [sln_num(tag), bracket(x), bracket(y)]),
+                              PointsTo(shift(a, 3), bracket(z))))
 
 
 def add_formula(x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
-    """Table lookup for x + y = z: every addition row for (x, y) must carry
-    result z.  Vacuously true when the table has no such row."""
-    (a,) = _helpers(1, term_vars(x) | term_vars(y) | term_vars(z))
-    av = svar(a)
-    return Forall(a, imp(row(av, [sln_num(0), bracket(x), bracket(y)]),
-                         PointsTo(shift(av, 3), bracket(z))))
+    """Table lookup for x + y = z."""
+    return _lookup(0, x, y, z)
 
 
 def mult_formula(x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
-    (a,) = _helpers(1, term_vars(x) | term_vars(y) | term_vars(z))
-    av = svar(a)
-    return Forall(a, imp(row(av, [sln_num(1), bracket(x), bracket(y)]),
-                         PointsTo(shift(av, 3), bracket(z))))
+    """Table lookup for x * y = z."""
+    return _lookup(1, x, y, z)
 
 
 def ineq_formula(x: SLNTerm, y: SLNTerm) -> Formula:
     """Table lookup for x <= y: some inequality row carries (x, y)."""
-    (a,) = _helpers(1, term_vars(x) | term_vars(y))
-    av = svar(a)
-    return Exists(a, row(av, [sln_num(2), bracket(x), bracket(y)]))
+    a = svar(_helper(term_vars(x) | term_vars(y)))
+    return Exists(a.base, row(a, [sln_num(2), bracket(x), bracket(y)]))
 
 
-_TABLE_HEAP_CONDITION: Formula | None = None
-
-
+@functools.cache
 def table_heap_condition() -> Formula:
     """The formula forcing a heap to carry only arithmetically correct
     operation rows.  Built once; callers share the instance."""
-    global _TABLE_HEAP_CONDITION
-    if _TABLE_HEAP_CONDITION is not None:
-        return _TABLE_HEAP_CONDITION
-
     a, b, c = svar("$a"), svar("$b"), svar("$c")
     x, y, z, w = svar("$x"), svar("$y"), svar("$z"), svar("$w")
     zero, one, two = sln_num(0), sln_num(1), sln_num(2)
@@ -117,8 +107,7 @@ def table_heap_condition() -> Formula:
         row(a, [two, bracket(shift(x, 1)), bracket(y)]),
         Exists("$b", row(b, [two, bracket(x), bracket(y)]))))))
 
-    _TABLE_HEAP_CONDITION = and_all([add1, add2, mult1, mult2, ineq1, ineq2])
-    return _TABLE_HEAP_CONDITION
+    return and_all([add1, add2, mult1, mult2, ineq1, ineq2])
 
 
 def _translate_matrix(m: Formula, h: Formula) -> Formula:

@@ -15,7 +15,7 @@ from .checker import check
 from .finite import (
     decode_heap, encode_structure, eval_fol, l_free_vars, triangle_translate,
 )
-from .gen import GenProfile, Generators
+from .gen import Generators
 from .heap import Heap, simple_table_heap
 from .normalize import box_translate, normalize_bounded
 from .parser import parse_pa
@@ -31,6 +31,10 @@ class SearchLimits:
     heap_samples: int = 200
     table_sizes: tuple[int, ...] = (0, 1, 2, 3, 4)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_assign_val < 0 or self.heap_samples < 0:
+            raise ValueError("max_assign_val and heap_samples must not be negative")
 
 
 @dataclass(frozen=True)
@@ -197,9 +201,9 @@ def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
 # run_suite wraps that triple in the report the CLI prints.
 
 
-def pa2hn_instances(seed: int, count: int, profile: GenProfile = GenProfile()):
+def pa2hn_instances(seed: int, count: int):
     """Deterministic (normal formula, assignment) pairs."""
-    gens = Generators(seed, profile)
+    gens = Generators(seed)
     out = []
     for _ in range(count):
         a = gens.pa_normal()
@@ -290,6 +294,8 @@ SUITES = {
 
 def run_suite(lemma: str, seed: int = 0, samples: int = 100) -> dict:
     """The JSON report of one suite; runtime is wall time in seconds."""
+    if samples < 0:
+        raise ValueError("samples must not be negative")
     start = time.perf_counter()
     instances, agreements, failures = SUITES[lemma](seed, samples)
     return {

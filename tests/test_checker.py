@@ -5,18 +5,20 @@ import random
 
 import pytest
 
+from slnkit import checker
 from slnkit.ast import (
     And, Eq, Exists, Forall, GExists, GForall, Not, Or, PointsTo, SLNTerm,
-    TruthConst, free_vars, sln_num, svar,
+    TruthConst, free_vars, sln_num, subformulas, svar,
 )
 from slnkit.checker import (
     address_free_rewrite, check, ground_points_to_eval, value_free_rewrite,
 )
 from slnkit.gen import Generators
 from slnkit.heap import Heap, simple_table_heap
-from slnkit.parser import parse_sln
+from slnkit.normalize import normalize_bounded
+from slnkit.parser import parse_pa, parse_sln
 from slnkit.semantics import VarAssignment
-from slnkit.translate import table_heap_condition
+from slnkit.translate import circle_translate, table_heap_condition
 
 from oracles import brute_force_sln, sln_bound, stable_brute_force
 
@@ -289,3 +291,19 @@ def test_table_heap_condition_on_larger_tables():
     h5 = simple_table_heap(5)
     cell = 4 * 17 + 3  # the result of addition row 17
     assert check(SIGMA, h5.mutated(cell, h5.get(cell) + 1), H) is False
+
+
+def test_shared_subformula_compiles_once(monkeypatch):
+    """A second translation embedding the same H compiles only its own
+    part: H keeps the node it compiled to the first time."""
+    H = table_heap_condition()
+    h, sigma = simple_table_heap(2), VarAssignment({"x": 1})
+    first = circle_translate(normalize_bounded(parse_pa("x <= s(0)")))
+    second = circle_translate(normalize_bounded(parse_pa("s(s(0)) <= x + x")))
+    assert check(sigma, h, first) is True
+    calls = []
+    intern = checker._intern
+    monkeypatch.setattr(checker, "_intern",
+                        lambda key, build: calls.append(key) or intern(key, build))
+    assert check(sigma, h, second) is True
+    assert 0 < len(calls) < sum(1 for _ in subformulas(H))

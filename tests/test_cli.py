@@ -105,6 +105,17 @@ def test_search_exit_codes(capsys):
     assert code == 1 and "counterexample found" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "x |-> 0", "--max-assign", "-1"),
+    ("search", "x |-> 0", "--heaps", "-1"),
+    ("verify", "fol", "--samples", "-3"),
+])
+def test_negative_limits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must not be negative" in err
+
+
 def test_formula_from_file(tmp_path, capsys):
     f = tmp_path / "formula.txt"
     f.write_text("forall x. x <= x")
