@@ -357,20 +357,28 @@ def map_children(a: Formula, f) -> Formula:
 
 
 def free_vars(a: Formula) -> frozenset[str]:
+    """The free variables of a, kept on a outside its fields as the checker
+    keeps its compiled node, so a shared subformula such as H is walked once."""
+    out = vars(a).get("_free")
+    if out is not None:
+        return out
     match a:
         case Eq(l, r) | PointsTo(l, r):
-            return term_vars(l) | term_vars(r)
+            out = term_vars(l) | term_vars(r)
         case Leq(l, r):
-            return pa_term_vars(l) | pa_term_vars(r)
+            out = pa_term_vars(l) | pa_term_vars(r)
         case TruthConst():
-            return frozenset()
+            out = frozenset()
         case Not(b):
-            return free_vars(b)
+            out = free_vars(b)
         case And(l, r) | Or(l, r):
-            return free_vars(l) | free_vars(r)
-    if isinstance(a, QUANTIFIERS):
-        return (free_vars(a.body) - {a.var}) | binder_vars(a)
-    raise TypeError(f"not a formula: {a!r}")
+            out = free_vars(l) | free_vars(r)
+        case _ if isinstance(a, QUANTIFIERS):
+            out = (free_vars(a.body) - {a.var}) | binder_vars(a)
+        case _:
+            raise TypeError(f"not a formula: {a!r}")
+    vars(a)["_free"] = out
+    return out
 
 
 def subformulas(a: Formula):

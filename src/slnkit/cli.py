@@ -4,7 +4,7 @@ Every subcommand is a thin adapter over the library: parse the arguments,
 call one function, format the result.  Formulas are taken inline or from a
 file via @path.  Exit codes: 0 success or true, 1 false or counterexample
 found, 2 usage or input error, or an input that exhausts the recursion
-depth or memory.
+depth, memory or the decider's cube budget.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .normalize import box_translate, normalize_bounded
 from .parser import ParseError, parse_pa, parse_sln
 from .render import render
 from .semantics import parse_assignment, render_assignment
-from .succ import decide_sentence
+from .succ import BudgetExceeded, decide_sentence
 from .translate import circle_translate
 from .verify import SUITES, SearchLimits, bounded_counterexample_search, run_suite
 
@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as err:
+    except (ParseError, ValueError, OSError, BudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -19,16 +19,34 @@ Intermediate results are lists of cubes, each a tuple of literals, rather
 than Formula trees: they are flat, so no walk over them recurses with their
 length, and no pass re-normalizes them.  [()] is true and [] is false; a
 cube list that contains () collapses to [()], a conjunction stops at a
-false left side and a disjunction at a true one."""
+false left side and a disjunction at a true one.
+
+Two pruning rules keep dead cubes from multiplying.  No cube holds a
+literal and its negation: `_cube`, which builds what `_solve` returns,
+gives [] for one, and `_and` and `_negate` skip such merges.  `_negate`
+absorbs after each clause it multiplies in, dropping every cube that
+contains another; `_or` does not, as on the small lists of most sentences
+that costs more than it saves.  A step past MAX_CUBES raises BudgetExceeded."""
 
 from __future__ import annotations
 
 from .ast import (
-    And, Eq, Exists, Forall, Formula, GExists, GForall, Not, Or, PointsTo,
-    SLNTerm, TruthConst, free_vars, subformulas,
+    QUANTIFIERS, And, Eq, Exists, Forall, Formula, GExists, GForall, Leq, Not,
+    Or, PointsTo, SLNTerm, TruthConst, binder_vars, term_vars,
 )
 
 TRUE: list[tuple] = [()]
+
+MAX_CUBES = 200_000  # about 200 times the most the ladder to k = 10 needs
+
+
+class BudgetExceeded(RuntimeError):
+    """A step of the elimination would handle more than MAX_CUBES cubes."""
+
+
+def _budget(n: int) -> None:
+    if n > MAX_CUBES:
+        raise BudgetExceeded(f"budget exceeded: {n} cubes pass MAX_CUBES = {MAX_CUBES}")
 
 
 def _lit(positive: bool, a: str | None, i: int, b: str | None, j: int) -> tuple | bool:
@@ -44,12 +62,15 @@ def _lit(positive: bool, a: str | None, i: int, b: str | None, j: int) -> tuple 
 
 
 def _cube(lits) -> list[tuple]:
-    """The conjunction of lits, repeats dropped, as a cube list."""
+    """The conjunction of lits, repeats dropped, as a cube list: [] when it
+    holds a literal and its negation."""
     out: list = []
     for lit in lits:
         if lit is False:
             return []
         if lit is not True and lit not in out:
+            if (not lit[0], lit[1], lit[2], lit[3]) in out:
+                return []
             out.append(lit)
     return [tuple(out)]
 
@@ -60,13 +81,46 @@ def _or(*parts: list[tuple]) -> list[tuple]:
 
 
 def _and(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
-    return _or([x + tuple(lit for lit in y if lit not in x) for x in xs for y in ys])
+    """Merged cubes of xs and ys, without those that hold a literal and its
+    negation; neither side holds such a pair, so y is checked against x."""
+    _budget(len(xs) * len(ys))
+    return _or([x + tuple(lit for lit in y if lit not in x) for x in xs for y in ys
+                if not any((not p, u, d, v) in x for p, u, d, v in y)])
+
+
+def _absorb(cubes: list[tuple]) -> list[tuple]:
+    """cubes, in order, without each one that contains another or repeats an
+    earlier one.  Smallest first, each is tested only against those kept."""
+    if len(cubes) < 2:
+        return cubes
+    _budget(len(cubes))
+    kept: dict[int, frozenset] = {}
+    for i in sorted(range(len(cubes)), key=lambda i: len(cubes[i])):
+        s = frozenset(cubes[i])
+        if not any(map(s.issuperset, kept.values())):
+            kept[i] = s
+    return [cubes[i] for i in sorted(kept)]
 
 
 def _negate(cubes: list[tuple]) -> list[tuple]:
+    """!cubes, multiplied in one clause at a time and absorbed after each.  A
+    cube of out that holds a literal of the clause is its own product: its
+    other merges contain it."""
     out = TRUE
     for cube in cubes:
-        out = _and(out, [((not p, u, d, v),) for p, u, d, v in cube])
+        step = []
+        for x in out:
+            merges = []
+            for lit in cube:
+                neg = (not lit[0], lit[1], lit[2], lit[3])
+                if neg in x:
+                    step.append(x)
+                    break
+                if lit not in x:
+                    merges.append(x + (neg,))
+            else:
+                step += merges
+        out = _absorb(step)
         if not out:
             break
     return out
@@ -116,8 +170,21 @@ def _dnf(a: Formula, positive: bool) -> list[tuple]:
 def decide_sentence(a: Formula) -> bool:
     """Truth over the naturals of a closed formula built from equalities,
     connectives and (guarded) quantifiers."""
-    if any(isinstance(sub, PointsTo) for sub in subformulas(a)):
-        raise ValueError("points-to atom in successor-arithmetic input")
-    if free_vars(a):
-        raise ValueError(f"free variables in sentence: {sorted(free_vars(a))}")
+    free: set[str] = set()
+    todo = [(a, frozenset())]
+    while todo:
+        b, bound = todo.pop()
+        if isinstance(b, PointsTo):
+            raise ValueError("points-to atom in successor-arithmetic input")
+        if isinstance(b, (Eq, Leq)):
+            free |= (term_vars(b.left) | term_vars(b.right)) - bound
+        elif isinstance(b, (And, Or)):
+            todo += ((b.right, bound), (b.left, bound))
+        elif isinstance(b, Not):
+            todo.append((b.body, bound))
+        elif isinstance(b, QUANTIFIERS):
+            free |= binder_vars(b) - bound
+            todo.append((b.body, bound | {b.var}))
+    if free:
+        raise ValueError(f"free variables in sentence: {sorted(free)}")
     return _dnf(a, True) == TRUE

@@ -2,12 +2,16 @@
 
 import pytest
 
-from slnkit.ast import Eq, GForall, sln_num, svar
+from slnkit import succ
+from slnkit.ast import Eq, GForall, free_vars, sln_num, subformulas, svar
+from slnkit.cli import main
 from slnkit.gen import Generators, GenProfile
 from slnkit.heap import Heap
-from slnkit.parser import parse_sln
+from slnkit.normalize import normalize_bounded
+from slnkit.parser import parse_pa, parse_sln
 from slnkit.semantics import VarAssignment
-from slnkit.succ import decide_sentence
+from slnkit.succ import BudgetExceeded, _absorb, _and, _cube, _negate, _or, decide_sentence
+from slnkit.translate import circle_translate, table_heap_condition
 
 from oracles import stable_brute_force
 
@@ -55,9 +59,72 @@ def test_against_oracle():
 
 
 def test_long_cube_list_against_oracle():
-    """Eliminating this alternation passes through a list of over a hundred
-    cubes; deciding it must not recurse along that list."""
+    """Without pruning, eliminating this alternation multiplies out a list
+    of over a hundred cubes; deciding it must not recurse along one."""
     a = parse_sln("forall x0. exists x1. forall x2. exists x3. "
                   "((x0 = s(x1) \\/ x0 = x2) /\\ (x1 = s(x2) \\/ x1 = x3) "
                   "/\\ (x0 = s(x1) \\/ x0 = x2))")
     assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a)
+
+
+# Literals x = 1, x != 1, y = 2, z = 3 and their negations.
+X, Y, Z = (True, None, 1, "x"), (True, None, 2, "y"), (True, None, 3, "z")
+NX, NY, NZ = ((False, *lit[1:]) for lit in (X, Y, Z))
+
+
+def test_contradictory_merges_are_dropped():
+    assert _and([(X,), (Y,)], [(NX,)]) == [(Y, NX)]
+    assert _and([(X, Y)], [(NY, Z), (NX,)]) == []
+    assert _cube([X, True, NX]) == []
+
+
+def test_absorption_drops_supersets_in_order():
+    # (Z, NY) comes first and survives; (X, Y) contains (Y,), and (NY, Z)
+    # repeats (Z, NY).
+    assert _absorb([(Z, NY), (Y,), (X, Y), (X,), (NY, Z)]) == [(Z, NY), (Y,), (X,)]
+    # !(x = 1 /\ y = 2) /\ !(x = 1) is x != 1
+    assert _negate([(X, Y), (X,)]) == [(NX,)]
+    assert _negate([(X,), (Y, Z)]) == [(NX, NY), (NX, NZ)]
+
+
+def test_true_cube_still_collapses():
+    assert _or([(X,)], [(Y,), ()]) == [()]
+    assert _and([(), (X,)], [()]) == [()]
+    assert _negate([]) == [()]
+    assert _negate([()]) == []
+
+
+def ladder(k: int) -> str:
+    r"""The alternation ladder: k + 2 alternating quantifiers over
+    /\_{i<k} (x_i = s(x_{i+1}) \/ x_i = x_{i+2}), which is false."""
+    quants = " ".join(f"{'exists' if i % 2 else 'forall'} x{i}." for i in range(k + 2))
+    body = " /\\ ".join(f"(x{i} = s(x{i + 1}) \\/ x{i} = x{i + 2})" for i in range(k))
+    return f"{quants} ({body})"
+
+
+def test_ladder():
+    for k in range(2, 9):
+        assert decide_sentence(parse_sln(ladder(k))) is False, k
+    for k in (2, 3):
+        a = parse_sln(ladder(k))
+        assert stable_brute_force(SIGMA, EMPTY, a) is False
+
+
+def test_budget_exceeded(monkeypatch, capsys):
+    monkeypatch.setattr(succ, "MAX_CUBES", 4)
+    with pytest.raises(BudgetExceeded):
+        decide_sentence(parse_sln(ladder(4)))
+    assert main(["decide-succ", ladder(4)]) == 2
+    assert capsys.readouterr().err.startswith("error: budget exceeded")
+
+
+def test_free_vars_memo_on_translations_sharing_h():
+    h = table_heap_condition()
+    a, b = (circle_translate(normalize_bounded(parse_pa(text)))
+            for text in ("exists y <= x. y + y = x", "forall y <= x. y * y <= z"))
+    for sub in (*subformulas(a), *subformulas(b)):
+        vars(sub).pop("_free", None)
+    before = free_vars(a), free_vars(b)
+    assert before == ({"x"}, {"x", "z"})
+    assert vars(h)["_free"] == frozenset()
+    assert (free_vars(a), free_vars(b)) == before
