@@ -14,10 +14,12 @@ them.
 Environment evaluation.  A formula is compiled once into nodes and decided
 under an environment that maps variables to values; enumerating a
 quantifier rebinds its variable and never builds a substituted formula.
-Before a quantifier enumerates, its body is evaluated three-valued with the
-variable unbound, and a body that is constant regardless is returned as is.
-Otherwise one loop enumerates it, decided or not: it returns the verdict at
-the first value whose body gives it, else joins the residuals of the bodies
+Unless a quantifier is closed and anchored (see below), its body is first
+evaluated three-valued with the variable unbound, and a body that is
+constant regardless is returned as is; a closed anchored quantifier goes
+straight to its candidates, which settle such a body as well.  One loop
+enumerates a quantifier, decided or not: it returns the verdict at the
+first value whose body gives it, else joins the residuals of the bodies
 that stay undecided with the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
@@ -36,7 +38,10 @@ less i.  Every other value in the enumerated block falsifies the conjunct,
 and so leaves the body false (exists) or true (forall).  This is the
 paper's argument for the tail, applied to one atom inside the block, so the
 block's verdict, the tail and the decider path are those of the split.
-Anchors are searched through nested quantifiers that do not bind t.
+Every known anchor filters the candidates: the shortest address list is
+scanned, and a value k is kept only if h(k+j) = t' for each other known
+anchor x+j |-> t'.  Anchors are searched through nested quantifiers that
+do not bind t.
 """
 
 from __future__ import annotations
@@ -422,15 +427,21 @@ class _Shape:
                 val.append((True, p.lb, p.lo, p.ro))
         return tuple(val + addr)
 
-    def candidates(self, env, h, guard: int, bound: int):
-        """The values in [guard, bound] at which the body can differ from
-        its neutral verdict.  An anchor, x+i |-> t or t |-> x+i, is false
-        at every other value, and so is the body of an exists (for a
-        forall, its body is true).  Anchors whose t is not bound in env
-        are skipped; of the others, the one with the fewest values wins."""
+    def bound(self, h: Heap) -> int:
+        """The last value of the enumerated block; the tail takes the rest."""
+        return h.max_addr if self.side == "addr" else h.max_val
+
+    def candidates(self, env, h, guard: int):
+        """The values from guard to the bound at which the body can differ
+        from its neutral verdict, or None when no anchor applies.  An
+        anchor, x+i |-> t or t |-> x+i, is false at every other value, and
+        so is the body of an exists (for a forall, its body is true).
+        Anchors whose t is not bound in env are skipped.  A value anchor
+        gives at most one value; otherwise the address anchor with the
+        fewest values gives the list, and every other one filters it."""
         if self._anchors is None:
             self._anchors = self._find_anchors()
-        best = None
+        known = []
         for is_val, base, offset, i in self._anchors:
             t = _known(base, offset, env)
             if t is None:
@@ -439,13 +450,17 @@ class _Shape:
                 # t |-> x+i: x is the value stored at t, minus i
                 stored = h.get(t)
                 k = -1 if stored is None else stored - i
-                return (k,) if guard <= k <= bound else ()
-            addrs = h.addresses_holding(t)
-            if best is None or len(addrs) < len(best[0]):
-                best = (addrs, i)
-        if best is None:
-            return range(guard, bound + 1)
-        addrs, i = best
+                return (k,) if guard <= k <= self.bound(h) else ()
+            known.append((h.addresses_holding(t), t, i))
+        if not known:
+            return None
+        known.sort(key=lambda anchor: len(anchor[0]))
+        addrs, _, i = known[0]
+        get = h._cells.get  # the dict's own get: no wrapper call per address
+        for _, t, j in known[1:]:
+            d = j - i  # from an address of the first anchor to this one's
+            addrs = [a for a in addrs if get(a + d) == t]
+        bound = self.bound(h)
         return [a - i for a in addrs if guard <= a - i <= bound]
 
     def tail(self) -> "_Shape":
@@ -475,10 +490,11 @@ class _Quant(_Node):
         return self if self._values is None else (self, self._values(env))
 
     def ev(self, env, h) -> bool | None:
-        """The body is first evaluated with the variable unbound.  If that
-        gives no verdict and env binds every free variable, the quantifier
-        is decided by enumeration, and that verdict is memoized per heap
-        on (node, free values)."""
+        """A quantifier whose free variables env binds is decided by
+        enumeration, and that verdict is memoized per heap on (node, free
+        values).  Unless it is closed and anchored, its body is first
+        evaluated with the variable unbound, and a verdict there is
+        returned as is."""
         closed = env.keys() >= self.free
         if closed:
             key = self._key(env)
@@ -488,11 +504,14 @@ class _Quant(_Node):
         shape = self.shape
         saved = env.pop(shape.var, _UNSET)
         try:
-            verdict = shape.body.ev(env, h)
-            if verdict is None and closed:
-                residual = _residual(shape, self.guard, env, h)
-                verdict = h._memo[key] = (residual.value if isinstance(residual, TruthConst)
-                                          else decide_sentence(residual))
+            values = shape.candidates(env, h, self.guard) if closed else None
+            if values is None:
+                verdict = shape.body.ev(env, h)
+                if verdict is not None or not closed:
+                    return verdict
+            residual = _residual(shape, self.guard, env, h, values)
+            verdict = h._memo[key] = (residual.value if isinstance(residual, TruthConst)
+                                      else decide_sentence(residual))
             return verdict
         finally:
             if saved is not _UNSET:
@@ -596,19 +615,23 @@ def _join(parts: list[Formula], exists: bool) -> Formula:
     return kept[0]
 
 
-def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
+def _residual(shape: _Shape, guard: int, env: dict, h: Heap, values=None) -> Formula:
     """`Q x >= guard. body` as successor arithmetic over the variables
     env leaves unbound, x excluded from env: a constant once some value of
     x decides it, else the join of the bodies that stay undecided with the
-    tail."""
+    tail.  values, if given, are the shape's candidates in env."""
     side = shape.side
     if side is None:
         return _guarded(shape.exists, shape.var, guard, shape.body.res(env, h))
-    bound = h.max_addr if side == "addr" else h.max_val
+    bound = shape.bound(h)
+    if values is None:
+        values = shape.candidates(env, h, guard)
+        if values is None:
+            values = range(guard, bound + 1)
     x, body, want = shape.var, shape.body, shape.exists
     parts = []
     try:
-        for k in shape.candidates(env, h, guard, bound):
+        for k in values:
             env[x] = k
             verdict = body.ev(env, h)
             if verdict == want:

@@ -41,7 +41,11 @@ def _emit(payload: dict, as_json: bool, text: str | None = None) -> None:
 def _cmd_parse(args: argparse.Namespace) -> int:
     parser = parse_pa if args.logic == "pa" else parse_sln
     formula = parser(_read_arg(args.formula))
-    _emit({"formula": render(formula), "ast": repr(formula)}, args.json, render(formula))
+    text = render(formula)
+    if args.json:
+        _emit({"formula": text, "ast": repr(formula)}, True)
+    else:
+        print(text)
     return 0
 
 

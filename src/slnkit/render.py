@@ -52,30 +52,45 @@ def render(a: Formula) -> str:
 
 
 def _fmt(a: Formula, req: int, tail: bool) -> str:
+    """The text of a, built on an explicit stack so that nesting depth is
+    bounded by memory, not by the recursion limit.  The stack holds text
+    still to emit and (formula, req, tail) tasks still to expand."""
+    out: list[str] = []
+    stack: list = [(a, req, tail)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_pieces(*item)))
+    return "".join(out)
+
+
+def _pieces(a: Formula, req: int, tail: bool) -> list:
+    """a's text one level down: strings, and a task per direct subformula."""
     match a:
         case Eq(l, r):
-            return f"{render_term(l)} = {render_term(r)}"
+            return [f"{render_term(l)} = {render_term(r)}"]
         case Leq(l, r):
-            return f"{render_term(l)} <= {render_term(r)}"
+            return [f"{render_term(l)} <= {render_term(r)}"]
         case PointsTo(l, r):
-            return f"{render_term(l)} |-> {render_term(r)}"
+            return [f"{render_term(l)} |-> {render_term(r)}"]
         case TruthConst(v):
-            return "0 = 0" if v else "!(0 = 0)"
+            return ["0 = 0" if v else "!(0 = 0)"]
         case Not(b):
-            return f"!({_fmt(b, 0, True)})"
+            return ["!(", (b, 0, True), ")"]
         case And(l, r):
             if req > 2:
-                return f"({_fmt(l, 3, False)} /\\ {_fmt(r, 2, True)})"
-            return f"{_fmt(l, 3, False)} /\\ {_fmt(r, 2, tail)}"
+                return ["(", (l, 3, False), " /\\ ", (r, 2, True), ")"]
+            return [(l, 3, False), " /\\ ", (r, 2, tail)]
         case Or(l, r):
             if req > 1:
-                return f"({_fmt(l, 2, False)} \\/ {_fmt(r, 1, True)})"
-            return f"{_fmt(l, 2, False)} \\/ {_fmt(r, 1, tail)}"
+                return ["(", (l, 2, False), " \\/ ", (r, 1, True), ")"]
+            return [(l, 2, False), " \\/ ", (r, 1, tail)]
     if not isinstance(a, QUANTIFIERS):
         raise TypeError(f"not a formula: {a!r}")
     t = binder_term(a)
     if t is not None and not isinstance(t, int):
         t = render_term(t)
     head = _HEADS[type(a)].format(x=a.var, t=t)
-    body = _fmt(a.body, 0, True)
-    return f"{head}{body}" if tail else f"({head}{body})"
+    return [head, (a.body, 0, True)] if tail else ["(", head, (a.body, 0, True), ")"]

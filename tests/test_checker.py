@@ -8,7 +8,7 @@ import pytest
 from slnkit import checker
 from slnkit.ast import (
     And, Eq, Exists, Forall, GExists, GForall, Not, Or, PointsTo, SLNTerm,
-    TruthConst, free_vars, sln_num, subformulas, svar,
+    TruthConst, and_all, free_vars, sln_num, subformulas, svar,
 )
 from slnkit.checker import (
     address_free_rewrite, check, ground_points_to_eval, value_free_rewrite,
@@ -307,3 +307,93 @@ def test_shared_subformula_compiles_once(monkeypatch):
                         lambda key, build: calls.append(key) or intern(key, build))
     assert check(sigma, h, second) is True
     assert 0 < len(calls) < sum(1 for _ in subformulas(H))
+
+
+def _multi_anchored(rng):
+    """A quantifier on x whose body needs two or three address anchors
+    x+i |-> t, each t a numeral, the free w or an outer y or z, under zero
+    to two outer quantifiers.  While an outer variable is unbound (in the
+    outer prepass and tail) its anchors are skipped, and an equality on x
+    and the outer variables leaves a residual for the decider."""
+    scope = ["w", "y", "z"]
+    anchors = [PointsTo(SLNTerm("x", rng.randint(0, 2)), _term(rng, scope))
+               for _ in range(rng.randint(2, 3))]
+    rest = rng.choice([Eq(SLNTerm("x", rng.randint(0, 1)), _term(rng, scope)),
+                       Not(Eq(_term(rng, scope), _term(rng, scope))),
+                       _random_formula(rng, ["x"] + scope, 1)])
+    exists = rng.random() < 0.5
+    body = And(and_all(anchors), rest) if exists else Or(Not(and_all(anchors)), rest)
+    guard = rng.randint(0, 2)
+    if guard:
+        a = (GExists if exists else GForall)("x", guard, body)
+    else:
+        a = (Exists if exists else Forall)("x", body)
+    for y in rng.sample(["y", "z"], rng.randint(0, 2)):
+        side = Eq(svar(y), _term(rng, scope))
+        a = rng.choice([Exists, Forall])(y, rng.choice([Or, And])(a, side))
+    return a
+
+
+def test_multi_anchor_enumeration_against_oracle(monkeypatch):
+    rng = random.Random(55)
+    decided = []
+    decide = checker.decide_sentence
+    monkeypatch.setattr(checker, "decide_sentence",
+                        lambda s: decided.append(s) or decide(s))
+    for _ in range(300):
+        a = _multi_anchored(rng)
+        heap = Heap({rng.randint(0, 6): rng.randint(0, 3) for _ in range(rng.randint(0, 7))})
+        sigma = VarAssignment({v: rng.randint(0, 3) for v in free_vars(a)})
+        assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a), a
+    assert decided  # some residuals reached the decider
+
+
+def _add2_exists_b():
+    """The `exists $b` of the add2 clause: the only one whose body needs a
+    row tagged 0 at $b."""
+    tag = PointsTo(svar("$b"), sln_num(0))
+    (node,) = {checker._compile(sub) for sub in subformulas(table_heap_condition())
+               if isinstance(sub, Exists) and sub.var == "$b"
+               and tag in set(subformulas(sub.body))}
+    return node.shape
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_add2_gets_one_candidate_per_row(monkeypatch, n):
+    """On an intact table, every anchor of add2's `exists $b` filters the
+    candidates: each addition row with a nonzero first operand asks for
+    its predecessor row once and gets exactly that row."""
+    shape = _add2_exists_b()
+    sizes = []
+    candidates = checker._Shape.candidates
+
+    def counted(self, env, h, guard):
+        values = candidates(self, env, h, guard)
+        if self is shape:
+            sizes.append(len(values))
+        return values
+
+    monkeypatch.setattr(checker._Shape, "candidates", counted)
+    heap = Heap(simple_table_heap(n).cells)  # a fresh memo
+    assert check(SIGMA, heap, table_heap_condition()) is True
+    rows = n * n + 1
+    assert sizes == [1] * (rows * (rows - 1))
+
+
+def test_anchored_closed_quantifier_skips_the_prepass(monkeypatch):
+    """A closed quantifier with an anchor enumerates its candidates
+    straight away; one without first evaluates its body with the variable
+    unbound."""
+    unbound = []
+    for cls in (checker._And, checker._Or):
+        def ev(self, env, h, ev=cls.ev):
+            if "a" not in env:
+                unbound.append(self)
+            return ev(self, env, h)
+        monkeypatch.setattr(cls, "ev", ev)
+    anchored = parse_sln("exists a. (a |-> 0 /\\ s(a) |-> s(s(0)))")
+    unanchored = parse_sln("exists a. (a |-> 0 \\/ s(a) |-> s(s(0)))")
+    for a in (anchored, unanchored):
+        heap = Heap({0: 0, 1: 1, 2: 0, 3: 2})
+        assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a) is True
+    assert unbound == [checker._compile(unanchored).shape.body]

@@ -142,9 +142,18 @@ def test_verify_every_suite(capsys, lemma):
 
 
 def test_deep_nesting_exits_2(capsys):
-    code, out, err = run(capsys, "parse-sln", "!" * 3000 + "(0 = 0)")
+    """The parser recurses once per level of parentheses, so 600 of them
+    exhaust the recursion limit: a typed exit, not a traceback."""
+    code, out, err = run(capsys, "parse-sln", "(" * 600 + "0 = 0" + ")" * 600)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_deep_negation_chain_prints_back(capsys):
+    """A run of `!` parses in a loop and prints back without recursing."""
+    code, out, _ = run(capsys, "parse-sln", "!" * 3000 + "(0 = 0)")
+    assert code == 0
+    assert out.strip() == "!(" * 3000 + "0 = 0" + ")" * 3000
 
 
 def test_decider_deep_alternation_exits_1(capsys):

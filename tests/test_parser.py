@@ -151,3 +151,19 @@ def test_long_connective_chain(parse, atom, op):
 def test_nested_parentheses(parse, atom):
     """150 levels of parentheses stay within the default recursion limit."""
     assert parse("(" * 150 + atom + ")" * 150) == parse(atom)
+
+
+def test_render_deep_chains():
+    """render walks an explicit stack: chains far deeper than the
+    recursion limit print, with the text the grammar asks for."""
+    atom, depth, text = Eq(svar("x"), sln_num(0)), 5000, "x = 0"
+    inner = depth - 1  # a left operand disjunction is parenthesized, the root one is not
+    chains = [(Not, "!(" * depth + text + ")" * depth),
+              (lambda b: Exists("x", b), "exists x. " * depth + text),
+              (lambda b: And(atom, b), " /\\ ".join([text] * (depth + 1))),
+              (lambda b: Or(b, atom), "(" * inner + text + " \\/ x = 0)" * inner + " \\/ x = 0")]
+    for wrap, expected in chains:
+        a = atom
+        for _ in range(depth):
+            a = wrap(a)
+        assert render(a) == expected
