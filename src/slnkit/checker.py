@@ -66,18 +66,14 @@ FALSE = TruthConst(False)
 # Quantifier plumbing
 
 
+_EXISTS = {Exists: True, GExists: True, Forall: False, GForall: False}
+
+
 def _split_quant(a: Formula) -> tuple[bool, str, int, Formula]:
     """(exists, var, guard, body) of a quantifier-rooted formula."""
-    match a:
-        case Exists(x, b):
-            return True, x, 0, b
-        case Forall(x, b):
-            return False, x, 0, b
-        case GExists(x, m, b):
-            return True, x, m, b
-        case GForall(x, m, b):
-            return False, x, m, b
-    raise ValueError(f"expected a quantified formula, got {a!r}")
+    if type(a) not in _EXISTS:
+        raise ValueError(f"expected a quantified formula, got {a!r}")
+    return _EXISTS[type(a)], a.var, getattr(a, "guard", 0), a.body
 
 
 def _guarded(exists: bool, x: str, guard: int, body: Formula) -> Formula:
@@ -176,14 +172,32 @@ def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
 # weakly; a node lives as long as a formula compiled to it or a heap memo
 # uses it.
 
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+_NODES: dict[tuple, _Ref] = {}
 _UNSET = object()
 
 
-def _intern(key: tuple, build):
-    node = _NODES.get(key)
+def _drop(ref: _Ref) -> None:
+    """Forget a dead node, unless its key already names a newer one."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _intern(key: tuple):
+    """The node of key, a node class followed by its arguments: the one
+    made before, if it is alive, else a new one."""
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
     if node is None:
-        node = _NODES[key] = build()
+        node = key[0](*key[1:])
+        ref = _NODES[key] = _Ref(node, _drop)
+        ref.key = key
     return node
 
 
@@ -321,8 +335,13 @@ class _Binary(_Node):
 
     def __init__(self, left: _Node, right: _Node) -> None:
         self.left, self.right = left, right
-        self._facts(left.free | right.free, left.addr_vars | right.addr_vars,
-                    left.val_vars | right.val_vars)
+        if not right.free:  # then it has no points-to atom over a variable either
+            self._facts(left.free, left.addr_vars, left.val_vars)
+        elif not left.free:
+            self._facts(right.free, right.addr_vars, right.val_vars)
+        else:
+            self._facts(left.free | right.free, left.addr_vars | right.addr_vars,
+                        left.val_vars | right.val_vars)
 
 
 class _And(_Binary):
@@ -366,7 +385,7 @@ def _needs(node: _Node, x: str, positive: bool) -> frozenset:
     The domain is never empty, so an atom needed by the body of any
     quantifier is needed by the quantifier too, unless it mentions the
     bound variable."""
-    if x not in node.free:
+    if x not in node.addr_vars and x not in node.val_vars:
         return frozenset()
     if isinstance(node, _PointsTo):
         return frozenset((node,)) if positive else frozenset()
@@ -467,13 +486,9 @@ class _Shape:
         """The same quantifier with the atoms on its side replaced by
         false, which is its body beyond the side's bound."""
         if self._tail is None:
-            self._tail = _shape(self.exists, self.var,
-                                _replace(self.body, self.var, self.side))
+            self._tail = _intern((_Shape, self.exists, self.var,
+                                  _replace(self.body, self.var, self.side)))
         return self._tail
-
-
-def _shape(exists: bool, var: str, body: _Node) -> _Shape:
-    return _intern((_Shape, exists, var, body), lambda: _Shape(exists, var, body))
 
 
 class _Quant(_Node):
@@ -534,14 +549,15 @@ class _Quant(_Node):
 
 
 def _atom_node(cls, l: SLNTerm, r: SLNTerm) -> _Node:
-    fields = (l.base, l.offset, r.base, r.offset)
-    return _intern((cls, *fields), lambda: cls(*fields))
+    return _intern((cls, l.base, l.offset, r.base, r.offset))
 
 
 def _not_node(body: _Node) -> _Node:
     if isinstance(body, _Const):
         return _FALSE_NODE if body.value else _TRUE_NODE
-    return _intern((_Not, body), lambda: _Not(body))
+    if type(body) is _Not:  # !!A is A
+        return body.body
+    return _intern((_Not, body))
 
 
 def _binary_node(cls, left: _Node, right: _Node) -> _Node:
@@ -550,45 +566,49 @@ def _binary_node(cls, left: _Node, right: _Node) -> _Node:
         return right if left.value == unit else left
     if isinstance(right, _Const):
         return left if right.value == unit else right
-    return _intern((cls, left, right), lambda: cls(left, right))
+    return _intern((cls, left, right))
 
 
 def _quant_node(exists: bool, x: str, guard: int, body: _Node) -> _Node:
     if isinstance(body, _Const):
         return body
-    shape = _shape(exists, x, body)
-    return _intern((_Quant, shape, guard), lambda: _Quant(shape, guard))
+    return _intern((_Quant, _intern((_Shape, exists, x, body)), guard))
 
 
 def _compile(a: Formula) -> _Node:
     """The interned node of a.  It is kept on a, outside its fields, so a
-    subformula shared by many formulas, such as H, compiles once."""
+    subformula shared by many formulas, such as H, compiles once.  A run of
+    ! is read in a loop and folded by its parity."""
     node = vars(a).get("_node")
     if node is not None:
         return node
-    match a:
-        case TruthConst(v):
-            node = _TRUE_NODE if v else _FALSE_NODE
-        case Eq(l, r):
-            if not isinstance(l, SLNTerm) or not isinstance(r, SLNTerm):
-                raise TypeError("check operates on SLN formulas")
-            if l.base == r.base:
-                node = _TRUE_NODE if l.offset == r.offset else _FALSE_NODE
-            else:
-                node = _atom_node(_Eq, l, r)
-        case PointsTo(l, r):
-            node = _atom_node(_PointsTo, l, r)
-        case Not(b):
-            node = _not_node(_compile(b))
-        case And(l, r):
-            node = _binary_node(_And, _compile(l), _compile(r))
-        case Or(l, r):
-            node = _binary_node(_Or, _compile(l), _compile(r))
-        case Exists() | Forall() | GExists() | GForall():
-            exists, x, guard, b = _split_quant(a)
-            node = _quant_node(exists, x, guard, _compile(b))
-        case _:
-            raise TypeError(f"not an SLN formula: {a!r}")
+    cls = type(a)
+    if cls is And or cls is Or:
+        node = _binary_node(_And if cls is And else _Or, _compile(a.left), _compile(a.right))
+    elif cls is PointsTo:
+        node = _atom_node(_PointsTo, a.addr, a.val)
+    elif cls is Eq:
+        l, r = a.left, a.right
+        if type(l) is not SLNTerm or type(r) is not SLNTerm:
+            raise TypeError("check operates on SLN formulas")
+        if l.base == r.base:
+            node = _TRUE_NODE if l.offset == r.offset else _FALSE_NODE
+        else:
+            node = _atom_node(_Eq, l, r)
+    elif cls in _EXISTS:
+        exists, x, guard, body = _split_quant(a)
+        node = _quant_node(exists, x, guard, _compile(body))
+    elif cls is Not:
+        body, negations = a.body, 1
+        while type(body) is Not:
+            body, negations = body.body, negations + 1
+        node = _compile(body)
+        if negations % 2:
+            node = _not_node(node)
+    elif cls is TruthConst:
+        node = _TRUE_NODE if a.value else _FALSE_NODE
+    else:
+        raise TypeError(f"not an SLN formula: {a!r}")
     vars(a)["_node"] = node
     return node
 

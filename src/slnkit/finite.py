@@ -277,11 +277,11 @@ class _LParser(_Parser):
             inner = self.formula()
             self.expect(")")
             return inner
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
-        self.next()
-        if tok.text == "P":
+        word = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident":
+            raise self.fail(f"expected a formula, found {word or 'end of input'!r}")
+        self.pos += 1
+        if word == "P":
             self.expect("(")
             left = self._ident()
             self.expect(",")
@@ -289,7 +289,7 @@ class _LParser(_Parser):
             self.expect(")")
             return LPred(left, right)
         self.expect("=")
-        return LEq(tok.text, self._ident())
+        return LEq(word, self._ident())
 
 
 def parse_l(text: str) -> LFormula:

@@ -9,7 +9,7 @@ after a quantifier binder may be omitted when the body is self-delimiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
@@ -25,60 +25,75 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 _SYMBOLS = ("|->", "<=", ">=", "=>", "/\\", "\\/", "(", ")", ".", "=", "+", "*", "!", ",")
 _KEYWORDS = ("forall", "exists")
+_TERM_SYMBOLS = ("(", ")", "+", "*")  # the symbols a term can hold
+_TERM_FOLLOW = ("=", "<=", "|->", "+", "*")  # those that continue a term or make it an atom
+# After skipping whitespace: a symbol, the longest first; a run of word
+# characters (letters, digits, _, $ and #); any other character.  Only
+# trailing whitespace matches nothing, so no character is skipped.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(%s)|([\w$#]+)|([^ \t\r\n]))"
+                    % "|".join(map(re.escape, _SYMBOLS)))
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("num", text[i:j], line, col))
-                col += j - i
-                i = j
-            elif ch.isalpha() or ch in "_$":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_$#"):
-                    j += 1
-                word = text[i:j]
-                kind = "kw" if word in _KEYWORDS else "ident"
-                tokens.append(Token(kind, word, line, col))
-                col += j - i
-                i = j
+def _line_col(text: str, start: int) -> tuple[int, int]:
+    """The line and column of offset start, both from 1; every character
+    but a newline is one column."""
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int], dict[int, int]]:
+    """The kinds, texts and start offsets of the tokens of text, ending in
+    an "eof" token, and its term groups: each "(" whose parenthesis holds
+    only tokens a term can hold, mapped to the index of its matching ")".
+
+    A kind is "sym", "kw", "num", "ident" or "eof".  A run of word
+    characters splits into a numeral, its leading digits, and a name, which
+    must start with a letter, _ or $."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    groups: dict[int, int] = {}
+    opens: list[int] = []  # the indices of the "(" not yet matched
+    last_formula = -1  # the index of the last token no term can hold
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        word, start = m[group], m.start(group)
+        if group == 1:
+            if word == "(":
+                opens.append(len(texts))
+            elif word == ")":
+                if opens:
+                    p = opens.pop()
+                    if last_formula < p:
+                        groups[p] = len(texts)
+            elif word not in _TERM_SYMBOLS:
+                last_formula = len(texts)
+            kinds.append("sym")
+        else:  # a word run, or a character that starts no token
+            digits = 0
+            while digits < len(word) and word[digits].isdigit():
+                digits += 1
+            if digits:
+                kinds.append("num")
+                texts.append(word[:digits])
+                starts.append(start)
+                word, start = word[digits:], start + digits
+                if not word:
+                    continue
+            if not (word[0].isalpha() or word[0] in "_$"):
+                raise ParseError(f"unexpected character {word[0]!r}", *_line_col(text, start))
+            if word in _KEYWORDS:
+                last_formula = len(texts)
+                kinds.append("kw")
             else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+                kinds.append("ident")
+        texts.append(word)
+        starts.append(start)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts, groups
 
 
 def _nest(parts: list, node) -> Formula:
@@ -99,40 +114,31 @@ class _Parser:
     RESERVED = ("s",)  # names that are not variables
 
     def __init__(self, text: str, mode: str) -> None:
-        self.tokens = _tokenize(text)
+        self.source = text
+        self.kinds, self.texts, self.starts, self.groups = _tokenize(text)
         self.pos = 0
         self.mode = mode
 
-    # -- token plumbing
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    # -- token plumbing.  A symbol or keyword is known by its text alone: no
+    # name or numeral has the text of one.
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("sym", "kw")
+        return self.texts[self.pos] == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect(self, text: str) -> None:
+        if not self.eat(text):
+            raise self.fail(f"expected {text!r}, found {self.texts[self.pos] or 'end of input'!r}")
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, pos: int | None = None) -> ParseError:
+        """The error at the token at pos, by default the next one."""
+        start = self.starts[self.pos if pos is None else pos]
+        return ParseError(message, *_line_col(self.source, start))
 
     # -- terms
 
@@ -143,47 +149,43 @@ class _Parser:
 
     def _pa_add(self) -> PATerm:
         t = self._pa_mul()
-        while self.at("+"):
-            self.next()
+        while self.eat("+"):
             t = Plus(t, self._pa_mul())
         return t
 
     def _pa_mul(self) -> PATerm:
         t = self._prim()
-        while self.at("*"):
-            self.next()
+        while self.eat("*"):
             t = Times(t, self._prim())
         return t
 
     def _prim(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            if tok.text != "0":
-                raise ParseError("numerals other than 0 must be written with s(...)",
-                                 tok.line, tok.col)
+        pos = self.pos
+        kind, word = self.kinds[pos], self.texts[pos]
+        if kind == "num":
+            self.pos += 1
+            if word != "0":
+                raise self.fail("numerals other than 0 must be written with s(...)", pos)
             return Zero() if self.mode == "pa" else sln_num(0)
-        if tok.kind == "ident":
-            self.next()
-            if tok.text == "s":
+        if kind == "ident":
+            self.pos += 1
+            if word == "s":
                 self.expect("(")
                 inner = self.term()
                 self.expect(")")
                 return Succ(inner) if self.mode == "pa" else shift(inner, 1)
-            return Var(tok.text) if self.mode == "pa" else svar(tok.text)
-        if self.at("("):
-            self.next()
+            return Var(word) if self.mode == "pa" else svar(word)
+        if self.eat("("):
             inner = self.term()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
+        raise self.fail(f"expected a term, found {word or 'end of input'!r}")
 
     def _sln_prim(self) -> SLNTerm:
         t = self._prim()
-        if self.at("+") or self.at("*"):
-            tok = self.peek()
-            raise ParseError(f"{tok.text!r} is not SLN syntax", tok.line, tok.col)
+        word = self.texts[self.pos]
+        if word == "+" or word == "*":
+            raise self.fail(f"{word!r} is not SLN syntax")
         return t
 
     # -- formulas
@@ -223,10 +225,10 @@ class _Parser:
         return out
 
     def _quantified(self) -> Formula:
-        tok = self.next()
-        kind = tok.text
+        kind = self.texts[self.pos]
+        self.pos += 1
         if kind == "exists" and self.at("(") and self.mode == "pa":
-            self.next()
+            self.pos += 1
             name = self._ident()
             self.expect("=")
             defn = self.term()
@@ -237,7 +239,7 @@ class _Parser:
         if self.at("<="):
             if self.mode != "pa":
                 raise self.fail("bounded quantifiers are PA-only syntax")
-            self.next()
+            self.pos += 1
             bound = self.term()
             self.eat(".")
             body = self.formula()
@@ -245,12 +247,12 @@ class _Parser:
         if self.at(">="):
             if self.mode != "sln":
                 raise self.fail("guarded quantifiers are SLN-only syntax")
-            self.next()
-            guard_tok = self.peek()
-            if guard_tok.kind != "num":
+            self.pos += 1
+            digits = self.texts[self.pos]
+            if self.kinds[self.pos] != "num" or not digits.isdecimal():
                 raise self.fail("guard must be a decimal natural")
-            self.next()
-            guard = int(guard_tok.text)
+            self.pos += 1
+            guard = int(digits)
             self.eat(".")
             body = self.formula()
             return GForall(name, guard, body) if kind == "forall" else GExists(name, guard, body)
@@ -259,30 +261,44 @@ class _Parser:
         return self.FORALL(name, body) if kind == "forall" else self.EXISTS(name, body)
 
     def _ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in self.RESERVED:
+        word = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or word in self.RESERVED:
             raise self.fail("expected a variable name")
-        self.next()
-        return tok.text
+        self.pos += 1
+        return word
 
     def _atom_or_paren(self) -> Formula:
+        """An atom, or a formula in parentheses.  A "(" opens a term only if
+        its parenthesis holds nothing but term tokens and the token after
+        it continues a term or makes it an atom; otherwise it opens a
+        formula, and no term is tried."""
         start = self.pos
-        term_err: ParseError
-        try:
-            left = self.term()
-            if self.at("=") or self.at("<=") or self.at("|->"):
-                return self._atom_rest(left)
-            term_err = self.fail("expected '=', '<=' or '|->' after a term")
-        except ParseError as err:
-            term_err = err
-        self.pos = start
-        if self.eat("("):
+        if not self.at("("):
+            return self._atom()
+        close = self.groups.get(start)
+        if close is None or self.texts[close + 1] not in _TERM_FOLLOW:
+            self.pos += 1
             inner = self.formula()
             self.expect(")")
             return inner
-        # Neither an atom nor a parenthesized formula; the term-side failure
-        # is the more informative one.
+        try:
+            return self._atom()
+        except ParseError as err:
+            term_err = err
+        # A formula in this parenthesis fails as well, as no atom fits in a
+        # group of term tokens: through the leading parentheses, the first
+        # atom inside fails, and its error is reported.
+        self.pos = start
+        while self.eat("("):
+            pass
+        self._atom()
         raise term_err
+
+    def _atom(self) -> Formula:
+        left = self.term()
+        if self.at("=") or self.at("<=") or self.at("|->"):
+            return self._atom_rest(left)
+        raise self.fail("expected '=', '<=' or '|->' after a term")
 
     def _atom_rest(self, left) -> Formula:
         if self.eat("="):
@@ -290,7 +306,7 @@ class _Parser:
         if self.at("<="):
             if self.mode != "pa":
                 raise self.fail("<= is not SLN syntax")
-            self.next()
+            self.pos += 1
             return Leq(left, self.term())
         if self.mode != "sln":
             raise self.fail("|-> is not PA syntax")
@@ -299,9 +315,8 @@ class _Parser:
 
     def parse(self) -> Formula:
         out = self.formula()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        if self.kinds[self.pos] != "eof":
+            raise self.fail(f"unexpected trailing input {self.texts[self.pos]!r}")
         return out
 
 

@@ -26,7 +26,9 @@ literal and its negation: `_cube`, which builds what `_solve` returns,
 gives [] for one, and `_and` and `_negate` skip such merges.  `_negate`
 absorbs after each clause it multiplies in, dropping every cube that
 contains another; `_or` does not, as on the small lists of most sentences
-that costs more than it saves.  A step past MAX_CUBES raises BudgetExceeded."""
+that costs more than it saves.  A step past MAX_CUBES cubes, or an
+absorption past MAX_TESTS subset tests, raises BudgetExceeded: the first
+bounds memory, the second time."""
 
 from __future__ import annotations
 
@@ -38,15 +40,21 @@ from .ast import (
 TRUE: list[tuple] = [()]
 
 MAX_CUBES = 200_000  # about 200 times the most the ladder to k = 10 needs
+# Subset tests in one absorption: about 200 times the most the ladder to
+# k = 12 makes, 523,776 on a list of 1,024 cubes.
+MAX_TESTS = 100_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """A step of the elimination would handle more than MAX_CUBES cubes."""
+    """A step of the elimination would handle more than MAX_CUBES cubes, or
+    an absorption would make more than MAX_TESTS subset tests."""
 
 
-def _budget(n: int) -> None:
+def _budget(n: int, tests: int = 0) -> None:
     if n > MAX_CUBES:
         raise BudgetExceeded(f"budget exceeded: {n} cubes pass MAX_CUBES = {MAX_CUBES}")
+    if tests > MAX_TESTS:
+        raise BudgetExceeded(f"budget exceeded: {tests} subset tests pass MAX_TESTS = {MAX_TESTS}")
 
 
 def _lit(positive: bool, a: str | None, i: int, b: str | None, j: int) -> tuple | bool:
@@ -90,12 +98,15 @@ def _and(xs: list[tuple], ys: list[tuple]) -> list[tuple]:
 
 def _absorb(cubes: list[tuple]) -> list[tuple]:
     """cubes, in order, without each one that contains another or repeats an
-    earlier one.  Smallest first, each is tested only against those kept."""
+    earlier one.  Smallest first, each is tested only against those kept,
+    and the budget is charged those tests, one per cube kept so far."""
     if len(cubes) < 2:
         return cubes
-    _budget(len(cubes))
     kept: dict[int, frozenset] = {}
+    tests = 0
     for i in sorted(range(len(cubes)), key=lambda i: len(cubes[i])):
+        tests += len(kept)
+        _budget(len(cubes), tests)
         s = frozenset(cubes[i])
         if not any(map(s.issuperset, kept.values())):
             kept[i] = s

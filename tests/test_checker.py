@@ -303,8 +303,7 @@ def test_shared_subformula_compiles_once(monkeypatch):
     assert check(sigma, h, first) is True
     calls = []
     intern = checker._intern
-    monkeypatch.setattr(checker, "_intern",
-                        lambda key, build: calls.append(key) or intern(key, build))
+    monkeypatch.setattr(checker, "_intern", lambda key: calls.append(key) or intern(key))
     assert check(sigma, h, second) is True
     assert 0 < len(calls) < sum(1 for _ in subformulas(H))
 
@@ -397,3 +396,38 @@ def test_anchored_closed_quantifier_skips_the_prepass(monkeypatch):
         heap = Heap({0: 0, 1: 1, 2: 0, 3: 2})
         assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a) is True
     assert unbound == [checker._compile(unanchored).shape.body]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 3000, 10**4, 10**4 + 1])
+def test_deep_negation_chain(depth):
+    """A run of ! compiles in a loop, folded by its parity, so check takes
+    chains far deeper than the recursion limit."""
+    odd = depth % 2 == 1
+    assert check(SIGMA, Heap(), parse_sln("!" * depth + "(0 = 0)")) is not odd
+    h = simple_table_heap(1)
+    assert check(VarAssignment({"y": 0}), h, parse_sln("!" * depth + "(y = 0)")) is not odd
+    # with a quantifier inside, decided by enumeration and by the decider
+    assert check(SIGMA, h, parse_sln("!" * depth + "exists x. x |-> s(0)")) is not odd
+    assert check(SIGMA, h, parse_sln("!" * depth + "forall x. exists y. y = s(x)")) is not odd
+
+
+def test_double_negation_shares_the_node():
+    """!!A compiles to the node of A."""
+    a = parse_sln("exists x. x |-> y")
+    assert checker._compile(Not(Not(a))) is checker._compile(a)
+    assert checker._compile(Not(Not(Not(a)))) is checker._compile(Not(a))
+
+
+def test_intern_table_holds_nodes_weakly():
+    """A node lives as long as something uses it: once the formula that
+    compiled to it is gone, its entry leaves the intern table, and the
+    same shape compiles to a new node."""
+    text = "exists x. x |-> s(s(s(s(s(s(s(y)))))))"
+    a = parse_sln(text)
+    node = checker._compile(a)
+    keys = [key for key, ref in checker._NODES.items() if ref() is node]
+    assert len(keys) == 1
+    assert checker._compile(parse_sln(text)) is node
+    del a, node
+    assert keys[0] not in checker._NODES
+    assert check(VarAssignment({"y": 0}), Heap(), parse_sln(text)) is False

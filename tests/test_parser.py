@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slnkit.ast import (
     And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
@@ -6,7 +7,7 @@ from slnkit.ast import (
 )
 from slnkit.finite import LAnd, LNot, parse_l
 from slnkit.gen import Generators
-from slnkit.parser import ParseError, parse_pa, parse_sln
+from slnkit.parser import ParseError, _line_col, _Parser, _tokenize, parse_pa, parse_sln
 from slnkit.render import render
 
 
@@ -167,3 +168,170 @@ def test_render_deep_chains():
         for _ in range(depth):
             a = wrap(a)
         assert render(a) == expected
+
+
+# (grammar, text, message, line, col) of the error each malformed text gives
+PARSE_ERRORS = [
+    ('pa', 'x = y ; z', "unexpected character ';'", 1, 7),
+    ('sln', 'x = # y', "unexpected character '#'", 1, 5),
+    ('pa', 'x ≤ y', "unexpected character '≤'", 1, 3),
+    ('pa', 'x = 3', 'numerals other than 0 must be written with s(...)', 1, 5),
+    ('sln', 'forall x. x = 007', 'numerals other than 0 must be written with s(...)', 1, 15),
+    ('pa', 'x |-> y', '|-> is not PA syntax', 1, 3),
+    ('pa', 'forall x >= 3. x = x', 'guarded quantifiers are SLN-only syntax', 1, 10),
+    ('sln', 'x + y = z', "'+' is not SLN syntax", 1, 3),
+    ('sln', 'x * y = z', "'*' is not SLN syntax", 1, 3),
+    ('sln', 'x <= y', '<= is not SLN syntax', 1, 3),
+    ('sln', 'forall x <= y. x = y', 'bounded quantifiers are PA-only syntax', 1, 10),
+    ('sln', '(x) <= y', "expected '=', '<=' or '|->' after a term", 1, 3),
+    ('sln', '(x) + y = z', "expected '=', '<=' or '|->' after a term", 1, 3),
+    ('pa', '(x = y', "expected ')', found 'end of input'", 1, 7),
+    ('sln', 's(x = y', "expected ')', found '='", 1, 5),
+    ('pa', '((x = y) /\\ y = z', "expected ')', found 'end of input'", 1, 18),
+    ('pa', '(x + y = z', "expected ')', found 'end of input'", 1, 11),
+    ('pa', 'x = y)', "unexpected trailing input ')'", 1, 6),
+    ('sln', 'x = y z', "unexpected trailing input 'z'", 1, 7),
+    ('pa', '(x = y) = z', "unexpected trailing input '='", 1, 9),
+    ('pa', '(x y) = z', "expected '=', '<=' or '|->' after a term", 1, 4),
+    ('pa', '(x) = +', "expected '=', '<=' or '|->' after a term", 1, 3),
+    ('pa', '(()) = z', "expected a term, found ')'", 1, 3),
+    ('pa', '((((x y) + a) + b) + c) = z', "expected '=', '<=' or '|->' after a term", 1, 7),
+    ('pa', 'forall x.\n x <= ', "expected a term, found 'end of input'", 2, 7),
+    ('pa', 'forall x.\n\tx <= y /\\\n\r\t y = # ', "unexpected character '#'", 3, 8),
+    ('sln', 'exists a.\r\n  a |-> 0 /\\\n\t\t!(a = s(0)) \\/ + a', "expected a term, found '+'", 3, 18),
+    ('sln', 'forall x\n>= y. x = x', 'guard must be a decimal natural', 2, 4),
+    ('l', 'P(x,y) /\\\n  x = ', 'expected a variable name', 2, 7),
+    ('l', 'exists x. P(x, s) \\/ (x = y', "expected ')', found 'end of input'", 1, 28),
+    ('l', 'P(x y)', "expected ',', found 'y'", 1, 5),
+    ('pa', 'exists (z = x) . z = x', "expected a term, found '.'", 1, 16),
+    ('pa', '', "expected a term, found 'end of input'", 1, 1),
+    ('sln', 'forall s. s = 0', 'expected a variable name', 1, 8),
+    ('pa', 'x = s(s(1))', 'numerals other than 0 must be written with s(...)', 1, 9),
+]
+
+
+@pytest.mark.parametrize("mode, text, message, line, col", PARSE_ERRORS)
+def test_parse_error_messages(mode, text, message, line, col):
+    parse = {"pa": parse_pa, "sln": parse_sln, "l": parse_l}[mode]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}", line, col)
+
+
+def test_guard_must_be_decimal():
+    """A guard of digits that are not decimal, such as a superscript, is a
+    parse error, not a failed int()."""
+    for text in ("forall x >= \u00b2. x = x", "exists x >= 1\u00b2. x = x"):
+        with pytest.raises(ParseError, match="guard must be a decimal natural"):
+            parse_sln(text)
+
+
+_REFERENCE_SYMBOLS = ("|->", "<=", ">=", "=>", "/\\", "\\/", "(", ")", ".", "=", "+", "*", "!", ",")
+
+
+def _reference_tokenize(text):
+    """The tokenizer as a character loop: (kind, text, line, col) of each
+    token, the str methods deciding what is a digit, a letter or a word
+    character."""
+    tokens = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        for sym in _REFERENCE_SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(("sym", sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            if ch.isdigit():
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                tokens.append(("num", text[i:j], line, col))
+                col += j - i
+                i = j
+            elif ch.isalpha() or ch in "_$":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] in "_$#"):
+                    j += 1
+                word = text[i:j]
+                tokens.append(("kw" if word in ("forall", "exists") else "ident", word, line, col))
+                col += j - i
+                i = j
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _reference_groups(tokens):
+    """Each "(" whose parenthesis holds only term tokens, to its ")"."""
+    groups = {}
+    for p, (_, word, _, _) in enumerate(tokens):
+        if word != "(":
+            continue
+        depth = 0
+        for q in range(p, len(tokens)):
+            kind, inner = tokens[q][:2]
+            depth += (inner == "(") - (inner == ")")
+            if kind == "kw" or (kind == "sym" and inner not in "()+*"):
+                break
+            if depth == 0:
+                groups[p] = q
+                break
+    return groups
+
+
+_TOKEN_ALPHABET = list(_REFERENCE_SYMBOLS) + [
+    "forall", "exists", "x", "s", "P", "0", "12", "x1", "a_b", "$", "#", "_",
+    "\u03b1", "\u00b2", "\u00bd", "\u0661", ";", "\xa0", " ", "  ", "\t", "\r", "\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_ALPHABET), max_size=30))
+def test_tokenize_matches_reference(parts):
+    """The regular-expression tokenizer gives the character loop's tokens,
+    positions and errors, on ASCII and non-ASCII letters and digits."""
+    text = "".join(parts)
+    try:
+        expected = _reference_tokenize(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
+        return
+    kinds, texts, starts, groups = _tokenize(text)
+    assert [(k, t, *_line_col(text, s)) for k, t, s in zip(kinds, texts, starts)] == expected
+    assert groups == _reference_groups(expected)
+
+
+@pytest.mark.parametrize("parse, atom", [(parse_pa, "x <= y"), (parse_sln, "x |-> y")])
+def test_parentheses_parse_in_linear_time(monkeypatch, parse, atom):
+    """Each level of parentheses, around a formula or around a term, costs
+    a bounded number of term reads: no term is tried and given up."""
+    calls = 0
+    term = _Parser.term
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return term(self)
+
+    monkeypatch.setattr(_Parser, "term", counted)
+    left, op, right = atom.split()
+    for d in (25, 50, 100, 150):
+        for text in ("(" * d + atom + ")" * d, "(" * d + left + ")" * d + f" {op} {right}"):
+            calls = 0
+            assert parse(text) == parse(atom)
+            assert calls <= 2 * d + 4, (d, text[:40], calls)

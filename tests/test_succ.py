@@ -118,6 +118,19 @@ def test_budget_exceeded(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: budget exceeded")
 
 
+def test_absorption_budget(monkeypatch, capsys):
+    """The subset tests of one absorption are charged to the budget: with
+    the cubes well inside MAX_CUBES, an absorption past MAX_TESTS stops."""
+    sentence = parse_sln(ladder(6))
+    monkeypatch.setattr(succ, "MAX_TESTS", 120)  # the most ladder(6) makes in one absorption
+    assert decide_sentence(sentence) is False
+    monkeypatch.setattr(succ, "MAX_TESTS", 119)
+    with pytest.raises(BudgetExceeded, match="subset tests pass MAX_TESTS = 119"):
+        decide_sentence(sentence)
+    assert main(["decide-succ", ladder(6)]) == 2
+    assert capsys.readouterr().err.startswith("error: budget exceeded")
+
+
 def test_free_vars_memo_on_translations_sharing_h():
     h = table_heap_condition()
     a, b = (circle_translate(normalize_bounded(parse_pa(text)))
