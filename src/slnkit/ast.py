@@ -255,23 +255,23 @@ def imp(a: Formula, b: Formula) -> Formula:
     return Or(Not(a), b)
 
 
-def and_all(parts: list[Formula]) -> Formula:
-    """Right-nested conjunction of a nonempty list."""
+def nest(parts: list, node) -> Formula:
+    """The nonempty list parts joined by the binary constructor node, nested
+    to the right."""
     if not parts:
-        raise ValueError("empty conjunction")
+        raise ValueError("empty chain")
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = And(p, out)
+        out = node(p, out)
     return out
+
+
+def and_all(parts: list[Formula]) -> Formula:
+    return nest(parts, And)
 
 
 def or_all(parts: list[Formula]) -> Formula:
-    if not parts:
-        raise ValueError("empty disjunction")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    return nest(parts, Or)
 
 
 # Folding constructors: truth constants are folded away, and what is left
@@ -357,28 +357,46 @@ def map_children(a: Formula, f) -> Formula:
 
 
 def free_vars(a: Formula) -> frozenset[str]:
-    """The free variables of a, kept on a outside its fields as the checker
-    keeps its compiled node, so a shared subformula such as H is walked once."""
-    out = vars(a).get("_free")
-    if out is not None:
-        return out
-    match a:
-        case Eq(l, r) | PointsTo(l, r):
-            out = term_vars(l) | term_vars(r)
-        case Leq(l, r):
-            out = pa_term_vars(l) | pa_term_vars(r)
-        case TruthConst():
+    """The free variables of a, kept on each node outside its fields as the
+    checker keeps its compiled node, so a shared subformula such as H is
+    walked once.  An explicit stack, so a deep formula cannot exhaust the
+    recursion limit: a node stays on it until its children are settled.
+    Dispatch is on the exact class, which is cheaper than a match here."""
+    todo = [a]
+    while todo:
+        b = todo[-1]
+        memo = vars(b)
+        if "_free" in memo:
+            todo.pop()
+            continue
+        cls = type(b)
+        if cls is And or cls is Or:
+            fl, fr = vars(b.left).get("_free"), vars(b.right).get("_free")
+            if fl is None or fr is None:
+                if fr is None:
+                    todo.append(b.right)
+                if fl is None:
+                    todo.append(b.left)
+                continue
+            out = fl | fr
+        elif cls is Not or cls in QUANTIFIERS:
+            out = vars(b.body).get("_free")
+            if out is None:
+                todo.append(b.body)
+                continue
+            if cls is not Not:
+                out = (out - {b.var}) | binder_vars(b)
+        elif cls is Eq or cls is Leq:
+            out = term_vars(b.left) | term_vars(b.right)
+        elif cls is PointsTo:
+            out = term_vars(b.addr) | term_vars(b.val)
+        elif cls is TruthConst:
             out = frozenset()
-        case Not(b):
-            out = free_vars(b)
-        case And(l, r) | Or(l, r):
-            out = free_vars(l) | free_vars(r)
-        case _ if isinstance(a, QUANTIFIERS):
-            out = (free_vars(a.body) - {a.var}) | binder_vars(a)
-        case _:
-            raise TypeError(f"not a formula: {a!r}")
-    vars(a)["_free"] = out
-    return out
+        else:
+            raise TypeError(f"not a formula: {b!r}")
+        memo["_free"] = out
+        todo.pop()
+    return vars(a)["_free"]
 
 
 def subformulas(a: Formula):

@@ -16,8 +16,8 @@ from .ast import (
     map_children,
 )
 from .transform import (
-    Binder, FreshNames, is_bounded, is_normal, is_pi01, prenex_parts,
-    to_dnf, wrap_prefix,
+    FreshNames, is_bounded, is_normal, is_pi01, prenex_parts, to_dnf,
+    wrap_prefix,
 )
 
 
@@ -28,14 +28,14 @@ def normalize_bounded(a: Formula) -> Formula:
                          "(bounded quantifiers only)")
     fresh = FreshNames()
     prefix, matrix = prenex_parts(a, fresh)
-    out: list[Binder] = []
+    out: list[tuple] = []
 
     def flat(t: PATerm) -> PATerm:
         match t:
             case Plus(l, r) | Times(l, r):
                 occ = type(t)(flat(l), flat(r))
                 z = fresh.fresh("x")
-                out.append(Binder(ExistsEq, z, occ))
+                out.append((ExistsEq, z, occ))
                 return Var(z)
             case Succ(arg):
                 return Succ(flat(arg))
@@ -47,8 +47,8 @@ def normalize_bounded(a: Formula) -> Formula:
                 return type(m)(flat(l), flat(r))
         return map_children(m, flat_atoms)
 
-    for b in prefix:
-        out.append(Binder(b.quant, b.var, flat(b.term)))
+    for cls, x, t in prefix:
+        out.append((cls, x, flat(t)))
     matrix = flat_atoms(to_dnf(matrix))
 
     result = wrap_prefix(out, matrix)

@@ -14,7 +14,7 @@ import re
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
     GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times,
-    Var, Zero, imp, shift, sln_num, svar,
+    Var, Zero, imp, nest, shift, sln_num, svar,
 )
 
 
@@ -94,14 +94,6 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int], dict[int, int
     texts.append("")
     starts.append(len(text))
     return kinds, texts, starts, groups
-
-
-def _nest(parts: list, node) -> Formula:
-    """The parts joined by the binary constructor node, nested to the right."""
-    out = parts.pop()
-    while parts:
-        out = node(parts.pop(), out)
-    return out
 
 
 class _Parser:
@@ -197,19 +189,19 @@ class _Parser:
         parts = [self._or()]
         while self.eat("=>"):
             parts.append(self._or())
-        return _nest(parts, self.IMP)
+        return nest(parts, self.IMP)
 
     def _or(self) -> Formula:
         parts = [self._and()]
         while self.eat("\\/"):
             parts.append(self._and())
-        return _nest(parts, self.OR)
+        return nest(parts, self.OR)
 
     def _and(self) -> Formula:
         parts = [self._unary()]
         while self.eat("/\\"):
             parts.append(self._unary())
-        return _nest(parts, self.AND)
+        return nest(parts, self.AND)
 
     def _unary(self) -> Formula:
         # a loop, not a recursion, so a long run of ! cannot exhaust the stack

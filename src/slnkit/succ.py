@@ -157,19 +157,33 @@ def _solve(x: str, guard: int, cube: tuple) -> list[tuple]:
 
 def _dnf(a: Formula, positive: bool) -> list[tuple]:
     """Cubes of a, or of its negation when positive is false, with every
-    quantifier eliminated."""
+    quantifier eliminated.  A run of ! and the right spine of a chain of one
+    connective are read in a loop, so neither costs a frame per node."""
+    while isinstance(a, Not):
+        a, positive = a.body, not positive
     match a:
         case TruthConst(value):
             return TRUE if value == positive else []
         case Eq(SLNTerm(l, i), SLNTerm(r, j)):
             return _cube([_lit(positive, l, i, r, j)])
-        case Not(b):
-            return _dnf(b, not positive)
-        case And(l, r) | Or(l, r):
-            left = _dnf(l, positive)
-            if isinstance(a, And) == positive:
-                return _and(left, _dnf(r, positive)) if left else left
-            return left if left == TRUE else _or(left, _dnf(r, positive))
+        case And() | Or():
+            # Operands left to right, up to the first false one of a
+            # conjunction or the first true one of a disjunction.
+            cls, parts = type(a), []
+            conjunctive = (cls is And) == positive
+            while True:
+                last = not isinstance(a, cls)
+                part = _dnf(a if last else a.left, positive)
+                parts.append(part)
+                if last or part == ([] if conjunctive else TRUE):
+                    break
+                a = a.right
+            if not conjunctive:
+                return _or(*parts)
+            out = parts.pop()
+            for part in reversed(parts):
+                out = _and(part, out)
+            return out
         case Exists() | Forall() | GExists() | GForall():
             exists = isinstance(a, (Exists, GExists))
             guard = getattr(a, "guard", 0)

@@ -7,14 +7,12 @@ are safe to issue concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast import (
     QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
-    Formula, GExists, GForall, Leq, Not, Or, PATerm, PointsTo, SLNTerm, Succ,
+    Formula, GExists, GForall, Leq, Not, Or, PointsTo, SLNTerm, Succ,
     Plus, Times, TruthConst, Var, Zero, binder_term, binder_vars, free_vars,
     imp, is_quantifier_free, map_children, neg, or_all, and_all, has_arith,
-    quantifier, rebind, shift, sln_num, subformulas, svar, term_vars,
+    quantifier, shift, sln_num, subformulas, term_vars,
 )
 
 
@@ -42,33 +40,22 @@ class FreshNames:
 # Substitution
 
 
-def subst_pa_term(t: PATerm, x: str, replacement: PATerm) -> PATerm:
+def _subst_term(t, x: str, replacement):
+    """t[x := replacement], with the replacement a term of t's logic."""
+    if isinstance(t, SLNTerm):
+        if not isinstance(replacement, SLNTerm):
+            raise TypeError("cannot substitute a PA term into an SLN formula")
+        return shift(replacement, t.offset) if t.base == x else t
     match t:
         case Var(name):
             return replacement if name == x else t
         case Zero():
             return t
         case Succ(arg):
-            return Succ(subst_pa_term(arg, x, replacement))
-        case Plus(l, r):
-            return Plus(subst_pa_term(l, x, replacement), subst_pa_term(r, x, replacement))
-        case Times(l, r):
-            return Times(subst_pa_term(l, x, replacement), subst_pa_term(r, x, replacement))
+            return Succ(_subst_term(arg, x, replacement))
+        case Plus(l, r) | Times(l, r):
+            return type(t)(_subst_term(l, x, replacement), _subst_term(r, x, replacement))
     raise TypeError(f"not a PA term: {t!r}")
-
-
-def subst_sln_term(t: SLNTerm, x: str, replacement: SLNTerm) -> SLNTerm:
-    if t.base == x:
-        return shift(replacement, t.offset)
-    return t
-
-
-def _subst_term(t, x: str, replacement):
-    if isinstance(t, SLNTerm):
-        if not isinstance(replacement, SLNTerm):
-            raise TypeError("cannot substitute a PA term into an SLN formula")
-        return subst_sln_term(t, x, replacement)
-    return subst_pa_term(t, x, replacement)
 
 
 def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formula:
@@ -83,12 +70,8 @@ def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formul
 
     def go(a: Formula) -> Formula:
         match a:
-            case Eq(l, r):
-                return Eq(_subst_term(l, x, t), _subst_term(r, x, t))
-            case Leq(l, r):
-                return Leq(subst_pa_term(l, x, t), subst_pa_term(r, x, t))
-            case PointsTo(l, r):
-                return PointsTo(subst_sln_term(l, x, t), subst_sln_term(r, x, t))
+            case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
+                return type(a)(_subst_term(l, x, t), _subst_term(r, x, t))
             case TruthConst() | Not() | And() | Or():
                 return map_children(a, go)
         if not isinstance(a, QUANTIFIERS):
@@ -96,7 +79,7 @@ def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formul
         y, u = a.var, binder_term(a)
         if isinstance(a, (BForall, BExists, ExistsEq)):
             # the bound or definition lies outside the binder's scope
-            u = subst_pa_term(u, x, t)
+            u = _subst_term(u, x, t)
         if y == x:
             return quantifier(type(a), y, u, a.body)
         y2, b2 = rename_binder(y, a.body)
@@ -156,7 +139,9 @@ def expand_guards(a: Formula) -> Formula:
 
 
 def nnf(a: Formula) -> Formula:
-    """Push negations down to atoms of a quantifier-free formula."""
+    """Push negations down to atoms of a quantifier-free formula.  A negated
+    inequality !(t <= u) becomes u <= t /\\ !(u = t), so no literal of the
+    result is one."""
 
     def go(a: Formula, positive: bool) -> Formula:
         match a:
@@ -166,6 +151,8 @@ def nnf(a: Formula) -> Formula:
                 return (And if positive else Or)(go(l, positive), go(r, positive))
             case Or(l, r):
                 return (Or if positive else And)(go(l, positive), go(r, positive))
+            case Leq(t, u) if not positive:
+                return And(Leq(u, t), Not(Eq(u, t)))
             case Eq() | Leq() | PointsTo() | TruthConst():
                 return a if positive else neg(a)
         raise ValueError(f"nnf expects a quantifier-free formula, got {a!r}")
@@ -185,26 +172,13 @@ def dnf_cubes(a: Formula) -> list[list[Formula]]:
 
 
 def to_dnf(c: Formula) -> Formula:
-    """Disjunctive normal form of a quantifier-free PA formula.
-
-    Literals !(t <= u) are first rewritten to u <= t /\\ !(u = t), so the
-    result contains no negated inequality.  Naive distribution; the
-    exponential blowup is accepted at desk scale.
+    """Disjunctive normal form of a quantifier-free PA formula, with no
+    negated inequality (see `nnf`).  Naive distribution; the exponential
+    blowup is accepted at desk scale.
     """
     if not is_quantifier_free(c):
         raise ValueError("to_dnf expects a quantifier-free formula")
-
-    def drop_neg_leq(a: Formula) -> Formula:
-        match a:
-            case Not(Leq(t, u)):
-                return And(Leq(u, t), Not(Eq(u, t)))
-            case And() | Or():
-                return map_children(a, drop_neg_leq)
-            case _:
-                return a
-
-    cubes = dnf_cubes(drop_neg_leq(nnf(c)))
-    return or_all([and_all(cube) for cube in cubes])
+    return or_all([and_all(cube) for cube in dnf_cubes(nnf(c))])
 
 
 # ---------------------------------------------------------------------------
@@ -217,60 +191,26 @@ _DUAL = {Forall: Exists, Exists: Forall, BForall: BExists, BExists: BForall,
          ExistsEq: ExistsEq}
 
 
-@dataclass(frozen=True)
-class Binder:
-    """One prefix entry: a PA quantifier class, its variable, and its bound
-    or definition (None for Forall and Exists)."""
-
-    quant: type
-    var: str
-    term: PATerm | None = None
-
-    def flipped(self) -> "Binder":
-        return Binder(_DUAL[self.quant], self.var, self.term)
-
-    def wrap(self, body: Formula) -> Formula:
-        return quantifier(self.quant, self.var, self.term, body)
+def wrap_prefix(prefix: list[tuple], matrix: Formula) -> Formula:
+    """matrix under the prefix, a list of (class, var, term) triples with
+    the outermost first."""
+    for cls, var, term in reversed(prefix):
+        matrix = quantifier(cls, var, term, matrix)
+    return matrix
 
 
-def wrap_prefix(prefix: list[Binder], matrix: Formula) -> Formula:
-    out = matrix
-    for b in reversed(prefix):
-        out = b.wrap(out)
-    return out
-
-
-def standardize_apart(a: Formula, fresh: FreshNames) -> Formula:
-    """Rename bound variables so they are pairwise distinct and disjoint
-    from every name occurring anywhere in the input."""
-    fresh.reserve(_all_names(a))
-    seen: set[str] = set(free_vars(a))
-
-    def go(a: Formula) -> Formula:
-        if not isinstance(a, QUANTIFIERS):
-            return map_children(a, go)
-        x2, b2 = reb(a.var, a.body)
-        return rebind(a, x2, go(b2))
-
-    def reb(x: str, body: Formula) -> tuple[str, Formula]:
-        if x in seen:
-            x2 = fresh.fresh(x)
-            seen.add(x2)
-            return x2, substitute(body, x, _var_term(body)(x2), fresh)
-        seen.add(x)
-        return x, body
-
-    return go(a)
-
-
-def _var_term(body: Formula):
-    """The variable constructor of body's logic, read off its first atom:
-    svar for SLN, Var for PA."""
-    for sub in subformulas(body):
-        match sub:
-            case Eq(l, _) | PointsTo(l, _) | Leq(l, _):
-                return svar if isinstance(l, SLNTerm) else Var
-    return Var
+def _rename(t, env: dict[str, str]):
+    """Term t with each variable x of env renamed to env[x]."""
+    match t:
+        case SLNTerm(base, k):
+            return SLNTerm(env.get(base, base), k)
+        case Var(name):
+            return Var(env.get(name, name))
+        case Succ(arg):
+            return Succ(_rename(arg, env))
+        case Plus(l, r) | Times(l, r):
+            return type(t)(_rename(l, env), _rename(r, env))
+    return t
 
 
 def _all_names(a: Formula) -> set[str]:
@@ -285,43 +225,50 @@ def _all_names(a: Formula) -> set[str]:
     return names
 
 
-def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[Binder], Formula]:
-    """Quantifier prefix and matrix of an equivalent prenex formula.
+def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[tuple], Formula]:
+    """Quantifier prefix, as (class, var, term) triples with the outermost
+    first, and matrix of an equivalent prenex formula.
 
     Bounded quantifiers stay bounded (negation flips the bounded pair), and
     defining existentials are self-dual under negation since their witness
-    is unique.  The input is standardized apart first.
+    is unique.  The one walk also standardizes apart: a binder whose name
+    is free in a, or bound by a binder met before it in preorder, gets a
+    fresh name, disjoint from every name in a, and its occurrences in atoms,
+    bounds and definitions are renamed with it.
     """
     if fresh is None:
         fresh = FreshNames()
-    a = standardize_apart(a, fresh)
+    fresh.reserve(_all_names(a))
+    seen = set(free_vars(a))
+    prefix: list[tuple] = []
 
-    def go(a: Formula) -> tuple[list[Binder], Formula]:
+    def go(a: Formula, positive: bool, env: dict[str, str]) -> Formula:
         match a:
-            case Eq() | Leq() | PointsTo() | TruthConst():
-                return [], a
+            case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
+                return type(a)(_rename(l, env), _rename(r, env)) if env else a
+            case TruthConst():
+                return a
             case Not(b):
-                p, m = go(b)
-                return [bi.flipped() for bi in p], Not(m)
-            case And(l, r):
-                pl, ml = go(l)
-                pr, mr = go(r)
-                return pl + pr, And(ml, mr)
-            case Or(l, r):
-                pl, ml = go(l)
-                pr, mr = go(r)
-                return pl + pr, Or(ml, mr)
+                return Not(go(b, not positive, env))
+            case And(l, r) | Or(l, r):
+                return type(a)(go(l, positive, env), go(r, positive, env))
         if type(a) not in _DUAL:
             raise TypeError(f"prenex does not handle {a!r}")
-        p, m = go(a.body)
-        return [Binder(type(a), a.var, binder_term(a))] + p, m
+        x, t = a.var, binder_term(a)
+        if env and t is not None:
+            t = _rename(t, env)
+        if x in seen:
+            x = fresh.fresh(x)
+            env = {**env, a.var: x}
+        seen.add(x)
+        prefix.append((type(a) if positive else _DUAL[type(a)], x, t))
+        return go(a.body, positive, env)
 
-    return go(a)
+    return prefix, go(a, True, {})
 
 
 def to_prenex(a: Formula) -> Formula:
-    prefix, matrix = prenex_parts(a)
-    return wrap_prefix(prefix, matrix)
+    return wrap_prefix(*prenex_parts(a))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +283,7 @@ def is_bounded(a: Formula) -> bool:
 
 
 def is_pi01(a: Formula) -> bool:
-    match a:
-        case Forall(_, b):
-            return is_bounded(b)
-        case _:
-            return False
+    return isinstance(a, Forall) and is_bounded(a.body)
 
 
 def _operands(a: Formula, cls) -> list[Formula]:

@@ -67,8 +67,9 @@ def test_alpha_eq_mixed_binders():
 
 
 def test_deep_chain_traversal():
-    """subformulas, is_quantifier_free and is_bounded walk a 10^4-deep chain
-    at the default recursion limit, subformulas in preorder."""
+    """subformulas, free_vars, is_quantifier_free and is_bounded walk a
+    10^4-deep chain at the default recursion limit, subformulas in
+    preorder."""
     depth = 10_000
     leaf, other = Leq(Zero(), Var("x")), Eq(Var("x"), Var("x"))
 
@@ -83,6 +84,12 @@ def test_deep_chain_traversal():
     assert len(subs) == 2 * depth + 1
     assert all(isinstance(b, And) for b in subs[:depth])
     assert subs[depth] is leaf and all(b is other for b in subs[depth + 1:])
+
+    assert free_vars(left_deep) == {"x"}
+    assert free_vars(chain(leaf, Not)) == {"x"}
+    assert free_vars(chain(leaf, lambda b: Or(other, b))) == {"x"}
+    assert free_vars(chain(leaf, lambda b: Exists("x", b))) == frozenset()
+    assert free_vars(chain(Leq(Var("y"), Var("x")), lambda b: Exists("x", b))) == {"y"}
 
     assert is_quantifier_free(chain(leaf, Not))
     assert not is_quantifier_free(chain(Exists("y", leaf), Not))

@@ -62,6 +62,23 @@ def test_address_free_rewrite_no_address_atoms():
                         GExists("x", 2, Eq(svar("x"), SLNTerm("y", 1)))))
 
 
+def test_address_free_rewrite_keeps_a_rebinding_quantifier():
+    """An inner quantifier that rebinds the split variable is kept as it is
+    in the tail: its atoms are about its own x."""
+    f = parse_sln("exists x (x |-> 0 \\/ forall x (x |-> s(0)))")
+    inner = Forall("x", PointsTo(svar("x"), sln_num(1)))
+    out = address_free_rewrite(f, 0)
+    assert out == Or(Or(PointsTo(sln_num(0), sln_num(0)), inner), GExists("x", 1, inner))
+    for h in (Heap({0: 0}), Heap({0: 1}), Heap({0: 2})):
+        assert check(SIGMA, h, out) == check(SIGMA, h, f) == stable_brute_force(SIGMA, h, f)
+
+
+def test_check_truth_constant():
+    for h in (Heap(), Heap({0: 1})):
+        assert check(SIGMA, h, TruthConst(True)) is True
+        assert check(SIGMA, h, TruthConst(False)) is False
+
+
 def test_value_free_rewrite_shape():
     f = parse_sln("exists x (a |-> x)")
     out = value_free_rewrite(f, 1)

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slnkit.ast import Eq, Exists, Plus, Succ, Var, Zero, pa_num
+from slnkit.ast import (
+    Eq, Exists, Plus, SLNTerm, Succ, TruthConst, Var, Zero, pa_num, sln_num,
+)
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa
+from slnkit.render import render
 from slnkit.semantics import (
     VarAssignment, eval_bounded, eval_term, max_bound, parse_assignment,
     render_assignment,
@@ -28,6 +31,19 @@ def test_eval_bounded_examples():
     counter = parse_pa("exists (z = x + 0) !(z = x)")
     for v in range(6):
         assert not eval_bounded(VarAssignment({"x": v}), counter)
+
+
+def test_eval_term_sln():
+    sigma = VarAssignment({"x": 2})
+    assert eval_term(sigma, SLNTerm("x", 3)) == 5
+    assert eval_term(sigma, sln_num(4)) == 4
+
+
+def test_truth_constant():
+    for v in (True, False):
+        assert eval_bounded(VarAssignment(), TruthConst(v)) is v
+    assert render(TruthConst(True)) == "0 = 0"
+    assert render(TruthConst(False)) == "!(0 = 0)"
 
 
 def test_eval_bounded_rejects_unbounded():

@@ -3,7 +3,7 @@
 import pytest
 
 from slnkit import succ
-from slnkit.ast import Eq, GForall, free_vars, sln_num, subformulas, svar
+from slnkit.ast import Eq, GForall, TruthConst, free_vars, sln_num, subformulas, svar
 from slnkit.cli import main
 from slnkit.gen import Generators, GenProfile
 from slnkit.heap import Heap
@@ -129,6 +129,29 @@ def test_absorption_budget(monkeypatch, capsys):
         decide_sentence(sentence)
     assert main(["decide-succ", ladder(6)]) == 2
     assert capsys.readouterr().err.startswith("error: budget exceeded")
+
+
+DEEP = 10_000
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("!" * DEEP + "0 = 0", True),
+    ("!" * (DEEP + 1) + "0 = 0", False),
+    (" /\\ ".join(["0 = 0"] * DEEP), True),
+    (" \\/ ".join(["0 = s(0)"] * DEEP), False),
+], ids=["not-even", "not-odd", "and", "or-all-false"])
+def test_deep_chains(text, verdict, capsys):
+    """A run of ! and a long chain of one connective are decided at the
+    default recursion limit; every operand of the false disjunction is
+    false, so each one is read."""
+    assert decide_sentence(parse_sln(text)) is verdict
+    assert main(["decide-succ", text]) == (0 if verdict else 1)
+    assert capsys.readouterr().out.strip() == str(verdict).lower()
+
+
+def test_truth_constant():
+    assert decide_sentence(TruthConst(True)) is True
+    assert decide_sentence(TruthConst(False)) is False
 
 
 def test_free_vars_memo_on_translations_sharing_h():
