@@ -8,15 +8,146 @@ between the two logics; each logic adds its own atoms and special binders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from types import FunctionType
 from typing import Union
+
+# ---------------------------------------------------------------------------
+# The node base.  Each term and formula class annotates its fields and gets
+# what a frozen dataclass would give it, without generating source code:
+# positional or keyword construction followed by __post_init__, no
+# assignment, and equality, hash and repr by class and fields.  Equality,
+# hash and repr walk explicit stacks, so a deep node cannot exhaust the
+# recursion limit.  The hash is kept on each node outside its fields, under
+# "_hash", as free_vars keeps "_free" and the checker "_node".
+
+_set = object.__setattr__
+
+
+def _init_for(cls, names: tuple[str, ...], post):
+    """cls.__init__: one argument stored per field name, then post (the
+    class's __post_init__, or None) run on the node.  One closure per arity;
+    its parameters are renamed to the field names, so keyword calls work.
+    Fields are stored with object.__setattr__ rather than into __dict__, so
+    CPython keeps them as inline values, which read faster."""
+    match names:
+        case ():
+            def init(self):
+                if post is not None:
+                    post(self)
+        case (a,):
+            def init(self, x):
+                _set(self, a, x)
+                if post is not None:
+                    post(self)
+        case (a, b):
+            def init(self, x, y):
+                _set(self, a, x)
+                _set(self, b, y)
+                if post is not None:
+                    post(self)
+        case (a, b, c):
+            def init(self, x, y, z):
+                _set(self, a, x)
+                _set(self, b, y)
+                _set(self, c, z)
+                if post is not None:
+                    post(self)
+        case _:
+            raise TypeError(f"{cls.__name__} has more than three fields")
+    code = init.__code__
+    code = code.replace(co_varnames=("self", *names) + code.co_varnames[len(names) + 1:])
+    out = FunctionType(code, init.__globals__, "__init__", None, init.__closure__)
+    out.__qualname__ = f"{cls.__qualname__}.__init__"
+    return out
+
+
+def _hash_tree(root: "Node") -> int:
+    """hash(root), the hash of the tuple of its fields as on a frozen
+    dataclass, cached on root and on every node below it.  A node stays on
+    the stack until its children are hashed."""
+    todo = [root]
+    while todo:
+        a = todo[-1]
+        memo = a.__dict__
+        if "_hash" in memo:
+            todo.pop()
+            continue
+        values = tuple([memo[n] for n in a.__match_args__])
+        pending = [v for v in values if isinstance(v, Node) and "_hash" not in v.__dict__]
+        if pending:
+            todo += pending
+            continue
+        memo["_hash"] = hash(values)
+        todo.pop()
+    return root.__dict__["_hash"]
+
+
+class Node:
+    """Base of every term and formula class; see the comment above."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = names
+        cls.__init__ = _init_for(cls, names, getattr(cls, "__post_init__", None))
+        # Registers the fields for dataclasses.fields; generates nothing.
+        dataclass(cls, init=False, repr=False, eq=False, match_args=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt from the fields, without caches.
+        return type(self), tuple([getattr(self, n) for n in self.__match_args__])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for n in a.__match_args__:
+                x, y = getattr(a, n), getattr(b, n)
+                if x is y:
+                    continue
+                if isinstance(x, Node):
+                    if type(x) is not type(y):
+                        return False
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        return _hash_tree(self) if h is None else h
+
+    def __repr__(self) -> str:
+        out, todo = [], [self]
+        while todo:
+            a = todo.pop()
+            if not isinstance(a, Node):
+                out.append(a)
+                continue
+            out.append(f"{type(a).__qualname__}(")
+            parts = []
+            for i, n in enumerate(a.__match_args__):
+                v = getattr(a, n)
+                parts += (f", {n}=" if i else f"{n}=", v if isinstance(v, Node) else repr(v))
+            parts.append(")")
+            todo += reversed(parts)
+        return "".join(out)
+
 
 # ---------------------------------------------------------------------------
 # PA terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
     def __post_init__(self) -> None:
@@ -24,24 +155,20 @@ class Var:
             raise ValueError("variable name must be nonempty")
 
 
-@dataclass(frozen=True)
-class Zero:
+class Zero(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(Node):
     arg: "PATerm"
 
 
-@dataclass(frozen=True)
-class Plus:
+class Plus(Node):
     left: "PATerm"
     right: "PATerm"
 
 
-@dataclass(frozen=True)
-class Times:
+class Times(Node):
     left: "PATerm"
     right: "PATerm"
 
@@ -87,8 +214,7 @@ def has_arith(t: PATerm) -> bool:
 # SLN terms: s^offset(base), with base a variable or 0.
 
 
-@dataclass(frozen=True)
-class SLNTerm:
+class SLNTerm(Node):
     base: str | None
     offset: int
 
@@ -126,62 +252,52 @@ def term_vars(t: Term) -> frozenset[str]:
 # remaining binders belong to one logic each.
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Leq:
+class Leq(Node):
     left: PATerm
     right: PATerm
 
 
-@dataclass(frozen=True)
-class PointsTo:
+class PointsTo(Node):
     addr: SLNTerm
     val: SLNTerm
 
 
-@dataclass(frozen=True)
-class TruthConst:
+class TruthConst(Node):
     """Internal rewriting artifact; rendered as 0 = 0 or its negation."""
 
     value: bool
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class BForall:
+class BForall(Node):
     """forall var <= bound. body, with var not occurring in bound."""
 
     var: str
@@ -193,8 +309,7 @@ class BForall:
             raise ValueError(f"bound of forall {self.var} <= ... mentions {self.var}")
 
 
-@dataclass(frozen=True)
-class BExists:
+class BExists(Node):
     var: str
     bound: PATerm
     body: "Formula"
@@ -204,8 +319,7 @@ class BExists:
             raise ValueError(f"bound of exists {self.var} <= ... mentions {self.var}")
 
 
-@dataclass(frozen=True)
-class ExistsEq:
+class ExistsEq(Node):
     """exists (var = defn) body, with var not occurring in defn."""
 
     var: str
@@ -217,8 +331,7 @@ class ExistsEq:
             raise ValueError(f"definition of exists ({self.var} = ...) mentions {self.var}")
 
 
-@dataclass(frozen=True)
-class GForall:
+class GForall(Node):
     """forall var >= guard. body (SLN abbreviation)."""
 
     var: str
@@ -230,8 +343,7 @@ class GForall:
             raise ValueError("guard must be a natural")
 
 
-@dataclass(frozen=True)
-class GExists:
+class GExists(Node):
     var: str
     guard: int
     body: "Formula"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .ast import (
-    And, Eq, Exists, Formula, Not, and_all, imp, shift, sln_num, svar,
+    And, Eq, Exists, Formula, Node, Not, and_all, imp, shift, sln_num, svar,
 )
 from .heap import Heap
 from .parser import _Parser
@@ -24,31 +24,26 @@ from .translate import row
 # Language L: one binary predicate, variables as the only terms.
 
 
-@dataclass(frozen=True)
-class LEq:
+class LEq(Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class LPred:
+class LPred(Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class LNot:
+class LNot(Node):
     body: "LFormula"
 
 
-@dataclass(frozen=True)
-class LAnd:
+class LAnd(Node):
     left: "LFormula"
     right: "LFormula"
 
 
-@dataclass(frozen=True)
-class LExists:
+class LExists(Node):
     var: str
     body: "LFormula"
 

@@ -1,10 +1,17 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from slnkit.ast import (
-    And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
-    SLNTerm, Succ, Var, Zero, alpha_eq, free_vars, is_quantifier_free, pa_num,
-    shift, sln_num, subformulas, svar,
+    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, GExists, GForall, Leq,
+    Node, Not, Or, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
+    alpha_eq, free_vars, is_quantifier_free, pa_num, shift, sln_num,
+    subformulas, svar,
 )
+from slnkit.finite import LAnd, LEq, LExists, LNot, LPred
+from slnkit.gen import Generators
+from slnkit.normalize import normalize_bounded
 from slnkit.transform import is_bounded
 
 
@@ -67,9 +74,9 @@ def test_alpha_eq_mixed_binders():
 
 
 def test_deep_chain_traversal():
-    """subformulas, free_vars, is_quantifier_free and is_bounded walk a
-    10^4-deep chain at the default recursion limit, subformulas in
-    preorder."""
+    """subformulas, free_vars, is_quantifier_free, is_bounded, hash, == and
+    repr walk a 10^4-deep chain at the default recursion limit, subformulas
+    in preorder."""
     depth = 10_000
     leaf, other = Leq(Zero(), Var("x")), Eq(Var("x"), Var("x"))
 
@@ -95,3 +102,132 @@ def test_deep_chain_traversal():
     assert not is_quantifier_free(chain(Exists("y", leaf), Not))
     assert is_bounded(chain(leaf, lambda b: BForall("y", Zero(), Or(other, b))))
     assert not is_bounded(chain(Exists("y", leaf), lambda b: BForall("y", Zero(), b)))
+
+    # hash and == on two separately built copies of each chain, and on a
+    # copy that differs at the bottom.
+    def fresh():
+        return Eq(Var("x"), Var("x"))
+
+    wraps = [Not, lambda b: And(fresh(), b), lambda b: Or(fresh(), b),
+             lambda b: Exists("x", b)]
+    for wrap in wraps:
+        a, b, c = (chain(Eq(svar("x"), sln_num(k)), wrap) for k in (0, 0, 1))
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+    assert repr(chain(leaf, Not)) == "Not(body=" * depth + repr(leaf) + ")" * depth
+
+
+def test_equal_formulas_hash_equal():
+    """On generated formulas, == agrees with the printed structure, equal
+    formulas hash equal, and the hash is that of the tuple of fields."""
+    def sample():
+        gens = Generators(5)
+        return [gens.pa_bounded(depth=2) for _ in range(150)]
+
+    firsts, seconds = sample(), sample()
+    for a, b in zip(firsts, seconds):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, f.name) for f in dataclasses.fields(a)))
+    texts = [repr(b) for b in seconds]
+    for a in firsts:
+        text = repr(a)
+        for b, b_text in zip(seconds, texts):
+            assert (a == b) == (text == b_text)
+
+
+def test_repr_of_a_large_normal_form():
+    """normalize_bounded of this formula nests 408 defining existentials,
+    deeper than a recursive repr can print."""
+    gens = Generators(59)
+    a = [gens.pa_bounded(depth=4) for _ in range(37)][-1]
+    text = repr(normalize_bounded(a))
+    assert text.count("ExistsEq(") == 408
+
+
+_x, _y = Var("x"), Var("y")
+_atom = Eq(SLNTerm("x", 0), SLNTerm(None, 1))
+_atom_text = "Eq(left=SLNTerm(base='x', offset=0), right=SLNTerm(base=None, offset=1))"
+
+# One node of each class, with the repr its frozen dataclass printed.
+NODES = [
+    (_x, "Var(name='x')"),
+    (Zero(), "Zero()"),
+    (Succ(Zero()), "Succ(arg=Zero())"),
+    (Plus(_x, Zero()), "Plus(left=Var(name='x'), right=Zero())"),
+    (Times(_x, _y), "Times(left=Var(name='x'), right=Var(name='y'))"),
+    (SLNTerm("x", 2), "SLNTerm(base='x', offset=2)"),
+    (Eq(_x, Succ(_y)), "Eq(left=Var(name='x'), right=Succ(arg=Var(name='y')))"),
+    (Leq(Zero(), _x), "Leq(left=Zero(), right=Var(name='x'))"),
+    (PointsTo(SLNTerm("x", 1), SLNTerm(None, 0)),
+     "PointsTo(addr=SLNTerm(base='x', offset=1), val=SLNTerm(base=None, offset=0))"),
+    (TruthConst(False), "TruthConst(value=False)"),
+    (Not(_atom), f"Not(body={_atom_text})"),
+    (And(_atom, TruthConst(True)), f"And(left={_atom_text}, right=TruthConst(value=True))"),
+    (Or(TruthConst(True), _atom), f"Or(left=TruthConst(value=True), right={_atom_text})"),
+    (Exists("x", _atom), f"Exists(var='x', body={_atom_text})"),
+    (Forall("x", _atom), f"Forall(var='x', body={_atom_text})"),
+    (BForall("y", _x, Leq(_y, _x)),
+     "BForall(var='y', bound=Var(name='x'), body=Leq(left=Var(name='y'), right=Var(name='x')))"),
+    (BExists("y", Succ(_x), Eq(_y, _x)),
+     "BExists(var='y', bound=Succ(arg=Var(name='x')), "
+     "body=Eq(left=Var(name='y'), right=Var(name='x')))"),
+    (ExistsEq("z", Plus(_x, _y), Eq(Var("z"), _x)),
+     "ExistsEq(var='z', defn=Plus(left=Var(name='x'), right=Var(name='y')), "
+     "body=Eq(left=Var(name='z'), right=Var(name='x')))"),
+    (GForall("x", 2, _atom), f"GForall(var='x', guard=2, body={_atom_text})"),
+    (GExists("x", 0, _atom), f"GExists(var='x', guard=0, body={_atom_text})"),
+    (LEq("x", "y"), "LEq(left='x', right='y')"),
+    (LPred("x", "x"), "LPred(left='x', right='x')"),
+    (LNot(LEq("x", "y")), "LNot(body=LEq(left='x', right='y'))"),
+    (LAnd(LPred("x", "y"), LEq("y", "y")),
+     "LAnd(left=LPred(left='x', right='y'), right=LEq(left='y', right='y'))"),
+    (LExists("y", LPred("x", "y")), "LExists(var='y', body=LPred(left='x', right='y'))"),
+]
+
+
+def test_every_node_class_is_pinned():
+    assert {type(a) for a, _ in NODES} == set(Node.__subclasses__())
+    assert len(NODES) == 25
+
+
+@pytest.mark.parametrize("node,text", NODES, ids=[type(a).__name__ for a, _ in NODES])
+def test_node_class_contract(node, text):
+    """What each class got from @dataclass(frozen=True): its repr, fields in
+    match order, keyword construction, equality and hash by fields, copies
+    and immutability.  A pickle leaves the cached hash behind."""
+    cls = type(node)
+    assert repr(node) == text
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert names == cls.__match_args__
+    values = {n: getattr(node, n) for n in names}
+    copy = cls(**values)
+    assert copy is not node and copy == node and hash(copy) == hash(node)
+    assert dataclasses.replace(node) == node
+    unpickled = pickle.loads(pickle.dumps(node))
+    assert unpickled == node and "_hash" not in vars(unpickled)
+    assert node != object() and node != ()
+    for n in names:
+        with pytest.raises(AttributeError):
+            setattr(node, n, values[n])
+        with pytest.raises(AttributeError):
+            delattr(node, n)
+    with pytest.raises(AttributeError):
+        node.extra = 0
+
+
+
+def test_field_checks_raise():
+    """Every __post_init__ check raises, on positional and keyword calls."""
+    for bad in (lambda: Var(""), lambda: SLNTerm("x", -1), lambda: SLNTerm("", 0)):
+        with pytest.raises(ValueError):
+            bad()
+    for cls in (BForall, BExists, ExistsEq):
+        with pytest.raises(ValueError):
+            cls("x", Succ(Var("x")), TruthConst(True))
+        with pytest.raises(ValueError):
+            cls(var="x", body=TruthConst(True), **{cls.__match_args__[1]: Var("x")})
+    for cls in (GForall, GExists):
+        with pytest.raises(ValueError):
+            cls("x", -1, TruthConst(True))
+        with pytest.raises(ValueError):
+            cls(var="x", guard=-1, body=TruthConst(True))

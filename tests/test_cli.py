@@ -156,6 +156,15 @@ def test_deep_negation_chain_prints_back(capsys):
     assert out.strip() == "!(" * 3000 + "0 = 0" + ")" * 3000
 
 
+def test_deep_negation_chain_json(capsys):
+    """--json prints the node's repr, which walks the chain without
+    recursing."""
+    code, out, _ = run(capsys, "parse-sln", "--json", "!" * 3000 + "0 = 0")
+    assert code == 0
+    atom = "Eq(left=SLNTerm(base=None, offset=0), right=SLNTerm(base=None, offset=0))"
+    assert json.loads(out)["ast"] == "Not(body=" * 3000 + atom + ")" * 3000
+
+
 def test_decider_deep_alternation_exits_1(capsys):
     """An alternation whose elimination passes through a long list of cubes
     is decided, not an error: the sentence is false."""
