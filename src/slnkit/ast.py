@@ -9,6 +9,7 @@ between the two logics; each logic adds its own atoms and special binders.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import count
 from types import FunctionType
 from typing import Union
 
@@ -529,66 +530,104 @@ def is_quantifier_free(a: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence, used wherever results are compared modulo the choice of
-# fresh bound names (goldens, normalization output).
+# The renaming walk: one rebuild under a map from variable names to names or
+# terms, shared by substitution and alpha equivalence; prenexing renames
+# with its term mapper.
 
 
-def _term_alpha(t: Term, u: Term, lr: dict[str, str], rl: dict[str, str]) -> bool:
-    def names_match(x: str, y: str) -> bool:
-        if x in lr or y in rl:
-            return lr.get(x) == y and rl.get(y) == x
-        return x == y
+def map_term(t: Term, env: dict) -> Term:
+    """t with each variable x of env replaced: by the variable env[x] when
+    that is a name, else by the term env[x], of t's logic, shifted by the
+    offset of an SLN term."""
+    if isinstance(t, SLNTerm):
+        r = env.get(t.base)
+        if r is None:
+            return t
+        if isinstance(r, str):
+            return SLNTerm(r, t.offset)
+        if not isinstance(r, SLNTerm):
+            raise TypeError("cannot substitute a PA term into an SLN formula")
+        return shift(r, t.offset)
+    match t:
+        case Var(name):
+            r = env.get(name, t)
+            return Var(r) if isinstance(r, str) else r
+        case Zero():
+            return t
+        case Succ(arg):
+            return Succ(map_term(arg, env))
+        case Plus(l, r) | Times(l, r):
+            return type(t)(map_term(l, env), map_term(r, env))
+    raise TypeError(f"not a PA term: {t!r}")
 
-    if isinstance(t, SLNTerm) or isinstance(u, SLNTerm):
-        if not (isinstance(t, SLNTerm) and isinstance(u, SLNTerm)):
-            return False
-        if t.offset != u.offset:
-            return False
-        if (t.base is None) != (u.base is None):
-            return False
-        return t.base is None or names_match(t.base, u.base)
-    match t, u:
-        case Var(x), Var(y):
-            return names_match(x, y)
-        case Zero(), Zero():
-            return True
-        case Succ(a), Succ(b):
-            return _term_alpha(a, b, lr, rl)
-        case (Plus(a, b), Plus(c, d)) | (Times(a, b), Times(c, d)):
-            return _term_alpha(a, c, lr, rl) and _term_alpha(b, d, lr, rl)
-        case _:
-            return False
+
+def map_vars(a: Formula, env: dict, bind) -> Formula:
+    """a with its atoms, bounds and definitions rewritten by map_term under
+    env, within the scope of the binders above them.  bind(q, env) is the
+    name that quantifier q binds in the result; it is asked in preorder,
+    with env as it stands outside q.  Inside q, env maps q's variable to
+    that name, or drops it when the name is q's own.  An explicit stack, so
+    a deep formula cannot exhaust the recursion limit: a connective or
+    quantifier waits on it, as its class and its fields before the
+    subformulas, until they are rebuilt."""
+    done: list = []
+    todo: list = [(a, env)]
+    while todo:
+        b, env = todo.pop()
+        cls = type(b)
+        if cls is tuple:
+            n = len(env.__match_args__) - len(b)
+            done[-n:] = [env(*b, *done[-n:])]
+        elif cls is Eq or cls is Leq:
+            done.append(cls(map_term(b.left, env), map_term(b.right, env)))
+        elif cls is PointsTo:
+            done.append(PointsTo(map_term(b.addr, env), map_term(b.val, env)))
+        elif cls is TruthConst:
+            done.append(b)
+        elif cls is Not:
+            todo += (((), Not), (b.body, env))
+        elif cls is And or cls is Or:
+            todo += (((), cls), (b.right, env), (b.left, env))
+        elif cls in QUANTIFIERS:
+            x, y, t = b.var, bind(b, env), binder_term(b)
+            if isinstance(t, Node):  # a bound or definition, outside the scope
+                t = map_term(t, env)
+            if y != x:
+                inner = {**env, x: y}
+            elif x in env:
+                inner = {k: v for k, v in env.items() if k != x}
+            else:
+                inner = env
+            todo += (((y,) if t is None else (y, t), cls), (b.body, inner))
+        else:
+            raise TypeError(f"not a formula: {b!r}")
+    return done[0]
+
+
+def all_names(a: Formula) -> set[str]:
+    """Every variable name in a, free or bound."""
+    names: set[str] = set()
+    for sub in subformulas(a):
+        match sub:
+            case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
+                names |= term_vars(l) | term_vars(r)
+        if isinstance(sub, QUANTIFIERS):
+            names.add(sub.var)
+            names |= binder_vars(sub)
+    return names
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
-    """Structural equality up to renaming of bound variables."""
+    """Structural equality up to renaming of bound variables: the binders
+    of each side are renamed, in preorder, to the same canonical names,
+    which neither side uses, and the results are compared."""
+    used = all_names(a) | all_names(b)
+    stem = "#"
+    while any(n.startswith(stem) for n in used):
+        stem += "#"
 
-    def go(a: Formula, b: Formula, lr: dict[str, str], rl: dict[str, str]) -> bool:
-        def under(x: str, y: str, ba: Formula, bb: Formula) -> bool:
-            lr2, rl2 = dict(lr), dict(rl)
-            lr2[x], rl2[y] = y, x
-            return go(ba, bb, lr2, rl2)
+    def canonical(c: Formula) -> Formula:
+        order = count()
+        return map_vars(c, {}, lambda q, env: f"{stem}{next(order)}")
 
-        match a, b:
-            case Eq(l1, r1), Eq(l2, r2):
-                return _term_alpha(l1, l2, lr, rl) and _term_alpha(r1, r2, lr, rl)
-            case Leq(l1, r1), Leq(l2, r2):
-                return _term_alpha(l1, l2, lr, rl) and _term_alpha(r1, r2, lr, rl)
-            case PointsTo(l1, r1), PointsTo(l2, r2):
-                return _term_alpha(l1, l2, lr, rl) and _term_alpha(r1, r2, lr, rl)
-            case TruthConst(v1), TruthConst(v2):
-                return v1 == v2
-            case Not(x), Not(y):
-                return go(x, y, lr, rl)
-            case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)):
-                return go(l1, l2, lr, rl) and go(r1, r2, lr, rl)
-        if type(a) is not type(b) or not isinstance(a, QUANTIFIERS):
-            return False
-        t, u = binder_term(a), binder_term(b)
-        if t is None or isinstance(t, int):
-            same_term = t == u
-        else:
-            same_term = _term_alpha(t, u, lr, rl)
-        return same_term and under(a.var, b.var, a.body, b.body)
-
-    return go(a, b, {}, {})
+    return canonical(a) == canonical(b)

@@ -47,6 +47,7 @@ do not bind t.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from operator import itemgetter
 
 from .ast import (
@@ -90,22 +91,32 @@ def _guarded(exists: bool, x: str, guard: int, body: Formula) -> Formula:
 
 def _fold_atoms(a: Formula, atom, shadow: str | None = None) -> Formula:
     """a with each atom p replaced by atom(p), folding constants on the way
-    up; a quantifier that binds `shadow` is kept as it is."""
-    match a:
-        case PointsTo() | Eq() | TruthConst():
-            return atom(a)
-        case Not(b):
-            return neg(_fold_atoms(b, atom, shadow))
-        case And(l, r):
-            return conj(_fold_atoms(l, atom, shadow), _fold_atoms(r, atom, shadow))
-        case Or(l, r):
-            return disj(_fold_atoms(l, atom, shadow), _fold_atoms(r, atom, shadow))
-        case Exists() | Forall() | GExists() | GForall():
-            if a.var == shadow:
-                return a
-            exists, x, guard, body = _split_quant(a)
-            return _guarded(exists, x, guard, _fold_atoms(body, atom, shadow))
-    raise TypeError(f"not an SLN formula: {a!r}")
+    up; a quantifier that binds `shadow` is kept as it is.  An explicit
+    stack, so a deep formula cannot exhaust the recursion limit: a
+    connective or quantifier waits on it, as the fold that rebuilds it and
+    the number of its subformulas, until they are rebuilt."""
+    done: list = []
+    todo: list = [a]
+    while todo:
+        b = todo.pop()
+        match b:
+            case (fold, n):
+                done[-n:] = [fold(*done[-n:])]
+            case PointsTo() | Eq() | TruthConst():
+                done.append(atom(b))
+            case Not(body):
+                todo += ((neg, 1), body)
+            case And(l, r):
+                todo += ((conj, 2), r, l)
+            case Or(l, r):
+                todo += ((disj, 2), r, l)
+            case Exists() | Forall() | GExists() | GForall() if b.var == shadow:
+                done.append(b)
+            case Exists() | Forall() | GExists() | GForall():
+                todo += ((partial(_guarded, *_split_quant(b)[:3]), 1), b.body)
+            case _:
+                raise TypeError(f"not an SLN formula: {b!r}")
+    return done[0]
 
 
 def _replace_atoms(a: Formula, x: str, side: str) -> Formula:

@@ -71,7 +71,15 @@ def _lit(positive: bool, a: str | None, i: int, b: str | None, j: int) -> tuple 
 
 def _cube(lits) -> list[tuple]:
     """The conjunction of lits, repeats dropped, as a cube list: [] when it
-    holds a literal and its negation."""
+    holds a literal and its negation.  On a short cube, the usual one,
+    membership in a list is fastest; past eight literals, as a large guard
+    gives, a dict keeps the cost linear."""
+    if len(lits) > 8:
+        keys = dict.fromkeys(lits)
+        keys.pop(True, None)
+        if False in keys or any((not p, u, d, v) in keys for p, u, d, v in keys):
+            return []
+        return [tuple(keys)]
     out: list = []
     for lit in lits:
         if lit is False:

@@ -8,11 +8,11 @@ are safe to issue concurrently.
 from __future__ import annotations
 
 from .ast import (
-    QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
-    Formula, GExists, GForall, Leq, Not, Or, PointsTo, SLNTerm, Succ,
-    Plus, Times, TruthConst, Var, Zero, binder_term, binder_vars, free_vars,
-    imp, is_quantifier_free, map_children, neg, or_all, and_all, has_arith,
-    quantifier, shift, sln_num, subformulas, term_vars,
+    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
+    GForall, Leq, Not, Or, PointsTo, SLNTerm, Plus, Times, TruthConst, Var,
+    all_names, binder_term, free_vars, imp, is_quantifier_free,
+    map_children, map_term, map_vars, neg, or_all, and_all, has_arith,
+    quantifier, sln_num, subformulas, term_vars,
 )
 
 
@@ -40,60 +40,26 @@ class FreshNames:
 # Substitution
 
 
-def _subst_term(t, x: str, replacement):
-    """t[x := replacement], with the replacement a term of t's logic."""
-    if isinstance(t, SLNTerm):
-        if not isinstance(replacement, SLNTerm):
-            raise TypeError("cannot substitute a PA term into an SLN formula")
-        return shift(replacement, t.offset) if t.base == x else t
-    match t:
-        case Var(name):
-            return replacement if name == x else t
-        case Zero():
-            return t
-        case Succ(arg):
-            return Succ(_subst_term(arg, x, replacement))
-        case Plus(l, r) | Times(l, r):
-            return type(t)(_subst_term(l, x, replacement), _subst_term(r, x, replacement))
-    raise TypeError(f"not a PA term: {t!r}")
-
-
 def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formula:
     """Capture-free substitution a[x := t].
 
-    Bound variables are renamed with a deterministic counter whenever a
-    capture would occur.  The term must belong to the same logic as `a`.
+    A binder is renamed only when it would capture a variable of t, to a
+    deterministic fresh name that no name of a or t takes.  The term must
+    belong to the same logic as `a`.
     """
-    if fresh is None:
-        fresh = FreshNames(free_vars(a) | term_vars(t) | {x})
     t_vars = term_vars(t)
+    if fresh is None:
+        fresh = FreshNames(t_vars | {x})
+    fresh.reserve(all_names(a))
 
-    def go(a: Formula) -> Formula:
-        match a:
-            case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
-                return type(a)(_subst_term(l, x, t), _subst_term(r, x, t))
-            case TruthConst() | Not() | And() | Or():
-                return map_children(a, go)
-        if not isinstance(a, QUANTIFIERS):
-            raise TypeError(f"not a formula: {a!r}")
-        y, u = a.var, binder_term(a)
-        if isinstance(a, (BForall, BExists, ExistsEq)):
-            # the bound or definition lies outside the binder's scope
-            u = _subst_term(u, x, t)
-        if y == x:
-            return quantifier(type(a), y, u, a.body)
-        y2, b2 = rename_binder(y, a.body)
-        return quantifier(type(a), y2, u, go(b2))
+    def bind(q: Formula, env: dict) -> str:
+        # Only where x still stands for t and occurs in q, in its body or
+        # in its bound or definition.
+        if q.var in t_vars and x in env and x in free_vars(q):
+            return fresh.fresh(q.var)
+        return q.var
 
-    def rename_binder(y: str, body: Formula) -> tuple[str, Formula]:
-        # Rename only when the binder would capture a variable of t.
-        if y in t_vars and x in free_vars(body):
-            y2 = fresh.fresh(y)
-            var_t = SLNTerm(y2, 0) if isinstance(t, SLNTerm) else Var(y2)
-            return y2, substitute(body, y, var_t, fresh)
-        return y, body
-
-    return go(a)
+    return map_vars(a, {x: t}, bind)
 
 
 # ---------------------------------------------------------------------------
@@ -199,32 +165,6 @@ def wrap_prefix(prefix: list[tuple], matrix: Formula) -> Formula:
     return matrix
 
 
-def _rename(t, env: dict[str, str]):
-    """Term t with each variable x of env renamed to env[x]."""
-    match t:
-        case SLNTerm(base, k):
-            return SLNTerm(env.get(base, base), k)
-        case Var(name):
-            return Var(env.get(name, name))
-        case Succ(arg):
-            return Succ(_rename(arg, env))
-        case Plus(l, r) | Times(l, r):
-            return type(t)(_rename(l, env), _rename(r, env))
-    return t
-
-
-def _all_names(a: Formula) -> set[str]:
-    names: set[str] = set()
-    for sub in subformulas(a):
-        match sub:
-            case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
-                names |= term_vars(l) | term_vars(r)
-        if isinstance(sub, QUANTIFIERS):
-            names.add(sub.var)
-            names |= binder_vars(sub)
-    return names
-
-
 def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[tuple], Formula]:
     """Quantifier prefix, as (class, var, term) triples with the outermost
     first, and matrix of an equivalent prenex formula.
@@ -238,14 +178,14 @@ def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[tupl
     """
     if fresh is None:
         fresh = FreshNames()
-    fresh.reserve(_all_names(a))
+    fresh.reserve(all_names(a))
     seen = set(free_vars(a))
     prefix: list[tuple] = []
 
     def go(a: Formula, positive: bool, env: dict[str, str]) -> Formula:
         match a:
             case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
-                return type(a)(_rename(l, env), _rename(r, env)) if env else a
+                return type(a)(map_term(l, env), map_term(r, env)) if env else a
             case TruthConst():
                 return a
             case Not(b):
@@ -256,7 +196,7 @@ def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[tupl
             raise TypeError(f"prenex does not handle {a!r}")
         x, t = a.var, binder_term(a)
         if env and t is not None:
-            t = _rename(t, env)
+            t = map_term(t, env)
         if x in seen:
             x = fresh.fresh(x)
             env = {**env, a.var: x}

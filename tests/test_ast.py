@@ -12,7 +12,7 @@ from slnkit.ast import (
 from slnkit.finite import LAnd, LEq, LExists, LNot, LPred
 from slnkit.gen import Generators
 from slnkit.normalize import normalize_bounded
-from slnkit.transform import is_bounded
+from slnkit.transform import is_bounded, substitute
 
 
 def test_pa_num():
@@ -73,10 +73,19 @@ def test_alpha_eq_mixed_binders():
     assert not alpha_eq(a, BForall("v", Var("y"), Leq(Var("v"), Var("y"))))
 
 
+@pytest.mark.parametrize("name", ["#0", "##1", "x0", "x#1", "0"])
+def test_alpha_eq_canonical_names_avoid_the_free_ones(name):
+    """Binders are compared by renaming them to shared names; a free
+    variable that happens to carry such a name is not captured by them."""
+    a = Exists("y", Eq(svar("y"), svar(name)))
+    assert alpha_eq(a, Exists("u", Eq(svar("u"), svar(name))))
+    assert not alpha_eq(a, Exists(name, Eq(svar(name), svar(name))))
+
+
 def test_deep_chain_traversal():
-    """subformulas, free_vars, is_quantifier_free, is_bounded, hash, == and
-    repr walk a 10^4-deep chain at the default recursion limit, subformulas
-    in preorder."""
+    """subformulas, free_vars, is_quantifier_free, is_bounded, hash, ==,
+    repr, alpha_eq and substitute walk a 10^4-deep chain at the default
+    recursion limit, subformulas in preorder."""
     depth = 10_000
     leaf, other = Leq(Zero(), Var("x")), Eq(Var("x"), Var("x"))
 
@@ -115,6 +124,27 @@ def test_deep_chain_traversal():
         assert a == b and hash(a) == hash(b)
         assert a != c
     assert repr(chain(leaf, Not)) == "Not(body=" * depth + repr(leaf) + ")" * depth
+
+    # alpha_eq on two separately built copies of each chain under one more
+    # binder, the second copy with every binder renamed, and substitute.
+    def wraps_over(v, t):
+        return [Not, lambda b: And(Eq(svar(v), t), b), lambda b: Or(Eq(svar(v), t), b),
+                lambda b: Exists(v, b)]
+
+    for wrap, renamed, substituted in zip(wraps_over("x", svar("y")), wraps_over("u", svar("y")),
+                                          wraps_over("x", sln_num(2))):
+        a = Exists("x", chain(Eq(svar("x"), sln_num(0)), wrap))
+        assert alpha_eq(a, Exists("u", chain(Eq(svar("u"), sln_num(0)), renamed)))
+        assert not alpha_eq(a, Exists("u", chain(Eq(svar("x"), sln_num(0)), renamed)))
+        assert substitute(a, "y", sln_num(2)) == Exists(
+            "x", chain(Eq(svar("x"), sln_num(0)), substituted))
+    # Each of the 10^4 binders would capture the x put in for y, so each is
+    # renamed, in preorder.
+    out = substitute(chain(Eq(svar("x"), svar("y")), lambda b: Exists("x", b)), "y", svar("x"))
+    names = [b.var for b in subformulas(out) if isinstance(b, Exists)]
+    assert names == [f"x#{i}" for i in range(1, depth + 1)]
+    assert list(subformulas(out))[-1] == Eq(svar(f"x#{depth}"), svar("x"))
+    assert free_vars(out) == {"x"}
 
 
 def test_equal_formulas_hash_equal():

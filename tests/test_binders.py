@@ -3,14 +3,16 @@ variables, subformula order, substitution, alpha equivalence, rendering and
 the binders each transformation rejects."""
 
 import itertools
+import random
 
 import pytest
 
 from slnkit.ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, GExists, GForall,
-    Not, Plus, SLNTerm, Succ, Var, Zero, alpha_eq, free_vars, subformulas,
-    svar,
+    Leq, Not, Or, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
+    alpha_eq, binder_term, free_vars, quantifier, subformulas, svar,
 )
+from slnkit.gen import Generators
 from slnkit.parser import parse_pa, parse_sln
 from slnkit.render import render
 from slnkit.transform import (
@@ -89,6 +91,88 @@ def test_alpha_eq_renames_within_a_class(cls, term, logic):
     b = build(cls, "u", term, Eq(var(logic, "u"), var(logic, "y")))
     assert alpha_eq(a, b)
     assert not alpha_eq(a, build(cls, "u", term, Eq(var(logic, "x"), var(logic, "y"))))
+
+
+@pytest.mark.parametrize("cls, term, logic", BINDERS[2:5], ids=IDS[2:5])
+def test_substitute_renames_a_binder_its_bound_would_capture(cls, term, logic):
+    """x occurs only in the bound or definition, which lies outside the
+    binder's scope, so the y put in for it must stay free there."""
+    a = build(cls, "y", Succ(Var("x")), Eq(Var("y"), Zero()))
+    out = substitute(a, "x", Var("y"))
+    assert out == build(cls, "y#1", Succ(Var("y")), Eq(Var("y#1"), Zero()))
+    assert free_vars(out) == {"y"}
+
+
+def test_substitute_avoids_a_bound_fresh_name():
+    """The first fresh name for y, y#1, is already bound inside; the binder
+    renamed for the capture must not take it."""
+    a = Exists("y", And(Eq(Var("x"), Var("y")), Exists("y#1", Eq(Var("y"), Var("y#1")))))
+    out = substitute(a, "x", Succ(Var("y")))
+    assert render(out) == "exists y#2. s(y) = y#2 /\\ exists y#1. y#2 = y#1"
+    assert alpha_eq(out, Exists("u", And(Eq(Succ(Var("y")), Var("u")),
+                                         Exists("v", Eq(Var("u"), Var("v"))))))
+    assert free_vars(out) == {"y"}
+
+
+def rewrite(a, var, binder, env=None):
+    """a rebuilt by plain recursion: each binder v is renamed to binder(v),
+    and each variable occurrence v to var(v, env), where env maps the names
+    bound around it to their new names."""
+    env = {} if env is None else env
+
+    def term(t):
+        match t:
+            case SLNTerm(v, k) if v is not None:
+                return SLNTerm(var(v, env), k)
+            case Var(v):
+                return Var(var(v, env))
+            case Succ(u):
+                return Succ(term(u))
+            case Plus(l, r) | Times(l, r):
+                return type(t)(term(l), term(r))
+        return t
+
+    match a:
+        case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
+            return type(a)(term(l), term(r))
+        case TruthConst():
+            return a
+        case Not(b):
+            return Not(rewrite(b, var, binder, env))
+        case And(l, r) | Or(l, r):
+            return type(a)(rewrite(l, var, binder, env), rewrite(r, var, binder, env))
+    t = binder_term(a)
+    y = binder(a.var)
+    body = rewrite(a.body, var, binder, {**env, a.var: y})
+    return quantifier(type(a), y, t if t is None or isinstance(t, int) else term(t), body)
+
+
+def test_alpha_eq_on_generated_formulas():
+    """A copy with every binder renamed is alpha-equal; a copy with one free
+    occurrence changed to a new name is not."""
+    gens, rng = Generators(14), random.Random(14)
+    formulas = [gens.pa_bounded(depth=3) for _ in range(100)]
+    formulas += [gens.sln_formula(depth=3) for _ in range(100)]
+    formulas += [gens.pa_normal() for _ in range(100)]
+    changed = 0
+    for a in formulas:
+        names = (f"r{i}" for i in itertools.count())
+        renamed = rewrite(a, lambda v, env: env.get(v, v), lambda v: next(names))
+        assert alpha_eq(a, renamed) and alpha_eq(renamed, a), a
+        free = []
+        rewrite(a, lambda v, env: env.get(v) or free.append(v) or v, lambda v: v)
+        if not free:
+            continue
+        k, seen = rng.randrange(len(free)), itertools.count()
+
+        def var(v, env):
+            if v in env:
+                return env[v]
+            return "z" if next(seen) == k else v
+
+        assert not alpha_eq(a, rewrite(a, var, lambda v: v)), (a, k)
+        changed += 1
+    assert changed > 200
 
 
 def test_alpha_eq_is_false_across_classes():

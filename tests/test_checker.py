@@ -428,6 +428,37 @@ def test_deep_negation_chain(depth):
     assert check(SIGMA, h, parse_sln("!" * depth + "forall x. exists y. y = s(x)")) is not odd
 
 
+def test_public_rewrites_on_deep_chains():
+    """The public rewrites fold a quantifier over a 10^4-deep chain at the
+    default recursion limit."""
+    depth, one = 10**4, Eq(svar("x"), sln_num(1))
+    wraps = {"not": Not, "and": lambda b: And(one, b), "or": lambda b: Or(one, b),
+             "exists": lambda b: Exists("x", b)}
+
+    def chain(n, wrap, bottom):
+        for _ in range(n):
+            bottom = wrap(bottom)
+        return bottom
+
+    # The tail of the split at address 1: the points-to atom at the bottom
+    # is false past it, which folds the whole chain but for the conjuncts
+    # of \/; an inner exists rebinds x and is kept.
+    tails = {"not": TruthConst(False), "and": TruthConst(False),
+             "or": GExists("x", 2, chain(depth - 1, wraps["or"], one)),
+             "exists": GExists("x", 2, chain(depth, wraps["exists"], PointsTo(svar("x"), sln_num(0))))}
+    # Against h = {0: 1} the closed points-to atom at the bottom is true.
+    grounded = {"not": TruthConst(True), "and": Exists("x", chain(depth - 1, wraps["and"], one)),
+                "or": TruthConst(True), "exists": TruthConst(True)}
+    for name, wrap in wraps.items():
+        a = Exists("x", chain(depth, wrap, PointsTo(svar("x"), sln_num(0))))
+        out = address_free_rewrite(a, 1)
+        assert type(out) is Or and type(out.right) is Or and out.right.right == tails[name]
+        # no atom stores x, so the value split keeps the body whole
+        assert value_free_rewrite(a, 1).right.right == GExists("x", 2, a.body)
+        closed = Exists("x", chain(depth, wrap, PointsTo(sln_num(0), sln_num(1))))
+        assert ground_points_to_eval(Heap({0: 1}), closed) == grounded[name]
+
+
 def test_double_negation_shares_the_node():
     """!!A compiles to the node of A."""
     a = parse_sln("exists x. x |-> y")

@@ -78,6 +78,23 @@ def test_contradictory_merges_are_dropped():
     assert _cube([X, True, NX]) == []
 
 
+def test_long_cube_keeps_order_and_contradictions():
+    """Past eight literals a cube is built through a dict; repeats still go,
+    the first occurrence keeps its place, and a literal with its negation
+    or a false literal still gives []."""
+    assert _cube([Z, True, Y, Z, X, Y, NY, X, Z, Y]) == []
+    assert _cube([Z, True, Y, Z, X, Y, X, Z, Y, True]) == [(Z, Y, X)]
+    assert _cube([X, Y, Z, X, Y, Z, X, Y, Z, False]) == []
+
+
+def test_long_guard():
+    """A guard x >= m gives one disequality per value below it, so deciding
+    these sentences builds a cube of 3000 literals."""
+    assert decide_sentence(parse_sln("exists y. exists x >= 3000. x = y")) is True
+    assert decide_sentence(parse_sln("forall y. exists x >= 3000. x = y")) is False
+    assert decide_sentence(parse_sln("exists y. exists x >= 3000. x = s(y)")) is True
+
+
 def test_absorption_drops_supersets_in_order():
     # (Z, NY) comes first and survives; (X, Y) contains (Y,), and (NY, Z)
     # repeats (Z, NY).
