@@ -9,6 +9,7 @@ between the two logics; each logic adds its own atoms and special binders.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
 from itertools import count
 from types import FunctionType
 from typing import Union
@@ -452,21 +453,45 @@ def rebind(a: Formula, var: str, body: Formula) -> Formula:
     return quantifier(type(a), var, binder_term(a), body)
 
 
-def map_children(a: Formula, f) -> Formula:
-    """a with f applied to each immediate subformula; atoms are returned
-    as they are."""
-    match a:
-        case Eq() | Leq() | PointsTo() | TruthConst():
-            return a
-        case Not(b):
-            return Not(f(b))
-        case And(l, r):
-            return And(f(l), f(r))
-        case Or(l, r):
-            return Or(f(l), f(r))
-    if isinstance(a, QUANTIFIERS):
-        return rebind(a, a.var, f(a.body))
-    raise TypeError(f"not a formula: {a!r}")
+def rebuild(a: Formula, visit, ctx=None):
+    """The result of a, built bottom-up: the one walk behind every formula
+    transform.  visit(b, ctx) is asked for each subformula b in preorder
+    and returns (None, result), or (make, [(child, child_ctx), ...]), whose
+    result is make applied to the children's results, built left to right.
+    When visit returns None, an atom is its own result, and a connective or
+    quantifier is rebuilt from its children's results under the same ctx.
+    An explicit stack, so a deep formula cannot exhaust the recursion limit:
+    a make waits on it, after the number of its children, until they are
+    built."""
+    done: list = []
+    todo: list = [(a, ctx)]
+    while todo:
+        b, ctx = todo.pop()
+        if type(b) is int:  # ctx is a make, waiting on the last b results
+            k = len(done) - b
+            done[k:] = [ctx(*done[k:])]
+            continue
+        step = visit(b, ctx)
+        if step is not None:
+            make, parts = step
+            if make is None:
+                done.append(parts)
+            else:
+                todo.append((len(parts), make))
+                todo += reversed(parts)
+            continue
+        cls = type(b)
+        if cls is And or cls is Or:
+            todo += ((2, cls), (b.right, ctx), (b.left, ctx))
+        elif cls is Not:
+            todo += ((1, Not), (b.body, ctx))
+        elif cls in QUANTIFIERS:
+            todo += ((1, partial(rebind, b, b.var)), (b.body, ctx))
+        elif cls in ATOMS:
+            done.append(b)
+        else:
+            raise TypeError(f"not a formula: {b!r}")
+    return done[0]
 
 
 def free_vars(a: Formula) -> frozenset[str]:
@@ -566,42 +591,29 @@ def map_vars(a: Formula, env: dict, bind) -> Formula:
     env, within the scope of the binders above them.  bind(q, env) is the
     name that quantifier q binds in the result; it is asked in preorder,
     with env as it stands outside q.  Inside q, env maps q's variable to
-    that name, or drops it when the name is q's own.  An explicit stack, so
-    a deep formula cannot exhaust the recursion limit: a connective or
-    quantifier waits on it, as its class and its fields before the
-    subformulas, until they are rebuilt."""
-    done: list = []
-    todo: list = [(a, env)]
-    while todo:
-        b, env = todo.pop()
+    that name, or drops it when the name is q's own.  One rebuild, with
+    env as its ctx."""
+
+    def visit(b: Formula, env: dict):
         cls = type(b)
-        if cls is tuple:
-            n = len(env.__match_args__) - len(b)
-            done[-n:] = [env(*b, *done[-n:])]
-        elif cls is Eq or cls is Leq:
-            done.append(cls(map_term(b.left, env), map_term(b.right, env)))
-        elif cls is PointsTo:
-            done.append(PointsTo(map_term(b.addr, env), map_term(b.val, env)))
-        elif cls is TruthConst:
-            done.append(b)
-        elif cls is Not:
-            todo += (((), Not), (b.body, env))
-        elif cls is And or cls is Or:
-            todo += (((), cls), (b.right, env), (b.left, env))
-        elif cls in QUANTIFIERS:
-            x, y, t = b.var, bind(b, env), binder_term(b)
-            if isinstance(t, Node):  # a bound or definition, outside the scope
-                t = map_term(t, env)
-            if y != x:
-                inner = {**env, x: y}
-            elif x in env:
-                inner = {k: v for k, v in env.items() if k != x}
-            else:
-                inner = env
-            todo += (((y,) if t is None else (y, t), cls), (b.body, inner))
+        if cls is Eq or cls is Leq:
+            return None, cls(map_term(b.left, env), map_term(b.right, env))
+        if cls is PointsTo:
+            return None, PointsTo(map_term(b.addr, env), map_term(b.val, env))
+        if cls not in QUANTIFIERS:
+            return None
+        x, y, t = b.var, bind(b, env), binder_term(b)
+        if isinstance(t, Node):  # a bound or definition, outside the scope
+            t = map_term(t, env)
+        if y != x:
+            inner = {**env, x: y}
+        elif x in env:
+            inner = {k: v for k, v in env.items() if k != x}
         else:
-            raise TypeError(f"not a formula: {b!r}")
-    return done[0]
+            inner = env
+        return partial(quantifier, cls, y, t), [(b.body, inner)]
+
+    return rebuild(a, visit, env)
 
 
 def all_names(a: Formula) -> set[str]:

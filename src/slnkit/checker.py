@@ -52,7 +52,7 @@ from operator import itemgetter
 
 from .ast import (
     And, Eq, Exists, Forall, Formula, GExists, GForall, Not, Or, PointsTo,
-    SLNTerm, TruthConst, and_all, conj, disj, neg, or_all, sln_num,
+    SLNTerm, TruthConst, and_all, conj, disj, neg, or_all, rebuild, sln_num,
 )
 from .heap import Heap
 from .semantics import VarAssignment
@@ -91,32 +91,25 @@ def _guarded(exists: bool, x: str, guard: int, body: Formula) -> Formula:
 
 def _fold_atoms(a: Formula, atom, shadow: str | None = None) -> Formula:
     """a with each atom p replaced by atom(p), folding constants on the way
-    up; a quantifier that binds `shadow` is kept as it is.  An explicit
-    stack, so a deep formula cannot exhaust the recursion limit: a
-    connective or quantifier waits on it, as the fold that rebuilds it and
-    the number of its subformulas, until they are rebuilt."""
-    done: list = []
-    todo: list = [a]
-    while todo:
-        b = todo.pop()
+    up; a quantifier that binds `shadow` is kept as it is."""
+
+    def visit(b: Formula, _):
         match b:
-            case (fold, n):
-                done[-n:] = [fold(*done[-n:])]
             case PointsTo() | Eq() | TruthConst():
-                done.append(atom(b))
+                return None, atom(b)
             case Not(body):
-                todo += ((neg, 1), body)
+                return neg, [(body, None)]
             case And(l, r):
-                todo += ((conj, 2), r, l)
+                return conj, [(l, None), (r, None)]
             case Or(l, r):
-                todo += ((disj, 2), r, l)
+                return disj, [(l, None), (r, None)]
             case Exists() | Forall() | GExists() | GForall() if b.var == shadow:
-                done.append(b)
+                return None, b
             case Exists() | Forall() | GExists() | GForall():
-                todo += ((partial(_guarded, *_split_quant(b)[:3]), 1), b.body)
-            case _:
-                raise TypeError(f"not an SLN formula: {b!r}")
-    return done[0]
+                return partial(_guarded, *_split_quant(b)[:3]), [(b.body, None)]
+        raise TypeError(f"not an SLN formula: {b!r}")
+
+    return rebuild(a, visit)
 
 
 def _replace_atoms(a: Formula, x: str, side: str) -> Formula:

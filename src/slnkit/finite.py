@@ -9,10 +9,12 @@ three-cell row (1, n+2, m+2) per relation pair, elements offset by 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Union
 
 from .ast import (
-    And, Eq, Exists, Formula, Node, Not, and_all, imp, shift, sln_num, svar,
+    And, Eq, Exists, Formula, Node, Not, and_all, imp, rebuild, shift, sln_num,
+    svar,
 )
 from .heap import Heap
 from .parser import _Parser
@@ -64,16 +66,19 @@ def l_imp(a: LFormula, b: LFormula) -> LFormula:
 
 
 def l_free_vars(a: LFormula) -> frozenset[str]:
-    match a:
-        case LEq(l, r) | LPred(l, r):
-            return frozenset((l, r))
-        case LNot(b):
-            return l_free_vars(b)
-        case LAnd(l, r):
-            return l_free_vars(l) | l_free_vars(r)
-        case LExists(x, b):
-            return l_free_vars(b) - {x}
-    raise TypeError(f"not an L formula: {a!r}")
+    def visit(b: LFormula, _):
+        while type(b) is LNot:
+            b = b.body
+        match b:
+            case LEq(l, r) | LPred(l, r):
+                return None, frozenset((l, r))
+            case LAnd(l, r):
+                return or_, [(l, None), (r, None)]
+            case LExists(x, body):
+                return (lambda free: free - {x}), [(body, None)]
+        raise TypeError(f"not an L formula: {b!r}")
+
+    return rebuild(a, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +185,27 @@ def _member(x: str, helper: str) -> Formula:
 def triangle_translate(a: LFormula) -> Formula:
     """The five-clause translation; equality and predicate atoms carry
     universe-membership witnesses, existentials are relativized."""
-    match a:
-        case LEq(l, r):
-            return And(Eq(svar(l), svar(r)), _member(l, _fresh_helper((l, r))))
-        case LPred(l, r):
-            helper = _fresh_helper((l, r))
-            rel = Exists(helper, row(svar(helper),
-                                     [sln_num(1), shift(svar(l), 2), shift(svar(r), 2)]))
-            return and_all([rel, _member(l, _fresh_helper((l, r), 1)),
-                            _member(r, _fresh_helper((l, r), 2))])
-        case LNot(b):
-            return Not(triangle_translate(b))
-        case LAnd(l, r):
-            return And(triangle_translate(l), triangle_translate(r))
-        case LExists(x, b):
-            return Exists(x, And(_member(x, _fresh_helper((x,))),
-                                 triangle_translate(b)))
-    raise TypeError(f"not an L formula: {a!r}")
+
+    def visit(b: LFormula, _):
+        match b:
+            case LEq(l, r):
+                return None, And(Eq(svar(l), svar(r)), _member(l, _fresh_helper((l, r))))
+            case LPred(l, r):
+                helper = _fresh_helper((l, r))
+                rel = Exists(helper, row(svar(helper),
+                                         [sln_num(1), shift(svar(l), 2), shift(svar(r), 2)]))
+                return None, and_all([rel, _member(l, _fresh_helper((l, r), 1)),
+                                      _member(r, _fresh_helper((l, r), 2))])
+            case LNot(body):
+                return Not, [(body, None)]
+            case LAnd(l, r):
+                return And, [(l, None), (r, None)]
+            case LExists(x, body):
+                member = _member(x, _fresh_helper((x,)))
+                return (lambda c: Exists(x, And(member, c))), [(body, None)]
+        raise TypeError(f"not an L formula: {b!r}")
+
+    return rebuild(a, visit)
 
 
 def _fresh_helper(taken: tuple[str, ...], index: int = 0) -> str:

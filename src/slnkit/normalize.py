@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .ast import (
     Eq, ExistsEq, Forall, Formula, Leq, PATerm, Plus, Succ, Times, Var,
-    map_children,
+    rebuild,
 )
 from .transform import (
     FreshNames, is_bounded, is_normal, is_pi01, prenex_parts, to_dnf,
@@ -41,15 +41,14 @@ def normalize_bounded(a: Formula) -> Formula:
                 return Succ(flat(arg))
         return t
 
-    def flat_atoms(m: Formula) -> Formula:
-        match m:
-            case Eq(l, r) | Leq(l, r):
-                return type(m)(flat(l), flat(r))
-        return map_children(m, flat_atoms)
+    def flat_atom(m: Formula, _):
+        if isinstance(m, (Eq, Leq)):
+            return None, type(m)(flat(m.left), flat(m.right))
+        return None
 
     for cls, x, t in prefix:
         out.append((cls, x, flat(t)))
-    matrix = flat_atoms(to_dnf(matrix))
+    matrix = rebuild(to_dnf(matrix), flat_atom)
 
     result = wrap_prefix(out, matrix)
     if not is_normal(result):

@@ -7,12 +7,14 @@ are safe to issue concurrently.
 
 from __future__ import annotations
 
+from operator import add
+
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
     GForall, Leq, Not, Or, PointsTo, SLNTerm, Plus, Times, TruthConst, Var,
-    all_names, binder_term, free_vars, imp, is_quantifier_free,
-    map_children, map_term, map_vars, neg, or_all, and_all, has_arith,
-    quantifier, sln_num, subformulas, term_vars,
+    all_names, binder_term, free_vars, imp, is_quantifier_free, map_term,
+    map_vars, neg, or_all, and_all, has_arith, quantifier, rebuild, sln_num,
+    subformulas, term_vars,
 )
 
 
@@ -68,83 +70,73 @@ def substitute(a: Formula, x: str, t, fresh: FreshNames | None = None) -> Formul
 
 def unfold_bounded(a: Formula) -> Formula:
     """Expand bounded and defining quantifiers to their plain readings."""
-    match a:
-        case BForall(x, t, b):
-            return Forall(x, imp(Leq(Var(x), t), unfold_bounded(b)))
-        case BExists(x, t, b):
-            return Exists(x, And(Leq(Var(x), t), unfold_bounded(b)))
-        case ExistsEq(x, t, b):
-            return Exists(x, And(Eq(Var(x), t), unfold_bounded(b)))
-        case GForall() | GExists():
-            raise TypeError(f"cannot unfold {a!r}")
-    return map_children(a, unfold_bounded)
+
+    def visit(b: Formula, _):
+        match b:
+            case BForall(x, t, body):
+                return (lambda c: Forall(x, imp(Leq(Var(x), t), c))), [(body, None)]
+            case BExists(x, t, body):
+                return (lambda c: Exists(x, And(Leq(Var(x), t), c))), [(body, None)]
+            case ExistsEq(x, t, body):
+                return (lambda c: Exists(x, And(Eq(Var(x), t), c))), [(body, None)]
+            case GForall() | GExists():
+                raise TypeError(f"cannot unfold {b!r}")
+        return None
+
+    return rebuild(a, visit)
 
 
 def expand_guards(a: Formula) -> Formula:
     """Expand guarded quantifiers into the plain-quantifier abbreviations."""
-    match a:
-        case GForall(x, m, b):
-            body = expand_guards(b)
-            if m == 0:
-                return Forall(x, body)
-            cases: list[Formula] = [Eq(SLNTerm(x, 0), sln_num(i)) for i in range(m)]
-            return Forall(x, or_all(cases + [body]))
-        case GExists(x, m, b):
-            body = expand_guards(b)
-            if m == 0:
-                return Exists(x, body)
-            cuts: list[Formula] = [Not(Eq(SLNTerm(x, 0), sln_num(i))) for i in range(m)]
-            return Exists(x, and_all(cuts + [body]))
-        case BForall() | BExists() | ExistsEq():
-            raise TypeError(f"cannot expand guards in {a!r}")
-    return map_children(a, expand_guards)
+
+    def visit(b: Formula, _):
+        match b:
+            case GForall(x, m, body):
+                cases: list[Formula] = [Eq(SLNTerm(x, 0), sln_num(i)) for i in range(m)]
+                return (lambda c: Forall(x, or_all(cases + [c]))), [(body, None)]
+            case GExists(x, m, body):
+                cuts: list[Formula] = [Not(Eq(SLNTerm(x, 0), sln_num(i))) for i in range(m)]
+                return (lambda c: Exists(x, and_all(cuts + [c]))), [(body, None)]
+            case BForall() | BExists() | ExistsEq():
+                raise TypeError(f"cannot expand guards in {b!r}")
+        return None
+
+    return rebuild(a, visit)
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form and disjunctive normal form
+# Disjunctive normal form
 
 
-def nnf(a: Formula) -> Formula:
-    """Push negations down to atoms of a quantifier-free formula.  A negated
-    inequality !(t <= u) becomes u <= t /\\ !(u = t), so no literal of the
-    result is one."""
-
-    def go(a: Formula, positive: bool) -> Formula:
-        match a:
-            case Not(b):
-                return go(b, not positive)
-            case And(l, r):
-                return (And if positive else Or)(go(l, positive), go(r, positive))
-            case Or(l, r):
-                return (Or if positive else And)(go(l, positive), go(r, positive))
-            case Leq(t, u) if not positive:
-                return And(Leq(u, t), Not(Eq(u, t)))
-            case Eq() | Leq() | PointsTo() | TruthConst():
-                return a if positive else neg(a)
-        raise ValueError(f"nnf expects a quantifier-free formula, got {a!r}")
-
-    return go(a, True)
-
-
-def dnf_cubes(a: Formula) -> list[list[Formula]]:
-    """Cubes of an NNF formula; each cube is a list of literals."""
-    match a:
-        case Or(l, r):
-            return dnf_cubes(l) + dnf_cubes(r)
-        case And(l, r):
-            return [cl + cr for cl in dnf_cubes(l) for cr in dnf_cubes(r)]
-        case _:
-            return [[a]]
+def _product(left: list, right: list) -> list:
+    """The cubes of the conjunction of two cube lists."""
+    return [cl + cr for cl in left for cr in right]
 
 
 def to_dnf(c: Formula) -> Formula:
     """Disjunctive normal form of a quantifier-free PA formula, with no
-    negated inequality (see `nnf`).  Naive distribution; the exponential
-    blowup is accepted at desk scale.
+    negated inequality.  Naive distribution; the exponential blowup is
+    accepted at desk scale.
+
+    One walk, with the polarity as its ctx, gives the cubes as lists of
+    literals: a run of ! flips the polarity, a conjunction (a disjunction
+    under negation) multiplies its operands' cubes out and the dual joins
+    their lists, and !(t <= u) becomes the cube u <= t, !(u = t).
     """
     if not is_quantifier_free(c):
         raise ValueError("to_dnf expects a quantifier-free formula")
-    return or_all([and_all(cube) for cube in dnf_cubes(nnf(c))])
+
+    def visit(b: Formula, positive: bool):
+        while type(b) is Not:
+            b, positive = b.body, not positive
+        if isinstance(b, (And, Or)):
+            join = _product if isinstance(b, And) == positive else add
+            return join, [(b.left, positive), (b.right, positive)]
+        if isinstance(b, Leq) and not positive:
+            return None, [[Leq(b.right, b.left), Not(Eq(b.right, b.left))]]
+        return None, [[b if positive else neg(b)]]
+
+    return or_all([and_all(cube) for cube in rebuild(c, visit, True)])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +166,8 @@ def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[tupl
     is unique.  The one walk also standardizes apart: a binder whose name
     is free in a, or bound by a binder met before it in preorder, gets a
     fresh name, disjoint from every name in a, and its occurrences in atoms,
-    bounds and definitions are renamed with it.
+    bounds and definitions are renamed with it.  One rebuild of the matrix,
+    whose ctx is the polarity and the renaming in scope.
     """
     if fresh is None:
         fresh = FreshNames()
@@ -182,29 +175,30 @@ def prenex_parts(a: Formula, fresh: FreshNames | None = None) -> tuple[list[tupl
     seen = set(free_vars(a))
     prefix: list[tuple] = []
 
-    def go(a: Formula, positive: bool, env: dict[str, str]) -> Formula:
-        match a:
+    def visit(b: Formula, ctx: tuple[bool, dict[str, str]]):
+        positive, env = ctx
+        while type(b) in _DUAL:  # a run of quantifiers joins the prefix
+            x, t = b.var, binder_term(b)
+            if env and t is not None:
+                t = map_term(t, env)
+            if x in seen:
+                x = fresh.fresh(x)
+                env = {**env, b.var: x}
+            seen.add(x)
+            prefix.append((type(b) if positive else _DUAL[type(b)], x, t))
+            b = b.body
+        match b:
             case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
-                return type(a)(map_term(l, env), map_term(r, env)) if env else a
+                return None, type(b)(map_term(l, env), map_term(r, env)) if env else b
             case TruthConst():
-                return a
-            case Not(b):
-                return Not(go(b, not positive, env))
+                return None, b
+            case Not(body):
+                return Not, [(body, (not positive, env))]
             case And(l, r) | Or(l, r):
-                return type(a)(go(l, positive, env), go(r, positive, env))
-        if type(a) not in _DUAL:
-            raise TypeError(f"prenex does not handle {a!r}")
-        x, t = a.var, binder_term(a)
-        if env and t is not None:
-            t = map_term(t, env)
-        if x in seen:
-            x = fresh.fresh(x)
-            env = {**env, a.var: x}
-        seen.add(x)
-        prefix.append((type(a) if positive else _DUAL[type(a)], x, t))
-        return go(a.body, positive, env)
+                return type(b), [(l, (positive, env)), (r, (positive, env))]
+        raise TypeError(f"prenex does not handle {b!r}")
 
-    return prefix, go(a, True, {})
+    return prefix, rebuild(a, visit, (True, {}))
 
 
 def to_prenex(a: Formula) -> Formula:
@@ -250,13 +244,16 @@ def is_normal(a: Formula) -> bool:
     """Membership in the normal-form grammar: a possibly empty prefix of
     bounded and defining quantifiers over an arithmetic-free DNF matrix,
     with flat bounds and definitions of shape a+b or a*b with flat sides."""
-    match a:
-        case BForall(_, t, b) | BExists(_, t, b):
-            return not has_arith(t) and is_normal(b)
-        case ExistsEq(_, Plus(l, r) | Times(l, r), b):
-            return not (has_arith(l) or has_arith(r)) and is_normal(b)
-        case ExistsEq():
-            return False
+    while True:
+        match a:
+            case BForall(_, t, b) | BExists(_, t, b) if not has_arith(t):
+                a = b
+            case ExistsEq(_, Plus(l, r) | Times(l, r), b) if not (has_arith(l) or has_arith(r)):
+                a = b
+            case BForall() | BExists() | ExistsEq():
+                return False
+            case _:
+                break
     # Every literal of every cube is t = u, t <= u or !(t = u), with flat
     # sides.
     for cube in _operands(a, Or):

@@ -14,8 +14,8 @@ import itertools
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
-    Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
-    and_all, imp, shift, sln_num, svar, term_vars,
+    Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times, Var, Zero, and_all,
+    imp, rebuild, shift, sln_num, svar, term_vars,
 )
 from .transform import is_normal
 
@@ -110,26 +110,6 @@ def table_heap_condition() -> Formula:
     return and_all([add1, add2, mult1, mult2, ineq1, ineq2])
 
 
-def _translate_matrix(m: Formula, h: Formula) -> Formula:
-    match m:
-        case And(l, r):
-            return And(_translate_matrix(l, h), _translate_matrix(r, h))
-        case Or(l, r):
-            return Or(_translate_matrix(l, h), _translate_matrix(r, h))
-        case Not(Leq()):
-            raise ValueError("normal matrices cannot contain negated <=")
-        case Not(b):
-            return Not(_translate_matrix(b, h))
-        case Eq(l, r):
-            return Eq(pa_term_to_sln(l), pa_term_to_sln(r))
-        case Leq(l, r):
-            t, u = pa_term_to_sln(l), pa_term_to_sln(r)
-            return imp(h, Or(Not(ineq_formula(u, t)), Eq(t, u)))
-        case TruthConst():
-            return m
-    raise ValueError(f"unexpected matrix node: {m!r}")
-
-
 def circle_translate(a: Formula) -> Formula:
     """Translate forall x1 ... xk B, with B normal, into SLN.
 
@@ -137,32 +117,36 @@ def circle_translate(a: Formula) -> Formula:
     into a table lookup guarded by the table-heap condition; outer plain
     universals are kept as universals.
     """
-    if isinstance(a, Forall):
-        return Forall(a.var, circle_translate(a.body))
+    outer = []
+    while isinstance(a, Forall):
+        outer.append(a.var)
+        a = a.body
     if not is_normal(a):
         raise ValueError("circle translation expects a normal formula "
                          "(optionally under outer universals)")
     h = table_heap_condition()
 
-    def go(b: Formula) -> Formula:
+    def visit(b: Formula, _):
         match b:
             case BExists(x, t, body):
                 ts = pa_term_to_sln(t)
-                return imp(h, Or(Not(ineq_formula(ts, ts)),
-                                 Exists(x, And(ineq_formula(svar(x), ts), go(body)))))
+                empty, within = Not(ineq_formula(ts, ts)), ineq_formula(svar(x), ts)
+                return (lambda c: imp(h, Or(empty, Exists(x, And(within, c))))), [(body, None)]
             case BForall(x, t, body):
-                ts = pa_term_to_sln(t)
-                return imp(h, Forall(x, Or(Not(ineq_formula(svar(x), ts)), go(body))))
-            case ExistsEq(x, defn, body):
-                match defn:
-                    case Plus(l, r):
-                        lookup = add_formula(pa_term_to_sln(l), pa_term_to_sln(r), svar(x))
-                    case Times(l, r):
-                        lookup = mult_formula(pa_term_to_sln(l), pa_term_to_sln(r), svar(x))
-                    case _:
-                        raise ValueError("defining existential without + or *")
-                return imp(h, Exists(x, And(lookup, go(body))))
-            case _:
-                return _translate_matrix(b, h)
+                outside = Not(ineq_formula(svar(x), pa_term_to_sln(t)))
+                return (lambda c: imp(h, Forall(x, Or(outside, c)))), [(body, None)]
+            case ExistsEq(x, Plus(l, r) | Times(l, r) as defn, body):
+                table = add_formula if isinstance(defn, Plus) else mult_formula
+                lookup = table(pa_term_to_sln(l), pa_term_to_sln(r), svar(x))
+                return (lambda c: imp(h, Exists(x, And(lookup, c)))), [(body, None)]
+            case Eq(l, r):
+                return None, Eq(pa_term_to_sln(l), pa_term_to_sln(r))
+            case Leq(l, r):
+                t, u = pa_term_to_sln(l), pa_term_to_sln(r)
+                return None, imp(h, Or(Not(ineq_formula(u, t)), Eq(t, u)))
+        return None  # the connectives of the matrix
 
-    return go(a)
+    out = rebuild(a, visit)
+    for x in reversed(outer):
+        out = Forall(x, out)
+    return out

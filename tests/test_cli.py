@@ -165,6 +165,20 @@ def test_deep_negation_chain_json(capsys):
     assert json.loads(out)["ast"] == "Not(body=" * 3000 + atom + ")" * 3000
 
 
+def test_normalize_deep_negation_chain(capsys):
+    """normalize prenexes and puts the matrix in DNF on explicit stacks, so
+    3000 `!` cancel out instead of exhausting the recursion limit."""
+    code, out, _ = run(capsys, "normalize", "!" * 3000 + "x <= y")
+    assert code == 0 and out.strip() == "x <= y"
+
+
+def test_translate_triangle_deep_negation_chain(capsys):
+    """The triangle translation rebuilds on an explicit stack."""
+    code, out, _ = run(capsys, "translate", "--triangle", "!" * 3000 + "x = y")
+    assert code == 0
+    assert out.startswith("!(" * 3000 + "x = y /\\ exists $a.")
+
+
 def test_decider_deep_alternation_exits_1(capsys):
     """An alternation whose elimination passes through a long list of cubes
     is decided, not an error: the sentence is false."""

@@ -4,17 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slnkit.ast import (
-    And, BExists, BForall, Eq, Exists, Forall, Leq, Not, Or, Plus, Succ,
-    Var, Zero, alpha_eq, free_vars, pa_num,
+    And, BExists, BForall, Eq, Exists, Forall, GForall, Leq, Not, Or, Plus,
+    Succ, Var, Zero, alpha_eq, and_all, free_vars, imp, or_all, pa_num,
+    sln_num, svar,
 )
+from slnkit.finite import LAnd, LEq, LExists, LNot, l_free_vars, triangle_translate
 from slnkit.gen import Generators
+from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa
 from slnkit.render import render
 from slnkit.semantics import VarAssignment, eval_bounded, eval_term
 from slnkit.transform import (
-    is_bounded, is_dnf_matrix, is_normal, is_pi01, substitute, to_dnf,
-    to_prenex, unfold_bounded,
+    expand_guards, is_bounded, is_dnf_matrix, is_normal, is_pi01, substitute,
+    to_dnf, to_prenex, unfold_bounded,
 )
+from slnkit.translate import circle_translate, ineq_formula, table_heap_condition
 
 from oracles import naive_pa_eval
 
@@ -193,3 +197,97 @@ def test_naive_pa_oracle_agrees_with_eval_bounded():
         a = gens.pa_bounded(depth=2)
         sigma = gens.assignment(sorted(free_vars(a)), 3)
         assert eval_bounded(sigma, a) == naive_pa_eval(sigma, a)
+
+
+# ---------------------------------------------------------------------------
+# Deep chains: every transform rebuilds on an explicit stack, so a 10^4-deep
+# chain of !, /\, \/ or binders goes through at the default recursion limit.
+
+DEEP = 10_000
+
+
+def _wrap(level, core):
+    """level(i, inner) applied for i = DEEP - 1 down to 0 around core."""
+    for i in reversed(range(DEEP)):
+        core = level(i, core)
+    return core
+
+
+def _chain(kind: str, atom):
+    """DEEP negations of atom, or a chain of DEEP copies of it."""
+    if kind == "!":
+        return _wrap(lambda i, b: Not(b), atom)
+    return (and_all if kind == "/\\" else or_all)([atom] * DEEP)
+
+
+@pytest.mark.parametrize("name, chain", [
+    (name, chain)
+    for name in ["unfold_bounded", "expand_guards", "to_prenex", "to_dnf",
+                 "normalize_bounded", "circle_translate"]
+    for chain in ["!", "/\\", "\\/"]
+    if (name, chain) != ("circle_translate", "!")  # a run of ! is not a normal matrix
+])
+def test_deep_connective_chain(name, chain):
+    leq, seq = Leq(Var("x"), Var("y")), Eq(svar("x"), svar("y"))
+    transform, atom, image = {
+        "unfold_bounded": (unfold_bounded, leq, leq),
+        "expand_guards": (expand_guards, seq, seq),
+        "to_prenex": (to_prenex, leq, leq),
+        "to_dnf": (to_dnf, leq, leq),
+        "normalize_bounded": (normalize_bounded, leq, leq),
+        "circle_translate": (circle_translate, Eq(Var("x"), Var("y")), seq),
+    }[name]
+    if chain == "!" and name in ("to_dnf", "normalize_bounded"):
+        expected = image  # an even run of ! cancels
+    else:
+        expected = _chain(chain, image)
+    assert transform(_chain(chain, atom)) == expected
+
+
+def test_deep_binder_chain_unfold_bounded():
+    leq, y = Leq(Var("x"), Var("y")), Var("y")
+    a = _wrap(lambda i, b: BForall(f"x{i}", y, b), leq)
+    assert unfold_bounded(a) == _wrap(
+        lambda i, b: Forall(f"x{i}", imp(Leq(Var(f"x{i}"), y), b)), leq)
+
+
+def test_deep_binder_chain_expand_guards():
+    seq = Eq(svar("x"), svar("y"))
+    a = _wrap(lambda i, b: GForall(f"x{i}", 1, b), seq)
+    assert expand_guards(a) == _wrap(
+        lambda i, b: Forall(f"x{i}", Or(Eq(svar(f"x{i}"), sln_num(0)), b)), seq)
+
+
+@pytest.mark.parametrize("transform", [to_prenex, normalize_bounded])
+def test_deep_binder_chain_is_prenex_and_normal(transform):
+    a = _wrap(lambda i, b: BForall(f"x{i}", Var("y"), b), Leq(Var("x"), Var("y")))
+    assert transform(a) == a
+
+
+def test_deep_binder_chain_circle_translate():
+    eq, seq = Eq(Var("x"), Var("y")), Eq(svar("x"), svar("y"))
+    bounded = _wrap(lambda i, b: BForall(f"x{i}", Var("y"), b), eq)
+    h = table_heap_condition()
+    assert circle_translate(bounded) == _wrap(lambda i, b: imp(h, Forall(f"x{i}", Or(
+        Not(ineq_formula(svar(f"x{i}"), svar("y"))), b))), seq)
+    outer = _wrap(lambda i, b: Forall(f"x{i}", b), eq)
+    assert circle_translate(outer) == _wrap(lambda i, b: Forall(f"x{i}", b), seq)
+
+
+@pytest.mark.parametrize("chain", ["!", "/\\", "exists"])
+def test_deep_l_chain(chain):
+    lxy = LEq("x", "y")
+    image = triangle_translate(lxy)
+    if chain == "!":
+        a, expected, free = _wrap(lambda i, b: LNot(b), lxy), _chain("!", image), {"x", "y"}
+    elif chain == "/\\":
+        a = _wrap(lambda i, b: LAnd(lxy, b), lxy)
+        expected, free = and_all([image] * (DEEP + 1)), {"x", "y"}
+    else:
+        a = _wrap(lambda i, b: LExists(f"x{i}", b), LEq("x0", "y"))
+        expected = _wrap(lambda i, b: Exists(f"x{i}", And(
+            triangle_translate(LExists(f"x{i}", lxy)).body.left, b)),  # x{i}'s witness
+            triangle_translate(LEq("x0", "y")))
+        free = {"y"}
+    assert triangle_translate(a) == expected
+    assert l_free_vars(a) == free
