@@ -1,0 +1,147 @@
+"""Scaling ladder for the model checker: check(H, h_n) for growing n.
+
+    python3 bench/scale.py                                  # n = 4..12, this tree
+    python3 bench/scale.py --source parent=../old/src --source change=src \
+        > BENCH_checker.json
+
+Run from the repository root.  Each --source LABEL=DIR is one column, a
+directory holding the slnkit package; the default is one column, current=src.
+Every run is its own subprocess: it imports slnkit from the column's
+directory, builds simple_table_heap(n) and H untimed, copies the table into
+a fresh Heap (so no memo or value index survives), and times one
+check(VarAssignment(), heap, H).  Each (column, n) is run REPEATS times,
+interleaved across columns, the first column changing place with each
+repeat, so a drift in the host's speed falls on every column alike.  Each
+entry records the median and the minimum of the run times, the largest peak
+RSS of its subprocesses and the verdict; a run past --timeout is recorded as
+"timeout" and the rest of that entry's runs are skipped.  The JSON on
+standard output also records the environment and a hash of each column's
+source files; progress goes to standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPEATS = 3  # runs per (column, n)
+
+# One timed run, in a fresh interpreter; prints one JSON line.
+CHILD = """
+import json, resource, sys, time
+from slnkit import Heap, VarAssignment, check, simple_table_heap, table_heap_condition
+n = int(sys.argv[1])
+H, table = table_heap_condition(), simple_table_heap(n)
+heap = Heap(dict(table.cells))
+start = time.perf_counter()
+verdict = check(VarAssignment(), heap, H)
+seconds = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "verdict": verdict, "peak_rss_mb": rss_mb,
+                  "cells": len(table)}))
+"""
+
+
+def run_once(src: Path, n: int, timeout: float) -> dict | None:
+    """One run of check(H, h_n) against the package in src; None on timeout."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        out = subprocess.run([sys.executable, "-c", CHILD, str(n)], env=env,
+                             capture_output=True, text=True, timeout=timeout, check=True)
+    except subprocess.TimeoutExpired:
+        return None
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def source_hash(src: Path) -> str:
+    """sha256 over the package's module files, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((src / "slnkit").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def environment() -> dict:
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(), "machine": platform.machine(),
+            "cpu": cpu, "cpu_count": os.cpu_count()}
+
+
+def ladder(sources: dict[str, Path], ns: list[int], timeout: float) -> dict:
+    labels = list(sources)
+    runs = {(label, n): [] for label in labels for n in ns}
+    timed_out = set()
+    for n in ns:
+        for r in range(REPEATS):
+            order = labels[r % len(labels):] + labels[:r % len(labels)]
+            for label in order:
+                if (label, n) in timed_out:
+                    continue
+                result = run_once(sources[label], n, timeout)
+                if result is None:
+                    timed_out.add((label, n))
+                else:
+                    runs[label, n].append(result)
+                took = "timeout" if result is None else f"{result['seconds']:.3f} s"
+                print(f"{label} n={n} run {r + 1}: {took}", file=sys.stderr)
+    columns = {}
+    for label in labels:
+        entries = []
+        for n in ns:
+            done = runs[label, n]
+            if (label, n) in timed_out:
+                entries.append({"n": n, "status": "timeout", "timeout_s": timeout,
+                                "runs_before_timeout": len(done)})
+                continue
+            times = [d["seconds"] for d in done]
+            entries.append({"n": n, "status": "ok", "cells": done[0]["cells"],
+                            "verdict": done[0]["verdict"], "runs": len(times),
+                            "median_s": round(statistics.median(times), 4),
+                            "min_s": round(min(times), 4),
+                            "peak_rss_mb": round(max(d["peak_rss_mb"] for d in done), 1)})
+        columns[label] = {"source_sha256": source_hash(sources[label]), "entries": entries}
+    return columns
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--source", action="append", metavar="LABEL=DIR",
+                        help="a column: a label and a directory holding slnkit")
+    parser.add_argument("--n", default="4-12", help="table sizes, as LO-HI (default 4-12)")
+    parser.add_argument("--timeout", type=float, default=120.0,
+                        help="seconds before a run counts as a timeout (default 120)")
+    args = parser.parse_args(argv)
+    sources = {}
+    for item in args.source or ["current=src"]:
+        label, sep, path = item.partition("=")
+        if not sep or not (Path(path) / "slnkit" / "__init__.py").is_file():
+            parser.error(f"--source {item!r}: expected LABEL=DIR with DIR/slnkit")
+        sources[label] = Path(path).resolve()
+    lo, _, hi = args.n.partition("-")
+    ns = list(range(int(lo), int(hi or lo) + 1))
+    if not ns:
+        parser.error(f"--n {args.n!r}: no table sizes")
+    report = {"benchmark": "check(VarAssignment(), Heap(simple_table_heap(n)), H)",
+              "repeats": REPEATS, "environment": environment(),
+              "columns": ladder(sources, ns, args.timeout)}
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

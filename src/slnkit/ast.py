@@ -182,20 +182,31 @@ def pa_num(n: int) -> PATerm:
     """The numeral s^n(0)."""
     if n < 0:
         raise ValueError("numerals are naturals")
-    t: PATerm = Zero()
+    return succs(Zero(), n)
+
+
+def succs(t: PATerm, n: int) -> PATerm:
+    """s^n(t)."""
     for _ in range(n):
         t = Succ(t)
     return t
 
 
+def succ_run(t: PATerm) -> tuple[PATerm, int]:
+    """(u, n) with t = s^n(u), u no successor.  The term walks read a run
+    of s in this loop, so a long numeral cannot exhaust the stack."""
+    n = 0
+    while type(t) is Succ:
+        t, n = t.arg, n + 1
+    return t, n
+
+
 def pa_term_vars(t: PATerm) -> frozenset[str]:
-    match t:
+    match succ_run(t)[0]:
         case Var(name):
             return frozenset((name,))
         case Zero():
             return frozenset()
-        case Succ(arg):
-            return pa_term_vars(arg)
         case Plus(left, right) | Times(left, right):
             return pa_term_vars(left) | pa_term_vars(right)
     raise TypeError(f"not a PA term: {t!r}")
@@ -203,13 +214,7 @@ def pa_term_vars(t: PATerm) -> frozenset[str]:
 
 def has_arith(t: PATerm) -> bool:
     """True when t contains + or *."""
-    match t:
-        case Plus() | Times():
-            return True
-        case Succ(arg):
-            return has_arith(arg)
-        case _:
-            return False
+    return isinstance(succ_run(t)[0], (Plus, Times))
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +584,9 @@ def map_term(t: Term, env: dict) -> Term:
             return Var(r) if isinstance(r, str) else r
         case Zero():
             return t
-        case Succ(arg):
-            return Succ(map_term(arg, env))
+        case Succ():
+            u, n = succ_run(t)
+            return succs(map_term(u, env), n)
         case Plus(l, r) | Times(l, r):
             return type(t)(map_term(l, env), map_term(r, env))
     raise TypeError(f"not a PA term: {t!r}")

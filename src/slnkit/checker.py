@@ -14,13 +14,14 @@ them.
 Environment evaluation.  A formula is compiled once into nodes and decided
 under an environment that maps variables to values; enumerating a
 quantifier rebinds its variable and never builds a substituted formula.
-Unless a quantifier is closed and anchored (see below), its body is first
-evaluated three-valued with the variable unbound, and a body that is
-constant regardless is returned as is; a closed anchored quantifier goes
-straight to its candidates, which settle such a body as well.  One loop
-enumerates a quantifier, decided or not: it returns the verdict at the
-first value whose body gives it, else joins the residuals of the bodies
-that stay undecided with the tail.
+A closed quantifier, one whose free variables the environment binds, is
+decided on a boolean path: every value of its block decides the body, the
+loop stops at the first that gives the quantifier's verdict, and only a
+tail whose body stays undecided becomes a residual for the decider.
+Without anchored candidates the body is first evaluated with the variable
+unbound, and a constant body is returned as is; a variable in no points-to
+atom then goes to the decider whole.  An open quantifier is folded into a
+residual: the join of the bodies that stay undecided with the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
 within one formula or across formulas, are one node.  A formula keeps its
@@ -248,13 +249,6 @@ def _term_vars(*bases) -> frozenset[str]:
     return frozenset(b for b in bases if b is not None)
 
 
-def _known(base: str | None, offset: int, env) -> int | None:
-    if base is None:
-        return offset
-    v = env.get(base)
-    return None if v is None else v + offset
-
-
 class _Atom(_Node):
     """An atom between s^lo(lb) and s^ro(rb), a base None meaning 0."""
 
@@ -271,13 +265,14 @@ class _Eq(_Atom):
     __slots__ = ()
 
     def ev(self, env, h) -> bool | None:
-        l, r = _known(self.lb, self.lo, env), _known(self.rb, self.ro, env)
+        l = 0 if self.lb is None else env.get(self.lb)
+        r = 0 if self.rb is None else env.get(self.rb)
         if l is None:
-            # s^lo(v) = r has no solution when r < lo
-            return False if r is not None and r < self.lo else None
+            # s^lo(v) = s^ro(r) has no solution when r + ro < lo
+            return False if r is not None and r + self.ro < self.lo else None
         if r is None:
-            return False if l < self.ro else None
-        return l == r
+            return False if l + self.lo < self.ro else None
+        return l + self.lo == r + self.ro
 
     def res(self, env, h) -> Formula:
         verdict = self.ev(env, h)
@@ -285,8 +280,8 @@ class _Eq(_Atom):
             return TRUE if verdict else FALSE
 
         def term(base, offset):
-            value = _known(base, offset, env)
-            return SLNTerm(base, offset) if value is None else sln_num(value)
+            value = None if base is None else env.get(base)
+            return SLNTerm(base, offset) if value is None else sln_num(value + offset)
 
         return Eq(term(self.lb, self.lo), term(self.rb, self.ro))
 
@@ -299,15 +294,17 @@ class _PointsTo(_Atom):
         self.addr_vars, self.val_vars = _term_vars(lb), _term_vars(rb)
 
     def ev(self, env, h) -> bool | None:
-        l, r = _known(self.lb, self.lo, env), _known(self.rb, self.ro, env)
+        # the heap's dict is read without a wrapper call per atom
+        l = 0 if self.lb is None else env.get(self.lb)
+        r = 0 if self.rb is None else env.get(self.rb)
         if l is not None:
-            stored = h.get(l)
+            stored = h._cells.get(l + self.lo)
             if stored is None:
                 return False
             if r is not None:
-                return stored == r
+                return stored == r + self.ro
             return False if stored < self.ro else None
-        if r is not None and not h.addresses_holding(r):
+        if r is not None and not h.addresses_holding(r + self.ro):
             return False
         return None
 
@@ -433,8 +430,7 @@ class _Shape:
         self.exists, self.var, self.body = exists, var, body
         self.side = ("addr" if var in body.addr_vars else
                      "val" if var in body.val_vars else None)
-        self._anchors = None
-        self._tail = None
+        self._anchors = self._tail = None
 
     def _find_anchors(self) -> tuple:
         x, body = self.var, self.body
@@ -465,21 +461,23 @@ class _Shape:
         if self._anchors is None:
             self._anchors = self._find_anchors()
         known = []
+        get = h._cells.get  # the dict's own get: no wrapper call per address
         for is_val, base, offset, i in self._anchors:
-            t = _known(base, offset, env)
+            t = 0 if base is None else env.get(base)
             if t is None:
                 continue
+            t += offset
             if is_val:
                 # t |-> x+i: x is the value stored at t, minus i
-                stored = h.get(t)
+                stored = get(t)
                 k = -1 if stored is None else stored - i
                 return (k,) if guard <= k <= self.bound(h) else ()
             known.append((h.addresses_holding(t), t, i))
         if not known:
             return None
-        known.sort(key=lambda anchor: len(anchor[0]))
+        if len(known) > 1:
+            known.sort(key=lambda anchor: len(anchor[0]))
         addrs, _, i = known[0]
-        get = h._cells.get  # the dict's own get: no wrapper call per address
         for _, t, j in known[1:]:
             d = j - i  # from an address of the first anchor to this one's
             addrs = [a for a in addrs if get(a + d) == t]
@@ -505,48 +503,52 @@ class _Quant(_Node):
         names = sorted(self.free)
         self._values = itemgetter(*names) if names else None
 
-    def _key(self, env):
-        return self if self._values is None else (self, self._values(env))
-
     def ev(self, env, h) -> bool | None:
-        """A quantifier whose free variables env binds is decided by
-        enumeration, and that verdict is memoized per heap on (node, free
-        values).  Unless it is closed and anchored, its body is first
-        evaluated with the variable unbound, and a verdict there is
-        returned as is."""
+        """A closed quantifier is decided on the boolean path of the module
+        docstring, and its verdict memoized per heap on (node, free
+        values); an open one is only folded."""
         closed = env.keys() >= self.free
         if closed:
-            key = self._key(env)
+            key = self if self._values is None else (self, self._values(env))
             verdict = h._memo.get(key)
             if verdict is not None:
                 return verdict
-        shape = self.shape
-        saved = env.pop(shape.var, _UNSET)
+        shape, guard = self.shape, self.guard
+        x, body, want = shape.var, shape.body, shape.exists
+        saved = env.pop(x, _UNSET)
         try:
-            values = shape.candidates(env, h, self.guard) if closed else None
+            values = shape.candidates(env, h, guard) if closed else None
             if values is None:
-                verdict = shape.body.ev(env, h)
+                verdict = body.ev(env, h)
                 if verdict is not None or not closed:
                     return verdict
-            residual = _residual(shape, self.guard, env, h, values)
-            verdict = h._memo[key] = (residual.value if isinstance(residual, TruthConst)
-                                      else decide_sentence(residual))
+                if shape.side is None:
+                    verdict = h._memo[key] = decide_sentence(_residual(shape, guard, env, h))
+                    return verdict
+                values = range(guard, shape.bound(h) + 1)
+            for k in values:
+                env[x] = k
+                if body.ev(env, h) is want:
+                    h._memo[key] = want
+                    return want
+            env.pop(x, None)
+            tail = shape.tail()
+            verdict = tail.body.ev(env, h)
+            if verdict is None:
+                verdict = decide_sentence(
+                    _residual(tail, max(guard, shape.bound(h) + 1), env, h))
+            h._memo[key] = verdict
             return verdict
         finally:
+            env.pop(x, None)
             if saved is not _UNSET:
-                env[shape.var] = saved
+                env[x] = saved
 
     def res(self, env, h) -> Formula:
         verdict = self.ev(env, h)
         if verdict is not None:
             return TRUE if verdict else FALSE
-        shape = self.shape
-        saved = env.pop(shape.var, _UNSET)
-        try:
-            return _residual(shape, self.guard, env, h)
-        finally:
-            if saved is not _UNSET:
-                env[shape.var] = saved
+        return _residual(self.shape, self.guard, env, h)
 
 
 # Node constructors: they fold constants and intern what is left.
@@ -622,55 +624,44 @@ def _compile(a: Formula) -> _Node:
 
 
 def _join(parts: list[Formula], exists: bool) -> Formula:
-    """The disjunction (exists) or conjunction of parts, as a balanced
-    tree, so its depth grows with the log of their number."""
-    kept = []
-    for p in parts:
-        if isinstance(p, TruthConst):
-            if p.value == exists:
-                return p
-        else:
-            kept.append(p)
-    if not kept:
-        return FALSE if exists else TRUE
-    while len(kept) > 1:
-        joined = [(Or if exists else And)(l, r) for l, r in zip(kept[::2], kept[1::2])]
-        kept = joined + kept[len(joined) * 2:]
-    return kept[0]
+    """The disjunction (exists) or conjunction of the nonempty parts, as a
+    balanced tree, so its depth grows with the log of their number."""
+    while len(parts) > 1:
+        joined = [(disj if exists else conj)(l, r) for l, r in zip(parts[::2], parts[1::2])]
+        parts = joined + parts[len(joined) * 2:]
+    return parts[0]
 
 
-def _residual(shape: _Shape, guard: int, env: dict, h: Heap, values=None) -> Formula:
+def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
     """`Q x >= guard. body` as successor arithmetic over the variables
-    env leaves unbound, x excluded from env: a constant once some value of
-    x decides it, else the join of the bodies that stay undecided with the
-    tail.  values, if given, are the shape's candidates in env."""
-    side = shape.side
-    if side is None:
-        return _guarded(shape.exists, shape.var, guard, shape.body.res(env, h))
-    bound = shape.bound(h)
-    if values is None:
-        values = shape.candidates(env, h, guard)
-        if values is None:
-            values = range(guard, bound + 1)
+    env leaves unbound, x aside: a constant once some value of x decides
+    it, else the join of the bodies that stay undecided with the tail.
+    env is left as it came."""
     x, body, want = shape.var, shape.body, shape.exists
-    parts = []
+    saved = env.pop(x, _UNSET)
     try:
-        for k in values:
+        if shape.side is None:
+            return _guarded(want, x, guard, body.res(env, h))
+        bound = shape.bound(h)
+        values = shape.candidates(env, h, guard)
+        parts = []
+        for k in range(guard, bound + 1) if values is None else values:
             env[x] = k
             verdict = body.ev(env, h)
             if verdict == want:
                 return TRUE if want else FALSE
             if verdict is None:
                 parts.append(body.res(env, h))
+        env.pop(x, None)
+        tail = shape.tail()
+        verdict = tail.body.ev(env, h)
+        parts.append(_residual(tail, max(guard, bound + 1), env, h) if verdict is None
+                     else TRUE if verdict else FALSE)
+        return _join(parts, want)
     finally:
         env.pop(x, None)
-    tail = shape.tail()
-    verdict = tail.body.ev(env, h)
-    if verdict is None:
-        parts.append(_residual(tail, max(guard, bound + 1), env, h))
-    else:
-        parts.append(TRUE if verdict else FALSE)
-    return _join(parts, shape.exists)
+        if saved is not _UNSET:
+            env[x] = saved
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ the end of the prefix.  Equal subterms each get their own variable.
 from __future__ import annotations
 
 from .ast import (
-    Eq, ExistsEq, Forall, Formula, Leq, PATerm, Plus, Succ, Times, Var,
-    rebuild,
+    Eq, ExistsEq, Forall, Formula, Leq, PATerm, Plus, Times, Var, rebuild,
+    succ_run, succs,
 )
 from .transform import (
     FreshNames, is_bounded, is_normal, is_pi01, prenex_parts, to_dnf,
@@ -31,14 +31,12 @@ def normalize_bounded(a: Formula) -> Formula:
     out: list[tuple] = []
 
     def flat(t: PATerm) -> PATerm:
-        match t:
-            case Plus(l, r) | Times(l, r):
-                occ = type(t)(flat(l), flat(r))
-                z = fresh.fresh("x")
-                out.append((ExistsEq, z, occ))
-                return Var(z)
-            case Succ(arg):
-                return Succ(flat(arg))
+        u, n = succ_run(t)
+        if isinstance(u, (Plus, Times)):
+            occ = type(u)(flat(u.left), flat(u.right))
+            z = fresh.fresh("x")
+            out.append((ExistsEq, z, occ))
+            return succs(Var(z), n)
         return t
 
     def flat_atom(m: Formula, _):

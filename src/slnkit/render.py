@@ -7,7 +7,7 @@ from __future__ import annotations
 from .ast import (
     QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
     Formula, GExists, GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm,
-    Succ, Times, TruthConst, Var, Zero, binder_term,
+    Succ, Times, TruthConst, Var, Zero, binder_term, succ_run,
 )
 
 _PLUS, _TIMES, _PRIM = 1, 2, 3
@@ -35,8 +35,9 @@ def _pa_term(t: PATerm, req: int) -> str:
             return name
         case Zero():
             return "0"
-        case Succ(arg):
-            return f"s({_pa_term(arg, _PLUS)})"
+        case Succ():
+            u, n = succ_run(t)
+            return "s(" * n + _pa_term(u, _PLUS) + ")" * n
         case Plus(l, r):
             out = f"{_pa_term(l, _PLUS)} + {_pa_term(r, _TIMES)}"
             return f"({out})" if req > _PLUS else out

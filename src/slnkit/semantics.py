@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
-    Or, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero,
+    Or, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero, succ_run,
 )
 
 
@@ -77,8 +77,9 @@ def eval_term(sigma: VarAssignment, t) -> int:
             return sigma(name)
         case Zero():
             return 0
-        case Succ(arg):
-            return eval_term(sigma, arg) + 1
+        case Succ():
+            u, n = succ_run(t)
+            return eval_term(sigma, u) + n
         case Plus(l, r):
             return eval_term(sigma, l) + eval_term(sigma, r)
         case Times(l, r):

@@ -14,8 +14,8 @@ import itertools
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
-    Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times, Var, Zero, and_all,
-    imp, rebuild, shift, sln_num, svar, term_vars,
+    Or, PATerm, Plus, PointsTo, SLNTerm, Times, Var, Zero, and_all,
+    imp, rebuild, shift, sln_num, succ_run, svar, term_vars,
 )
 from .transform import is_normal
 
@@ -32,13 +32,12 @@ def row(addr: SLNTerm, values: list[SLNTerm]) -> Formula:
 
 def pa_term_to_sln(t: PATerm) -> SLNTerm:
     """Embed a +,*-free PA term."""
-    match t:
+    u, n = succ_run(t)
+    match u:
         case Var(name):
-            return svar(name)
+            return SLNTerm(name, n)
         case Zero():
-            return sln_num(0)
-        case Succ(arg):
-            return shift(pa_term_to_sln(arg), 1)
+            return sln_num(n)
     raise ValueError(f"term contains + or *: {t!r}")
 
 

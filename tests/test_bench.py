@@ -1,0 +1,31 @@
+"""The scaling ladder script, bench/scale.py, on tiny tables."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _ladder(*args):
+    out = subprocess.run([sys.executable, str(ROOT / "bench" / "scale.py"),
+                          "--source", f"here={ROOT / 'src'}", *args],
+                         check=True, capture_output=True, text=True, timeout=120)
+    report = json.loads(out.stdout)
+    assert set(report["environment"]) >= {"python", "platform", "cpu_count"}
+    (column,) = report["columns"].values()
+    return report["repeats"], column["entries"]
+
+
+def test_ladder_records_each_n():
+    repeats, entries = _ladder("--n", "1-2")
+    assert [e["n"] for e in entries] == [1, 2]
+    for e in entries:
+        assert e["status"] == "ok" and e["verdict"] is True and e["runs"] == repeats == 3
+        assert 0 <= e["min_s"] <= e["median_s"] and e["peak_rss_mb"] > 0
+
+
+def test_ladder_records_a_timeout():
+    _, (entry,) = _ladder("--n", "1", "--timeout", "0.001")
+    assert entry["status"] == "timeout" and entry["runs_before_timeout"] == 0

@@ -20,7 +20,7 @@ from slnkit.parser import parse_pa, parse_sln
 from slnkit.semantics import VarAssignment
 from slnkit.translate import circle_translate, table_heap_condition
 
-from oracles import brute_force_sln, sln_bound, stable_brute_force
+from oracles import brute_force_sln, scan_violations, sln_bound, stable_brute_force
 
 SIGMA = VarAssignment()
 
@@ -300,6 +300,77 @@ def test_residual_chain_stays_shallow():
     balanced tree: on h_4 the chain would be thousands deep."""
     f = parse_sln("forall x. exists a. (a |-> 0 /\\ x = a) \\/ !(x = x)")
     assert check(SIGMA, simple_table_heap(4), f) is False
+
+
+def _table_condition(h: Heap) -> bool:
+    """H read clause by clause off the cells of h, without a formula.  The
+    scan of oracles.py checks each row's arithmetic; H also asks every row
+    with a nonzero first operand for its predecessor row."""
+    cells = h.cells
+
+    def row(*values):
+        return any(all(cells.get(b + i) == v for i, v in enumerate(values))
+                   for b in h.addresses_holding(values[0]))
+
+    for a, tag in cells.items():
+        x, y, r = cells.get(a + 1), cells.get(a + 2), cells.get(a + 3)
+        if tag not in (0, 1, 2) or x is None or y is None or x < 3 or y < 3:
+            continue
+        if tag == 0 and x == 3 and r != y:  # add1
+            return False
+        if tag == 0 and x > 3 and not (r is not None and r > 3 and row(0, x - 1, y, r - 1)):
+            return False  # add2
+        if tag == 1 and x == 3 and r != 3:  # mult1
+            return False
+        if tag == 1 and x > 3 and not (r is not None and any(
+                row(1, x - 1, y, z) and row(0, z, y, r) for z in range(3, h.max_val + 1))):
+            return False  # mult2
+        if tag == 2 and x > 3 and not (y > 3 and row(2, x - 1, y - 1) and row(2, x - 1, y)):
+            return False  # ineq1 and ineq2
+    return True
+
+
+def test_closed_decisions_build_no_residual(monkeypatch):
+    """Every quantifier of H is closed when it is decided: each value of
+    its block decides the body, and each tail's body is decided with the
+    variable unbound, so no residual formula is built.  The verdicts are
+    the scan's on intact tables and on every corrupted addition result of
+    h_2, and H's read off the cells on every single-cell mutation of h_1,
+    where the scan misses the mutations that break a predecessor row."""
+
+    def no_residual(*args):
+        raise AssertionError("a closed decision built a residual")
+
+    monkeypatch.setattr(checker, "_residual", no_residual)
+    H = table_heap_condition()
+    h1, h2 = simple_table_heap(1), simple_table_heap(2)
+    heaps = [Heap(simple_table_heap(n).cells) for n in range(4)]
+    heaps += [h2.mutated(4 * i + 3, h2.get(4 * i + 3) + 1) for i in range(25)]
+    for h in heaps:
+        assert check(SIGMA, h, H) is (not scan_violations(h))
+    mutations = [h1.mutated(addr, v) for addr, value in h1.cells.items()
+                 for v in range(h1.max_val + 3) if v != value]
+    verdicts = [check(SIGMA, h, H) for h in mutations]
+    assert verdicts == [_table_condition(h) for h in mutations]
+    assert not any(v and scan_violations(h) for v, h in zip(verdicts, mutations))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("exists y. y = s(s(0))", True),
+    ("exists y. (y = s(s(0)) /\\ y = s(0))", False),  # no value is a witness
+])
+def test_unanchored_closed_quantifier_goes_to_the_decider(monkeypatch, text, verdict):
+    """A closed quantifier whose variable is in no points-to atom is
+    handed to the decider whole: its body's atoms are evaluated a few
+    times, not once per value up to the heap's largest value, 10^6."""
+    calls, decided = [], []
+    ev, decide = checker._Eq.ev, checker.decide_sentence
+    monkeypatch.setattr(checker._Eq, "ev",
+                        lambda self, env, h: calls.append(self) or ev(self, env, h))
+    monkeypatch.setattr(checker, "decide_sentence", lambda s: decided.append(s) or decide(s))
+    assert check(SIGMA, Heap({0: 10**6}), parse_sln(text)) is verdict
+    assert len(decided) == 1 and 0 < len(calls) < 10
 
 
 def test_table_heap_condition_on_larger_tables():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slnkit.ast import (
-    And, BExists, BForall, Eq, Exists, Forall, GForall, Leq, Not, Or, Plus,
-    Succ, Var, Zero, alpha_eq, and_all, free_vars, imp, or_all, pa_num,
+    And, BExists, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or,
+    Plus, Succ, Var, Zero, alpha_eq, and_all, free_vars, imp, or_all, pa_num,
     sln_num, svar,
 )
 from slnkit.finite import LAnd, LEq, LExists, LNot, l_free_vars, triangle_translate
@@ -291,3 +291,36 @@ def test_deep_l_chain(chain):
         free = {"y"}
     assert triangle_translate(a) == expected
     assert l_free_vars(a) == free
+
+
+def _shallow(f, *args):
+    """f(*args), with a RecursionError turned into a plain failure: pytest
+    compares the locals of the frames of a deep recursion, here deep terms,
+    and would take minutes to report it."""
+    try:
+        return f(*args)
+    except RecursionError:
+        pass
+    pytest.fail(f"{f.__name__} recursed once per s")
+
+
+def test_deep_numeral_term_walks():
+    """The PA term walks read a run of s in a loop, so free_vars, render,
+    to_prenex, substitute, normalize_bounded, eval_term and the circle
+    translation take s^(10^4)(0) at the default recursion limit."""
+    n = 10_000
+    a = Leq(Var("x"), pa_num(n))
+    assert _shallow(free_vars, a) == {"x"}
+    assert _shallow(render, a) == "x <= " + "s(" * n + "0" + ")" * n
+    assert _shallow(to_prenex, a) == a
+    assert _shallow(substitute, a, "x", Succ(Var("y"))) == Leq(Succ(Var("y")), pa_num(n))
+    assert _shallow(normalize_bounded, a) == a
+    assert _shallow(eval_term, VarAssignment(), pa_num(n)) == n
+    assert _shallow(circle_translate, Eq(Var("x"), pa_num(n))) == Eq(svar("x"), sln_num(n))
+    # a sum under a long run of s gets its variable, inside the same run
+    total = Plus(Var("x"), Var("x"))
+    for _ in range(n):
+        total = Succ(total)
+    out = _shallow(normalize_bounded, Leq(Var("y"), total))
+    assert isinstance(out, ExistsEq) and out.defn == Plus(Var("x"), Var("x"))
+    assert render(out.body) == "y <= " + "s(" * n + out.var + ")" * n
