@@ -18,10 +18,10 @@ A closed quantifier, one whose free variables the environment binds, is
 decided on a boolean path: every value of its block decides the body, the
 loop stops at the first that gives the quantifier's verdict, and only a
 tail whose body stays undecided becomes a residual for the decider.
-Without anchored candidates the body is first evaluated with the variable
-unbound, and a constant body is returned as is; a variable in no points-to
-atom then goes to the decider whole.  An open quantifier is folded into a
-residual: the join of the bodies that stay undecided with the tail.
+Without anchored or joined candidates the body is first evaluated with
+the variable unbound, and a constant body is returned as is; a variable in
+no points-to atom then goes to the decider whole.  An open quantifier is
+folded into a residual: the join of the undecided bodies with the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
 within one formula or across formulas, are one node.  A formula keeps its
@@ -42,7 +42,14 @@ block's verdict, the tail and the decider path are those of the split.
 Every known anchor filters the candidates: the shortest address list is
 scanned, and a value k is kept only if h(k+j) = t' for each other known
 anchor x+j |-> t'.  Anchors are searched through nested quantifiers that
-do not bind t.
+do not bind t.  Without a bound anchor, x is joined through a quantifier
+q on y that the body needs and whose body ties y to x by y+i |-> x+j.  A
+needed witness of q (an exists true, a forall false) is among q's
+candidates and stores x+j at y+i.  A needed forall q with body
+rest \\/ y+i |-> x+j, x not in rest, has the first candidate y where rest
+is false store x+j at y+i: the row of a table lookup; without such a y the
+lookup is vacuous and the block is enumerated.  Every other value of x
+falsifies the witness or the row: the tail argument, one quantifier down.
 """
 
 from __future__ import annotations
@@ -381,7 +388,9 @@ class _Or(_Binary):
 
 def _needs(node: _Node, x: str, positive: bool) -> frozenset:
     """Points-to atoms mentioning x that hold whenever node is true
-    (positive) or false.
+    (positive) or false; and joins (rest, q, i, j) where node needs, via
+    connectives only, a witness of q on y whose body needs y+i |-> x+j
+    (rest None) or the forall q, its body rest \\/ y+i |-> x+j, x not in rest.
 
     The domain is never empty, so an atom needed by the body of any
     quantifier is needed by the quantifier too, unless it mentions the
@@ -393,12 +402,20 @@ def _needs(node: _Node, x: str, positive: bool) -> frozenset:
     if isinstance(node, _Not):
         return _needs(node.body, x, not positive)
     if isinstance(node, _Binary):
-        l, r = _needs(node.left, x, positive), _needs(node.right, x, positive)
-        return l | r if isinstance(node, _And) == positive else l & r
+        l = _needs(node.left, x, positive)
+        if isinstance(node, _And) == positive:
+            return l | _needs(node.right, x, positive)
+        return l and l & _needs(node.right, x, positive)
     if isinstance(node, _Quant):
-        y = node.shape.var
-        return frozenset(p for p in _needs(node.shape.body, x, positive)
-                         if p.lb != y and p.rb != y)
+        y, body = node.shape.var, node.shape.body
+        inner = [p for p in _needs(body, x, positive) if type(p) is _PointsTo]
+        ties = ([(p, None) for p in inner] if positive == node.shape.exists
+                else [(body.left, body.right), (body.right, body.left)]
+                if positive and type(body) is _Or else [])
+        return frozenset([(rest, node, p.lo, p.ro) for p, rest in ties
+                          if type(p) is _PointsTo and p.lb == y and p.rb == x
+                          and (rest is None or x not in rest.free)]
+                         + [p for p in inner if p.lb != y and p.rb != y])
     return frozenset()
 
 
@@ -422,29 +439,32 @@ def _replace(node: _Node, x: str, side: str) -> _Node:
 class _Shape:
     """A quantifier without its guard, with the facts the enumeration
     needs: the side the variable is enumerated on, and, each derived once
-    on first use, its anchors and the body of the guarded tail."""
+    on first use, its anchors, its joins and the body of the guarded tail."""
 
-    __slots__ = ("exists", "var", "body", "side", "_anchors", "_tail", "__weakref__")
+    __slots__ = ("exists", "var", "body", "side", "_anchors", "_joins", "_tail", "__weakref__")
 
     def __init__(self, exists: bool, var: str, body: _Node) -> None:
         self.exists, self.var, self.body = exists, var, body
         self.side = ("addr" if var in body.addr_vars else
                      "val" if var in body.val_vars else None)
-        self._anchors = self._tail = None
+        self._anchors = self._joins = self._tail = None
 
     def _find_anchors(self) -> tuple:
         x, body = self.var, self.body
         # For exists, the atoms the body needs; for forall, the atoms whose
         # failure makes the body true.  Value-side anchors come first: each
-        # yields at most one candidate.
-        addr, val = [], []
+        # yields at most one candidate; so do pins among the joins.
+        addr, val, joins = [], [], []
         for p in _needs(body, x, self.exists):
+            if type(p) is tuple:
+                joins.append(p)
             # (on the value side?, base and offset of t, offset of x)
-            if p.lb == x and p.rb != x:
+            elif p.lb == x and p.rb != x:
                 addr.append((False, p.rb, p.ro, p.lo))
             elif p.rb == x and p.lb != x:
                 val.append((True, p.lb, p.lo, p.ro))
-        return tuple(val + addr)
+        joins.sort(key=lambda join: join[0] is None)
+        return tuple(val + addr), tuple(joins)
 
     def bound(self, h: Heap) -> int:
         """The last value of the enumerated block; the tail takes the rest."""
@@ -452,14 +472,14 @@ class _Shape:
 
     def candidates(self, env, h, guard: int):
         """The values from guard to the bound at which the body can differ
-        from its neutral verdict, or None when no anchor applies.  An
-        anchor, x+i |-> t or t |-> x+i, is false at every other value, and
-        so is the body of an exists (for a forall, its body is true).
+        from its neutral verdict, or None when no anchor or join applies.
+        An anchor, x+i |-> t or t |-> x+i, is false at every other value,
+        and so is the body of an exists (for a forall, its body is true).
         Anchors whose t is not bound in env are skipped.  A value anchor
         gives at most one value; otherwise the address anchor with the
         fewest values gives the list, and every other one filters it."""
         if self._anchors is None:
-            self._anchors = self._find_anchors()
+            self._anchors, self._joins = self._find_anchors()
         known = []
         get = h._cells.get  # the dict's own get: no wrapper call per address
         for is_val, base, offset, i in self._anchors:
@@ -474,7 +494,7 @@ class _Shape:
                 return (k,) if guard <= k <= self.bound(h) else ()
             known.append((h.addresses_holding(t), t, i))
         if not known:
-            return None
+            return self._joined(env, h, guard) if self._joins else None
         if len(known) > 1:
             known.sort(key=lambda anchor: len(anchor[0]))
         addrs, _, i = known[0]
@@ -483,6 +503,22 @@ class _Shape:
             addrs = [a for a in addrs if get(a + d) == t]
         bound = self.bound(h)
         return [a - i for a in addrs if guard <= a - i <= bound]
+
+    def _joined(self, env, h, guard: int):
+        """The values the first join that applies reads off q's candidates, or None."""
+        for rest, q, i, j in self._joins:
+            y = q.shape.var
+            inner = {v: k for v, k in env.items() if v != y}
+            ys = q.shape.candidates(inner, h, q.guard)
+            if ys is None:
+                ys = range(q.guard, q.shape.bound(h) + 1)
+            if rest is not None:
+                ys = next(([k] for k in ys if rest.ev({**inner, y: k}, h) is False), None)
+                if ys is None:
+                    continue  # a vacuous lookup: no row
+            bound, xs = self.bound(h), (h._cells.get(a + i, -1) - j for a in ys)
+            return sorted({k for k in xs if guard <= k <= bound})
+        return None
 
     def tail(self) -> "_Shape":
         """The same quantifier with the atoms on its side replaced by

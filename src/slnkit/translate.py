@@ -4,7 +4,9 @@ formulas, and the translation of normal PA formulas into SLN.
 Heap rows carry a tag cell (0 addition, 1 multiplication, 2 inequality)
 followed by operand and result cells stored with offset 3; [t] abbreviates
 the three-fold successor of t.  Quantified helper variables live in a
-reserved "$" namespace so user variables never collide.
+reserved "$" namespace so user variables never collide.  The lookup
+formulas are shared: equal lookups, within one translation or across
+recent ones, are one object.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def _helper(taken: frozenset[str]) -> str:
     return next(name for name in names if name not in taken)
 
 
+# Lookups are built once and shared, so the checker compiles and memoizes
+# a recurring lookup as one node.  A lookup recurs mostly within a formula
+# and the ones translated next to it, so a small bound keeps most of the
+# reuse, while each entry holds its formula and compiled nodes alive: an
+# unbounded cache would grow with every lookup a long-lived process builds.
+_LOOKUPS = 32
+
+
+@functools.lru_cache(maxsize=_LOOKUPS)
 def _lookup(tag: int, x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
     """Every row tagged `tag` for (x, y) must carry result z.  Vacuously
     true when the table has no such row."""
@@ -65,6 +76,7 @@ def mult_formula(x: SLNTerm, y: SLNTerm, z: SLNTerm) -> Formula:
     return _lookup(1, x, y, z)
 
 
+@functools.lru_cache(maxsize=_LOOKUPS)
 def ineq_formula(x: SLNTerm, y: SLNTerm) -> Formula:
     """Table lookup for x <= y: some inequality row carries (x, y)."""
     a = svar(_helper(term_vars(x) | term_vars(y)))

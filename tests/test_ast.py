@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import pickle
 
 import pytest
@@ -13,6 +14,8 @@ from slnkit.finite import LAnd, LEq, LExists, LNot, LPred
 from slnkit.gen import Generators
 from slnkit.normalize import normalize_bounded
 from slnkit.transform import is_bounded, substitute
+
+from shallow import shallow
 
 
 def test_pa_num():
@@ -96,21 +99,21 @@ def test_deep_chain_traversal():
         return a
 
     left_deep = chain(leaf, lambda b: And(b, other))
-    subs = list(subformulas(left_deep))
+    subs = shallow(list, subformulas(left_deep))
     assert len(subs) == 2 * depth + 1
     assert all(isinstance(b, And) for b in subs[:depth])
     assert subs[depth] is leaf and all(b is other for b in subs[depth + 1:])
 
-    assert free_vars(left_deep) == {"x"}
-    assert free_vars(chain(leaf, Not)) == {"x"}
-    assert free_vars(chain(leaf, lambda b: Or(other, b))) == {"x"}
-    assert free_vars(chain(leaf, lambda b: Exists("x", b))) == frozenset()
-    assert free_vars(chain(Leq(Var("y"), Var("x")), lambda b: Exists("x", b))) == {"y"}
+    assert shallow(free_vars, left_deep) == {"x"}
+    assert shallow(free_vars, chain(leaf, Not)) == {"x"}
+    assert shallow(free_vars, chain(leaf, lambda b: Or(other, b))) == {"x"}
+    assert shallow(free_vars, chain(leaf, lambda b: Exists("x", b))) == frozenset()
+    assert shallow(free_vars, chain(Leq(Var("y"), Var("x")), lambda b: Exists("x", b))) == {"y"}
 
-    assert is_quantifier_free(chain(leaf, Not))
-    assert not is_quantifier_free(chain(Exists("y", leaf), Not))
-    assert is_bounded(chain(leaf, lambda b: BForall("y", Zero(), Or(other, b))))
-    assert not is_bounded(chain(Exists("y", leaf), lambda b: BForall("y", Zero(), b)))
+    assert shallow(is_quantifier_free, chain(leaf, Not))
+    assert not shallow(is_quantifier_free, chain(Exists("y", leaf), Not))
+    assert shallow(is_bounded, chain(leaf, lambda b: BForall("y", Zero(), Or(other, b))))
+    assert not shallow(is_bounded, chain(Exists("y", leaf), lambda b: BForall("y", Zero(), b)))
 
     # hash and == on two separately built copies of each chain, and on a
     # copy that differs at the bottom.
@@ -121,9 +124,9 @@ def test_deep_chain_traversal():
              lambda b: Exists("x", b)]
     for wrap in wraps:
         a, b, c = (chain(Eq(svar("x"), sln_num(k)), wrap) for k in (0, 0, 1))
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-    assert repr(chain(leaf, Not)) == "Not(body=" * depth + repr(leaf) + ")" * depth
+        assert shallow(operator.eq, a, b) and shallow(hash, a) == shallow(hash, b)
+        assert shallow(operator.ne, a, c)
+    assert shallow(repr, chain(leaf, Not)) == "Not(body=" * depth + repr(leaf) + ")" * depth
 
     # alpha_eq on two separately built copies of each chain under one more
     # binder, the second copy with every binder renamed, and substitute.
@@ -134,17 +137,18 @@ def test_deep_chain_traversal():
     for wrap, renamed, substituted in zip(wraps_over("x", svar("y")), wraps_over("u", svar("y")),
                                           wraps_over("x", sln_num(2))):
         a = Exists("x", chain(Eq(svar("x"), sln_num(0)), wrap))
-        assert alpha_eq(a, Exists("u", chain(Eq(svar("u"), sln_num(0)), renamed)))
-        assert not alpha_eq(a, Exists("u", chain(Eq(svar("x"), sln_num(0)), renamed)))
-        assert substitute(a, "y", sln_num(2)) == Exists(
+        assert shallow(alpha_eq, a, Exists("u", chain(Eq(svar("u"), sln_num(0)), renamed)))
+        assert not shallow(alpha_eq, a, Exists("u", chain(Eq(svar("x"), sln_num(0)), renamed)))
+        assert shallow(substitute, a, "y", sln_num(2)) == Exists(
             "x", chain(Eq(svar("x"), sln_num(0)), substituted))
     # Each of the 10^4 binders would capture the x put in for y, so each is
     # renamed, in preorder.
-    out = substitute(chain(Eq(svar("x"), svar("y")), lambda b: Exists("x", b)), "y", svar("x"))
-    names = [b.var for b in subformulas(out) if isinstance(b, Exists)]
+    out = shallow(substitute, chain(Eq(svar("x"), svar("y")), lambda b: Exists("x", b)),
+                  "y", svar("x"))
+    names = [b.var for b in shallow(list, subformulas(out)) if isinstance(b, Exists)]
     assert names == [f"x#{i}" for i in range(1, depth + 1)]
-    assert list(subformulas(out))[-1] == Eq(svar(f"x#{depth}"), svar("x"))
-    assert free_vars(out) == {"x"}
+    assert shallow(list, subformulas(out))[-1] == Eq(svar(f"x#{depth}"), svar("x"))
+    assert shallow(free_vars, out) == {"x"}
 
 
 def test_equal_formulas_hash_equal():

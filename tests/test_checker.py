@@ -18,7 +18,7 @@ from slnkit.heap import Heap, simple_table_heap
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa, parse_sln
 from slnkit.semantics import VarAssignment
-from slnkit.translate import circle_translate, table_heap_condition
+from slnkit.translate import add_formula, circle_translate, table_heap_condition
 
 from oracles import brute_force_sln, scan_violations, sln_bound, stable_brute_force
 
@@ -433,6 +433,151 @@ def test_multi_anchor_enumeration_against_oracle(monkeypatch):
         sigma = VarAssignment({v: rng.randint(0, 3) for v in free_vars(a)})
         assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a), a
     assert decided  # some residuals reached the decider
+
+
+# The lookup of x at the row (0, 1): every row tagged 0 with operand 1
+# stores x as its result; vacuous without such a row.
+LOOKUP = "(forall a. (!(a |-> 0 /\\ s(a) |-> s(0)) \\/ s(s(a)) |-> x))"
+
+
+@pytest.mark.parametrize("text", [
+    # witness joins: an exists needed true, a forall needed false
+    "exists x. ((exists a. (a |-> 0 /\\ s(a) |-> s(0) /\\ s(s(a)) |-> x)) /\\ !(x = s(s(0))))",
+    "forall x. (!(exists a. (a |-> 0 /\\ s(s(a)) |-> s(x))) \\/ x = s(0))",
+    "exists x. (!(forall a. !(a |-> 0 /\\ s(s(a)) |-> x)) /\\ !(x = s(s(s(0)))))",
+    # lookup pins, under exists and under forall
+    f"exists x. ({LOOKUP} /\\ !(x = s(s(s(0)))))",
+    f"exists x. ({LOOKUP} /\\ x = s(s(0)))",
+    f"forall x. (!{LOOKUP} \\/ x = s(s(s(0))))",
+    # an exists needed false pins nothing, though its body is a disjunction
+    "exists x. (!(exists a. ((a |-> 0 /\\ !(a |-> 0)) \\/ s(a) |-> x)) /\\ x = s(0))",
+    # guarded inner quantifiers
+    "exists x. exists a >= 1. (a |-> 0 /\\ s(s(a)) |-> x)",
+    "exists x. ((forall a >= 1. (!(a |-> 0 /\\ s(a) |-> s(0)) \\/ s(s(a)) |-> x)) /\\ x = s(s(0)))",
+    # inner variables that shadow an outer one; in the second, the inner
+    # y's own candidates come from a join on z that reads y
+    "exists a. (s(s(0)) |-> a /\\ exists x. (!(x = a) /\\ exists a. (a |-> 0 /\\ s(s(a)) |-> x)))",
+    "exists y. (0 |-> y /\\ exists x. (!(x = y) /\\ exists y. (y |-> x /\\ exists z. (z |-> s(y) /\\ s(z) |-> 0))))",
+    # open quantifiers on x, folded by _residual: w is in no points-to atom
+    f"exists w. (w = s(s(s(0))) /\\ exists x. ({LOOKUP} /\\ s(w) = s(x)))",
+    "exists w. exists x. ((exists a. (a |-> 0 /\\ s(s(a)) |-> x)) /\\ s(w) = x)",
+])
+@pytest.mark.parametrize("heap", [
+    Heap(),
+    Heap({0: 0, 1: 1, 2: 3, 3: 0, 4: 2, 5: 4}),  # rows (0, 1, 3) and (0, 2, 4)
+    Heap({3: 0, 4: 2, 5: 4}),  # the row for operand 1 cut
+    Heap({0: 0, 1: 1, 2: 3, 3: 0, 4: 1, 5: 4}),  # two rows for operand 1
+    Heap({0: 7, 2: 3, 4: 3, 5: 0}),  # a row for the shadowing shape, none for operand 1
+])
+def test_joined_shapes(text, heap):
+    a = parse_sln(text)
+    assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a)
+
+
+def test_pin_is_the_only_x_in_the_lookup():
+    """A forall whose other disjunct mentions x too pins nothing: the
+    first y whose row is there need not fix x through that atom."""
+    a = parse_sln("exists x. forall y. (!(y |-> 0) \\/ s(y) |-> x) \\/ s(s(y)) |-> x")
+    heap = Heap({0: 0, 1: 5, 2: 7, 3: 0, 4: 9, 5: 5})
+    assert check(SIGMA, heap, a) is stable_brute_force(SIGMA, heap, a) is True
+
+
+def test_table_lookups_read_their_rows(monkeypatch):
+    """On a table heap the defining existential of a sum is pinned by the
+    one row of its lookup, and a bounded quantifier takes the operands of
+    the inequality rows it asks for, not its whole block; the lookups of a
+    translation are built once."""
+    a = circle_translate(normalize_bounded(parse_pa("forall b <= x. exists c <= y. b + c = y")))
+    sizes = {"x#1": [], "c": [], "b": []}
+    candidates = checker._Shape.candidates
+
+    def counted(self, env, h, guard):
+        values = candidates(self, env, h, guard)
+        if self.var in sizes:
+            sizes[self.var].append(None if values is None else len(values))
+        return values
+
+    monkeypatch.setattr(checker._Shape, "candidates", counted)
+    heap = Heap(simple_table_heap(3).cells)
+    assert check(VarAssignment({"x": 1, "y": 2}), heap, a) is True
+    assert {var: set(n) for var, n in sizes.items()} == {"x#1": {1}, "c": {3}, "b": {2}}
+    x, y, z = svar("x"), svar("y"), svar("z")
+    assert add_formula(x, y, z) is add_formula(x, y, z)
+
+
+def _tie(rng, x, scope, nested):
+    """A quantifier q on y that ties x to a cell y+i |-> x+j, with the
+    verdict of q that the tie needs: a witness of an exists (true) or of a
+    forall (false), or a lookup forall y. rest \\/ y+i |-> x+j (true).
+    rest is a row of cells at y; at times it has x in it, so that nothing
+    is pinned, or a nested tie of y.  y may shadow an outer variable."""
+    y = rng.choice(["a", "b", "w", "z"])
+    inner = [v for v in scope if v != x] + [y]
+    cell = PointsTo(SLNTerm(y, rng.randint(0, 2)), SLNTerm(x, rng.randint(0, 2)))
+    row = [PointsTo(SLNTerm(y, rng.randint(0, 2)), _term(rng, inner))
+           for _ in range(rng.randint(0 if nested else 1, 2))]
+    if rng.random() < 0.2:
+        row.append(PointsTo(SLNTerm(y, rng.randint(0, 2)), SLNTerm(x, rng.randint(0, 1))))
+    if nested and (not row or rng.random() < 0.5):
+        q, verdict = _tie(rng, y, inner, False)
+        row.append(q if verdict else Not(q))
+    row = and_all(row)
+    kind = rng.randrange(4)
+    if kind == 0:
+        exists, verdict, body = True, True, And(row, cell)
+    elif kind == 1:
+        exists, verdict, body = False, False, Not(And(row, cell))
+    else:
+        exists, verdict, body = False, True, Or(Not(row), cell)
+        if kind == 3:  # x twice in the disjunction
+            body = Or(body, PointsTo(SLNTerm(y, rng.randint(0, 2)), SLNTerm(x, rng.randint(0, 2))))
+    guard = rng.choice([0, 0, 1, 2])
+    if guard:
+        return (GExists if exists else GForall)(y, guard, body), verdict
+    return (Exists if exists else Forall)(y, body), verdict
+
+
+def _nested_join(rng):
+    """A quantifier on x with no anchor whose body needs a tie of x, at
+    times one that nests a second tie, at times under an outer quantifier
+    that leaves x open in its prepass and tail."""
+    scope = ["w", "z"]
+    nested = rng.random() < 0.25
+    q, verdict = _tie(rng, "x", scope, nested)
+    need = q if verdict else Not(q)
+    rest = rng.choice([Eq(SLNTerm("x", rng.randint(0, 1)), _term(rng, scope)),
+                       Not(Eq(svar("x"), _term(rng, scope))),
+                       _random_formula(rng, ["x"] + scope, 0)])
+    exists = rng.random() < 0.5
+    body = And(need, rest) if exists else Or(Not(need), rest)
+    guard = rng.choice([0, 0, 1, 2])
+    if guard:
+        a = (GExists if exists else GForall)("x", guard, body)
+    else:
+        a = (Exists if exists else Forall)("x", body)
+    if not nested and rng.random() < 0.3:
+        y = rng.choice(scope)
+        a = rng.choice([Exists, Forall])(y, rng.choice([Or, And])(a, Eq(svar(y), _term(rng, scope))))
+    return a
+
+
+def _rows(rng):
+    """A heap of up to two rows (tag, operand, result), at times
+    overlapping, or of random cells."""
+    if rng.random() < 0.5:
+        return Heap({rng.randint(0, 4): rng.randint(0, 3) for _ in range(rng.randint(0, 5))})
+    cells = {}
+    for r in range(rng.randint(0, 2)):
+        cells.update({3 * r + rng.randint(0, 1) + k: rng.randint(0, 3) for k in range(3)})
+    return Heap(cells)
+
+
+def test_nested_joins_against_oracle():
+    rng = random.Random(57)
+    for _ in range(300):
+        a, heap = _nested_join(rng), _rows(rng)
+        sigma = VarAssignment({v: rng.randint(0, 3) for v in free_vars(a)})
+        assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a), (a, heap)
 
 
 def _add2_exists_b():

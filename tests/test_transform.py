@@ -21,6 +21,7 @@ from slnkit.transform import (
 from slnkit.translate import circle_translate, ineq_formula, table_heap_condition
 
 from oracles import naive_pa_eval
+from shallow import shallow
 
 
 def all_sigmas(names, top):
@@ -241,37 +242,37 @@ def test_deep_connective_chain(name, chain):
         expected = image  # an even run of ! cancels
     else:
         expected = _chain(chain, image)
-    assert transform(_chain(chain, atom)) == expected
+    assert shallow(transform, _chain(chain, atom)) == expected
 
 
 def test_deep_binder_chain_unfold_bounded():
     leq, y = Leq(Var("x"), Var("y")), Var("y")
     a = _wrap(lambda i, b: BForall(f"x{i}", y, b), leq)
-    assert unfold_bounded(a) == _wrap(
+    assert shallow(unfold_bounded, a) == _wrap(
         lambda i, b: Forall(f"x{i}", imp(Leq(Var(f"x{i}"), y), b)), leq)
 
 
 def test_deep_binder_chain_expand_guards():
     seq = Eq(svar("x"), svar("y"))
     a = _wrap(lambda i, b: GForall(f"x{i}", 1, b), seq)
-    assert expand_guards(a) == _wrap(
+    assert shallow(expand_guards, a) == _wrap(
         lambda i, b: Forall(f"x{i}", Or(Eq(svar(f"x{i}"), sln_num(0)), b)), seq)
 
 
 @pytest.mark.parametrize("transform", [to_prenex, normalize_bounded])
 def test_deep_binder_chain_is_prenex_and_normal(transform):
     a = _wrap(lambda i, b: BForall(f"x{i}", Var("y"), b), Leq(Var("x"), Var("y")))
-    assert transform(a) == a
+    assert shallow(transform, a) == a
 
 
 def test_deep_binder_chain_circle_translate():
     eq, seq = Eq(Var("x"), Var("y")), Eq(svar("x"), svar("y"))
     bounded = _wrap(lambda i, b: BForall(f"x{i}", Var("y"), b), eq)
     h = table_heap_condition()
-    assert circle_translate(bounded) == _wrap(lambda i, b: imp(h, Forall(f"x{i}", Or(
+    assert shallow(circle_translate, bounded) == _wrap(lambda i, b: imp(h, Forall(f"x{i}", Or(
         Not(ineq_formula(svar(f"x{i}"), svar("y"))), b))), seq)
     outer = _wrap(lambda i, b: Forall(f"x{i}", b), eq)
-    assert circle_translate(outer) == _wrap(lambda i, b: Forall(f"x{i}", b), seq)
+    assert shallow(circle_translate, outer) == _wrap(lambda i, b: Forall(f"x{i}", b), seq)
 
 
 @pytest.mark.parametrize("chain", ["!", "/\\", "exists"])
@@ -289,19 +290,8 @@ def test_deep_l_chain(chain):
             triangle_translate(LExists(f"x{i}", lxy)).body.left, b)),  # x{i}'s witness
             triangle_translate(LEq("x0", "y")))
         free = {"y"}
-    assert triangle_translate(a) == expected
-    assert l_free_vars(a) == free
-
-
-def _shallow(f, *args):
-    """f(*args), with a RecursionError turned into a plain failure: pytest
-    compares the locals of the frames of a deep recursion, here deep terms,
-    and would take minutes to report it."""
-    try:
-        return f(*args)
-    except RecursionError:
-        pass
-    pytest.fail(f"{f.__name__} recursed once per s")
+    assert shallow(triangle_translate, a) == expected
+    assert shallow(l_free_vars, a) == free
 
 
 def test_deep_numeral_term_walks():
@@ -310,17 +300,17 @@ def test_deep_numeral_term_walks():
     translation take s^(10^4)(0) at the default recursion limit."""
     n = 10_000
     a = Leq(Var("x"), pa_num(n))
-    assert _shallow(free_vars, a) == {"x"}
-    assert _shallow(render, a) == "x <= " + "s(" * n + "0" + ")" * n
-    assert _shallow(to_prenex, a) == a
-    assert _shallow(substitute, a, "x", Succ(Var("y"))) == Leq(Succ(Var("y")), pa_num(n))
-    assert _shallow(normalize_bounded, a) == a
-    assert _shallow(eval_term, VarAssignment(), pa_num(n)) == n
-    assert _shallow(circle_translate, Eq(Var("x"), pa_num(n))) == Eq(svar("x"), sln_num(n))
+    assert shallow(free_vars, a) == {"x"}
+    assert shallow(render, a) == "x <= " + "s(" * n + "0" + ")" * n
+    assert shallow(to_prenex, a) == a
+    assert shallow(substitute, a, "x", Succ(Var("y"))) == Leq(Succ(Var("y")), pa_num(n))
+    assert shallow(normalize_bounded, a) == a
+    assert shallow(eval_term, VarAssignment(), pa_num(n)) == n
+    assert shallow(circle_translate, Eq(Var("x"), pa_num(n))) == Eq(svar("x"), sln_num(n))
     # a sum under a long run of s gets its variable, inside the same run
     total = Plus(Var("x"), Var("x"))
     for _ in range(n):
         total = Succ(total)
-    out = _shallow(normalize_bounded, Leq(Var("y"), total))
+    out = shallow(normalize_bounded, Leq(Var("y"), total))
     assert isinstance(out, ExistsEq) and out.defn == Plus(Var("x"), Var("x"))
     assert render(out.body) == "y <= " + "s(" * n + out.var + ")" * n
