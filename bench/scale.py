@@ -1,19 +1,27 @@
-"""Scaling ladder for the model checker: check(H, h_n) for growing n.
+"""Scaling ladders for the model checker and the successor-arithmetic decider.
+
+The checker ladder times check(H, h_n) for growing n, the decider ladder
+decide_sentence on the alternation ladder for growing k.
 
     python3 bench/scale.py                                  # n = 4..12, this tree
     python3 bench/scale.py --source parent=../old/src --source change=src \
         > BENCH_checker.json
+    python3 bench/scale.py --decider --source parent=../old/src --source change=src \
+        > BENCH_decider.json                                # k = 2..15
 
 Run from the repository root.  Each --source LABEL=DIR is one column, a
 directory holding the slnkit package; the default is one column, current=src.
-Every run is its own subprocess: it imports slnkit from the column's
-directory, builds simple_table_heap(n) and H untimed, copies the table into
-a fresh Heap (so no memo or value index survives), and times one
-check(VarAssignment(), heap, H).  Each (column, n) is run REPEATS times,
-interleaved across columns, the first column changing place with each
-repeat, so a drift in the host's speed falls on every column alike.  Each
-entry records the median and the minimum of the run times, the largest peak
-RSS of its subprocesses and the verdict; a run past --timeout is recorded as
+Every run is its own subprocess that imports slnkit from the column's
+directory.  A checker run builds simple_table_heap(n) and H untimed, copies
+the table into a fresh Heap (so no memo or value index survives), and times
+one check(VarAssignment(), heap, H).  A decider run parses ladder(k) from
+tests/test_succ.py untimed and times one decide_sentence; a run that raises
+BudgetExceeded is timed to the raise.  Each (column, n) is run REPEATS
+times, interleaved across columns, the first column changing place with
+each repeat, so a drift in the host's speed falls on every column alike.
+Each entry records the median and the minimum of the run times, the largest
+peak RSS of its subprocesses and the verdict, or the status "budget" when
+the runs ended in BudgetExceeded; a run past --timeout is recorded as
 "timeout" and the rest of that entry's runs are skipped.  The JSON on
 standard output also records the environment and a hash of each column's
 source files; progress goes to standard error.
@@ -31,9 +39,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 3  # runs per (column, n)
 
-# One timed run, in a fresh interpreter; prints one JSON line.
+# One timed run, in a fresh interpreter; prints one JSON line.  The checker
+# run reads n from argv; the decider run reads the sentence's text.
 CHILD = """
 import json, resource, sys, time
 from slnkit import Heap, VarAssignment, check, simple_table_heap, table_heap_condition
@@ -47,13 +57,40 @@ rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": seconds, "verdict": verdict, "peak_rss_mb": rss_mb,
                   "cells": len(table)}))
 """
+DECIDER_CHILD = """
+import json, resource, sys, time
+from slnkit import decide_sentence, parse_sln
+from slnkit.succ import BudgetExceeded
+a = parse_sln(sys.argv[1])
+start = time.perf_counter()
+try:
+    verdict = decide_sentence(a)
+except BudgetExceeded:
+    verdict = "budget"
+seconds = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "verdict": verdict, "peak_rss_mb": rss_mb}))
+"""
 
 
-def run_once(src: Path, n: int, timeout: float) -> dict | None:
-    """One run of check(H, h_n) against the package in src; None on timeout."""
+def decider_ladders(ks: list[int]) -> dict[int, str]:
+    """The texts of tests/test_succ.py's ladder(k), false sentences, made in
+    a subprocess so that the test module's imports do not grow this process,
+    whose peak RSS a run's subprocess can report as its own."""
+    env = {**os.environ, "PYTHONPATH": f"{ROOT / 'tests'}{os.pathsep}{ROOT / 'src'}",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    code = ("import json, sys; from test_succ import ladder; "
+            "print(json.dumps([ladder(int(k)) for k in sys.argv[1:]]))")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, ks)], env=env,
+                         capture_output=True, text=True, check=True)
+    return dict(zip(ks, json.loads(out.stdout)))
+
+
+def run_once(src: Path, child: str, arg: str, timeout: float) -> dict | None:
+    """One run of child on arg against the package in src; None on timeout."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        out = subprocess.run([sys.executable, "-c", CHILD, str(n)], env=env,
+        out = subprocess.run([sys.executable, "-c", child, arg], env=env,
                              capture_output=True, text=True, timeout=timeout, check=True)
     except subprocess.TimeoutExpired:
         return None
@@ -82,7 +119,10 @@ def environment() -> dict:
             "cpu": cpu, "cpu_count": os.cpu_count()}
 
 
-def ladder(sources: dict[str, Path], ns: list[int], timeout: float) -> dict:
+def ladder(sources: dict[str, Path], ns: list[int], timeout: float,
+           decider: bool = False) -> dict:
+    child, key = (DECIDER_CHILD, "k") if decider else (CHILD, "n")
+    args = decider_ladders(ns) if decider else {n: str(n) for n in ns}
     labels = list(sources)
     runs = {(label, n): [] for label in labels for n in ns}
     timed_out = set()
@@ -92,25 +132,29 @@ def ladder(sources: dict[str, Path], ns: list[int], timeout: float) -> dict:
             for label in order:
                 if (label, n) in timed_out:
                     continue
-                result = run_once(sources[label], n, timeout)
+                result = run_once(sources[label], child, args[n], timeout)
                 if result is None:
                     timed_out.add((label, n))
                 else:
                     runs[label, n].append(result)
                 took = "timeout" if result is None else f"{result['seconds']:.3f} s"
-                print(f"{label} n={n} run {r + 1}: {took}", file=sys.stderr)
+                print(f"{label} {key}={n} run {r + 1}: {took}", file=sys.stderr)
     columns = {}
     for label in labels:
         entries = []
         for n in ns:
             done = runs[label, n]
             if (label, n) in timed_out:
-                entries.append({"n": n, "status": "timeout", "timeout_s": timeout,
+                entries.append({key: n, "status": "timeout", "timeout_s": timeout,
                                 "runs_before_timeout": len(done)})
                 continue
             times = [d["seconds"] for d in done]
-            entries.append({"n": n, "status": "ok", "cells": done[0]["cells"],
-                            "verdict": done[0]["verdict"], "runs": len(times),
+            entry = {key: n, "status": "budget" if done[0]["verdict"] == "budget" else "ok"}
+            if "cells" in done[0]:
+                entry["cells"] = done[0]["cells"]
+            if entry["status"] == "ok":
+                entry["verdict"] = done[0]["verdict"]
+            entries.append({**entry, "runs": len(times),
                             "median_s": round(statistics.median(times), 4),
                             "min_s": round(min(times), 4),
                             "peak_rss_mb": round(max(d["peak_rss_mb"] for d in done), 1)})
@@ -122,7 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--source", action="append", metavar="LABEL=DIR",
                         help="a column: a label and a directory holding slnkit")
-    parser.add_argument("--n", default="4-12", help="table sizes, as LO-HI (default 4-12)")
+    parser.add_argument("--n", help="sizes, as LO-HI: table sizes (default 4-12), or ladder"
+                        " sizes k with --decider (default 2-15)")
+    parser.add_argument("--decider", action="store_true",
+                        help="run the decider's alternation ladder instead")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="seconds before a run counts as a timeout (default 120)")
     args = parser.parse_args(argv)
@@ -132,13 +179,15 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(path) / "slnkit" / "__init__.py").is_file():
             parser.error(f"--source {item!r}: expected LABEL=DIR with DIR/slnkit")
         sources[label] = Path(path).resolve()
-    lo, _, hi = args.n.partition("-")
+    sizes = args.n or ("2-15" if args.decider else "4-12")
+    lo, _, hi = sizes.partition("-")
     ns = list(range(int(lo), int(hi or lo) + 1))
     if not ns:
-        parser.error(f"--n {args.n!r}: no table sizes")
-    report = {"benchmark": "check(VarAssignment(), Heap(simple_table_heap(n)), H)",
-              "repeats": REPEATS, "environment": environment(),
-              "columns": ladder(sources, ns, args.timeout)}
+        parser.error(f"--n {sizes!r}: no sizes")
+    benchmark = ("decide_sentence(parse_sln(ladder(k))), ladder from tests/test_succ.py"
+                 if args.decider else "check(VarAssignment(), Heap(simple_table_heap(n)), H)")
+    report = {"benchmark": benchmark, "repeats": REPEATS, "environment": environment(),
+              "columns": ladder(sources, ns, args.timeout, args.decider)}
     print(json.dumps(report, indent=1))
     return 0
 

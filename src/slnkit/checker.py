@@ -705,6 +705,10 @@ def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
 
 
 def check(sigma: VarAssignment, h: Heap, a: Formula) -> bool:
-    """Truth of sigma, h |= a.  Total on every SLN formula."""
+    """Truth of sigma, h |= a, on every SLN formula, or succ.BudgetExceeded
+    when a residual sentence handed to the decider passes its budget: for
+    example a quantifier whose variable is in no points-to atom, with an
+    open quantifier in its body, whose residual joins one disjunct per value
+    of that quantifier's block."""
     root = _compile(a)
     return root.ev({v: sigma(v) for v in root.free}, h)

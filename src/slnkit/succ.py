@@ -13,13 +13,15 @@ NNF does, and eliminates each quantifier on the way up: forall x. b is
 !exists x. !b, and a guard x >= m adds the disequalities x != 0, ..., m-1.
 Within a cube an existential variable is either pinned by an equation
 (substitute it) or occurs only in disequalities, which a witness over the
-infinite domain always avoids.
+infinite domain always avoids.  The same walk checks that the input is a
+sentence: `_closed` walks the operands a short circuit skips, and on any
+raise the whole input, for its message: a rejection may cost up to a budget.
 
 Intermediate results are lists of cubes, each a tuple of literals, rather
 than Formula trees: they are flat, so no walk over them recurses with their
 length, and no pass re-normalizes them.  [()] is true and [] is false; a
 cube list that contains () collapses to [()], a conjunction stops at a
-false left side and a disjunction at a true one.
+false operand and a disjunction at a true one.
 
 Two pruning rules keep dead cubes from multiplying.  No cube holds a
 literal and its negation: `_cube`, which builds what `_solve` returns,
@@ -163,48 +165,10 @@ def _solve(x: str, guard: int, cube: tuple) -> list[tuple]:
     return _cube(lits)
 
 
-def _dnf(a: Formula, positive: bool) -> list[tuple]:
-    """Cubes of a, or of its negation when positive is false, with every
-    quantifier eliminated.  A run of ! and the right spine of a chain of one
-    connective are read in a loop, so neither costs a frame per node."""
-    while isinstance(a, Not):
-        a, positive = a.body, not positive
-    match a:
-        case TruthConst(value):
-            return TRUE if value == positive else []
-        case Eq(SLNTerm(l, i), SLNTerm(r, j)):
-            return _cube([_lit(positive, l, i, r, j)])
-        case And() | Or():
-            # Operands left to right, up to the first false one of a
-            # conjunction or the first true one of a disjunction.
-            cls, parts = type(a), []
-            conjunctive = (cls is And) == positive
-            while True:
-                last = not isinstance(a, cls)
-                part = _dnf(a if last else a.left, positive)
-                parts.append(part)
-                if last or part == ([] if conjunctive else TRUE):
-                    break
-                a = a.right
-            if not conjunctive:
-                return _or(*parts)
-            out = parts.pop()
-            for part in reversed(parts):
-                out = _and(part, out)
-            return out
-        case Exists() | Forall() | GExists() | GForall():
-            exists = isinstance(a, (Exists, GExists))
-            guard = getattr(a, "guard", 0)
-            out = _or(*(_solve(a.var, guard, cube) for cube in _dnf(a.body, exists)))
-            return out if exists == positive else _negate(out)
-    raise ValueError(f"not a successor-arithmetic formula: {a!r}")
-
-
-def decide_sentence(a: Formula) -> bool:
-    """Truth over the naturals of a closed formula built from equalities,
-    connectives and (guarded) quantifiers."""
+def _closed(todo: list) -> None:
+    """Raise ValueError on a points-to atom, or on the free variables, of the
+    formulas in todo, each paired with the names bound around it."""
     free: set[str] = set()
-    todo = [(a, frozenset())]
     while todo:
         b, bound = todo.pop()
         if isinstance(b, PointsTo):
@@ -220,4 +184,57 @@ def decide_sentence(a: Formula) -> bool:
             todo.append((b.body, bound | {b.var}))
     if free:
         raise ValueError(f"free variables in sentence: {sorted(free)}")
-    return _dnf(a, True) == TRUE
+
+
+def _dnf(a: Formula, positive: bool, bound: frozenset) -> list[tuple]:
+    """Cubes of a, or of its negation when positive is false, with every
+    quantifier eliminated; bound holds the names bound around a, and None for
+    0.  A run of ! and the right spine of a chain of one connective are read
+    in a loop.  An atom other than an equation of successor terms over bound
+    names raises ValueError."""
+    while type(a) is Not:
+        a, positive = a.body, not positive
+    cls = type(a)
+    if cls is Eq:
+        l, r = a.left, a.right
+        if type(l) is SLNTerm and type(r) is SLNTerm and l.base in bound and r.base in bound:
+            lit = _lit(positive, l.base, l.offset, r.base, r.offset)
+            return TRUE if lit is True else [] if lit is False else [(lit,)]
+    elif cls is And or cls is Or:
+        # Operands left to right, up to the first false one of a
+        # conjunction or the first true one of a disjunction, or the last.
+        conjunctive, parts = (cls is And) == positive, []
+        while type(a) is cls:
+            parts.append(_dnf(a.left, positive, bound))
+            if parts[-1] == ([] if conjunctive else TRUE):
+                _closed([(a.right, bound)])
+                break
+            a = a.right
+        else:
+            parts.append(_dnf(a, positive, bound))
+        if not conjunctive:
+            return parts[0] if len(parts) == 1 else _or(*parts)
+        out = parts.pop()
+        for part in reversed(parts):
+            out = _and(part, out)
+        return out
+    elif cls is Exists or cls is Forall or cls is GExists or cls is GForall:
+        exists, x = cls is Exists or cls is GExists, a.var
+        guard = 0 if cls is Exists or cls is Forall else a.guard
+        out = [c for cube in _dnf(a.body, exists, bound | {x}) for c in _solve(x, guard, cube)]
+        out = TRUE if () in out else out
+        return out if exists == positive else _negate(out)
+    elif cls is TruthConst:
+        return TRUE if a.value == positive else []
+    raise ValueError(f"not a successor-arithmetic formula: {a!r}")
+
+
+def decide_sentence(a: Formula) -> bool:
+    """Truth over the naturals of a closed formula of equalities, connectives
+    and (guarded) quantifiers.  On any raise, BudgetExceeded too, `_closed`
+    walks the whole input, so a non-sentence is rejected as such first."""
+    try:
+        return _dnf(a, True, frozenset((None,))) == TRUE
+    except (ValueError, BudgetExceeded):
+        _closed([(a, frozenset())])
+        raise

@@ -29,3 +29,11 @@ def test_ladder_records_each_n():
 def test_ladder_records_a_timeout():
     _, (entry,) = _ladder("--n", "1", "--timeout", "0.001")
     assert entry["status"] == "timeout" and entry["runs_before_timeout"] == 0
+
+
+def test_decider_ladder_records_each_k():
+    repeats, entries = _ladder("--decider", "--n", "2-3")
+    assert [e["k"] for e in entries] == [2, 3]
+    for e in entries:
+        assert e["status"] == "ok" and e["verdict"] is False and e["runs"] == repeats
+        assert 0 <= e["min_s"] <= e["median_s"] and e["peak_rss_mb"] > 0

@@ -2,6 +2,7 @@
 differential comparison against the brute-force oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -13,11 +14,13 @@ from slnkit.ast import (
 from slnkit.checker import (
     address_free_rewrite, check, ground_points_to_eval, value_free_rewrite,
 )
+from slnkit.cli import main
 from slnkit.gen import Generators
-from slnkit.heap import Heap, simple_table_heap
+from slnkit.heap import Heap, save_heap, simple_table_heap
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa, parse_sln
 from slnkit.semantics import VarAssignment
+from slnkit.succ import BudgetExceeded
 from slnkit.translate import add_formula, circle_translate, table_heap_condition
 
 from oracles import brute_force_sln, scan_violations, sln_bound, stable_brute_force
@@ -35,6 +38,32 @@ def test_worked_examples():
 def test_check_is_total_on_plain_equalities():
     assert check(SIGMA, Heap(), parse_sln("forall x. exists y. y = s(x)"))
     assert not check(SIGMA, Heap(), parse_sln("exists y. forall x. y = s(x)"))
+
+
+BUDGET_TEXT = ("forall w. !(w = s(s(s(0)))) \\/ exists x. forall a. "
+               "(!(a |-> 0 /\\ s(a) |-> s(0)) \\/ s(s(a)) |-> x) /\\ s(w) = s(x)")
+
+
+def test_check_ends_in_a_verdict_or_budget_exceeded(tmp_path, capsys):
+    """check is total up to the decider's budget.  Here w is in no points-to
+    atom, so its quantifier goes to the decider as a residual that joins one
+    disjunct per value of x's block, and deciding it multiplies out past
+    MAX_CUBES: check must end quickly, with the oracle's verdict or with
+    BudgetExceeded, and the CLI must exit to match."""
+    a, heap = parse_sln(BUDGET_TEXT), Heap({0: 7, 2: 3, 4: 3, 5: 0})
+    start = time.perf_counter()
+    try:
+        verdict = check(SIGMA, heap, a)
+    except BudgetExceeded:
+        verdict = None
+    assert time.perf_counter() - start < 5
+    assert verdict in (None, stable_brute_force(SIGMA, heap, a))
+    heap_file = tmp_path / "budget.heap"
+    heap_file.write_text(save_heap(heap) + "\n")
+    code = main(["check", "--heap", str(heap_file), BUDGET_TEXT])
+    assert code == {None: 2, True: 0, False: 1}[verdict]
+    if verdict is None:
+        assert capsys.readouterr().err.startswith("error: budget exceeded")
 
 
 def test_address_free_rewrite_shape():

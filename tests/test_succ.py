@@ -1,9 +1,14 @@
 """Successor-arithmetic decider vs the bounded oracle."""
 
+import random
+
 import pytest
 
 from slnkit import succ
-from slnkit.ast import Eq, GForall, TruthConst, free_vars, sln_num, subformulas, svar
+from slnkit.ast import (
+    And, Eq, Exists, Forall, GExists, GForall, Leq, Not, Or, PointsTo, SLNTerm,
+    TruthConst, Var, Zero, free_vars, sln_num, subformulas, svar,
+)
 from slnkit.cli import main
 from slnkit.gen import Generators, GenProfile
 from slnkit.heap import Heap
@@ -22,6 +27,8 @@ SIGMA = VarAssignment()
 def test_basic_sentences():
     assert decide_sentence(parse_sln("forall x. !(x = s(x))"))
     assert not decide_sentence(parse_sln("exists x. s(x) = 0"))
+    # an inner binder rebinds its name
+    assert decide_sentence(parse_sln("exists x. (x = 0 /\\ exists x. x = 0)"))
     # forall x >= m (x = numeral) is false for every m and numeral
     for m in range(4):
         for z in range(4):
@@ -46,6 +53,97 @@ def test_rejects_points_to_and_free_variables():
         decide_sentence(parse_sln("0 = s(0) /\\ 0 |-> 0"))
     with pytest.raises(ValueError):
         decide_sentence(parse_sln("x = 0"))
+
+
+@pytest.mark.parametrize("text, message", [
+    # operands a short circuit skips are still checked
+    ("0 = s(0) /\\ x = 0", "free variables in sentence: ['x']"),
+    ("0 = 0 \\/ 0 |-> 0", "points-to atom in successor-arithmetic input"),
+    ("!(0 = 0 \\/ x = 0)", "free variables in sentence: ['x']"),
+    # a binder's scope ends with its body
+    ("(exists x. x = 0) /\\ x = 0", "free variables in sentence: ['x']"),
+    # every free name is reported, sorted, and a points-to atom comes first
+    ("x = 0 /\\ y = s(0)", "free variables in sentence: ['x', 'y']"),
+    ("y = 0 /\\ 0 |-> 0 /\\ x = 0", "points-to atom in successor-arithmetic input"),
+])
+def test_rejection_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        decide_sentence(parse_sln(text))
+    assert str(err.value) == message
+
+
+def test_free_name_past_the_budget(monkeypatch):
+    """A free name right of an operand that exceeds the budget still gives
+    the free-variable message; without it the budget error stands."""
+    monkeypatch.setattr(succ, "MAX_CUBES", 8)
+    with pytest.raises(BudgetExceeded):
+        decide_sentence(parse_sln(ladder(6)))
+    with pytest.raises(ValueError, match="^free variables in sentence: \\['x'\\]$"):
+        decide_sentence(And(parse_sln(ladder(6)), Eq(svar("x"), sln_num(0))))
+
+
+def test_structural_error_only_on_a_sentence():
+    """An atom outside successor arithmetic is reported as such only when
+    the sentence has no free variable and no points-to atom."""
+    with pytest.raises(ValueError, match="^not a successor-arithmetic formula: Leq"):
+        decide_sentence(Or(Eq(sln_num(0), sln_num(1)), Leq(Zero(), Zero())))
+    with pytest.raises(ValueError, match="^free variables in sentence: \\['x'\\]$"):
+        decide_sentence(And(Leq(Zero(), Zero()), Eq(svar("x"), sln_num(0))))
+
+
+def _mixed(rng, depth, names=("x", "y")):
+    """A small formula of equalities, points-to and PA atoms, connectives
+    and plain or guarded binders, free names allowed."""
+    if depth == 0 or rng.random() < 0.2:
+        roll = rng.random()
+        term = lambda: SLNTerm(rng.choice((None, *names)), rng.randrange(3))
+        if roll < 0.75:
+            return Eq(term(), term())
+        if roll < 0.85:
+            return PointsTo(term(), term())
+        if roll < 0.9:
+            return Leq(rng.choice((Zero(), Var(names[0]))), Zero())
+        return TruthConst(rng.random() < 0.5)
+    roll, var = rng.random(), rng.choice(names)
+    if roll < 0.25:
+        return And(_mixed(rng, depth - 1), _mixed(rng, depth - 1))
+    if roll < 0.5:
+        return Or(_mixed(rng, depth - 1), _mixed(rng, depth - 1))
+    if roll < 0.6:
+        return Not(_mixed(rng, depth - 1))
+    body, guard = _mixed(rng, depth - 1), rng.randrange(3)
+    return rng.choice((Exists(var, body), Forall(var, body),
+                       GExists(var, guard, body), GForall(var, guard, body)))
+
+
+def test_rejects_exactly_the_non_sentences():
+    """A points-to atom or a free name anywhere, skipped operands included,
+    is rejected with the message of the whole-sentence walk.  A closed PA
+    atom is a structural error only where the elimination reaches it; in an
+    operand a short circuit skips, it is not read."""
+    rng = random.Random(18)
+    counts = dict.fromkeys(("points-to", "free", "leq", "decided"), 0)
+    for _ in range(1000):
+        a = _mixed(rng, rng.randrange(1, 5))
+        kinds = {type(b) for b in subformulas(a)}
+        if PointsTo in kinds or free_vars(a):
+            kind = "points-to" if PointsTo in kinds else "free"
+            message = ("points-to atom in successor-arithmetic input" if kind == "points-to"
+                       else f"free variables in sentence: {sorted(free_vars(a))}")
+            with pytest.raises(ValueError) as err:
+                decide_sentence(a)
+            assert str(err.value) == message, a
+        elif Leq in kinds:
+            kind = "leq"
+            try:
+                assert decide_sentence(a) in (True, False)
+            except ValueError as err:
+                assert str(err).startswith("not a successor-arithmetic formula: Leq"), a
+        else:
+            kind = "decided"
+            assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a), a
+        counts[kind] += 1
+    assert min(counts.values()) >= 20, counts
 
 
 def test_against_oracle():
