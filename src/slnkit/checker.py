@@ -18,10 +18,11 @@ A closed quantifier, one whose free variables the environment binds, is
 decided on a boolean path: every value of its block decides the body, the
 loop stops at the first that gives the quantifier's verdict, and only a
 tail whose body stays undecided becomes a residual for the decider.
-Without anchored or joined candidates the body is first evaluated with
-the variable unbound, and a constant body is returned as is; a variable in
-no points-to atom then goes to the decider whole.  An open quantifier is
-folded into a residual: the join of the undecided bodies with the tail.
+Without a pin or anchored or joined candidates the body is first
+evaluated with the variable unbound, and a constant body is returned as
+is; a variable in no points-to atom then goes to the decider whole.  An
+open quantifier is folded into a residual: the join of the undecided
+bodies with the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
 within one formula or across formulas, are one node.  A formula keeps its
@@ -30,26 +31,36 @@ such as H inside every translation, compiles once.  Each enumerated
 quantifier's verdict is memoized on its heap, keyed on the node and the
 values of its free variables; a lookup hashes no tree.
 
+Pins.  When the body of an exists needs a conjunct t |-> x+i or x+i = t,
+with t bound outside, or the body of a forall holds unless that conjunct
+does, the conjunct is false at every value of x but one, k: the value
+stored at t less i, or t less i.  So every other value, in the block and
+in the tail alike, leaves the body false (exists) or true (forall), and
+the quantifier is its body at k, or its neutral verdict when k is below
+the guard.  The body's atoms read the heap directly, so a k past the block
+is evaluated exactly: a pinned quantifier, closed or open, takes one heap
+read and one evaluation of its body, with no block, tail or decider.
+
 Anchored enumeration.  When the body of an exists needs a conjunct
 x+i |-> t, with t bound outside, or the body of a forall holds unless that
 conjunct does, only the values of x at which the conjunct holds can change
 the verdict: the addresses that store t (from the heap's value index),
-shifted by i.  For a conjunct t |-> x+i it is the one value stored at t,
-less i.  Every other value in the enumerated block falsifies the conjunct,
-and so leaves the body false (exists) or true (forall).  This is the
-paper's argument for the tail, applied to one atom inside the block, so the
-block's verdict, the tail and the decider path are those of the split.
-Every known anchor filters the candidates: the shortest address list is
-scanned, and a value k is kept only if h(k+j) = t' for each other known
-anchor x+j |-> t'.  Anchors are searched through nested quantifiers that
-do not bind t.  Without a bound anchor, x is joined through a quantifier
-q on y that the body needs and whose body ties y to x by y+i |-> x+j.  A
-needed witness of q (an exists true, a forall false) is among q's
-candidates and stores x+j at y+i.  A needed forall q with body
-rest \\/ y+i |-> x+j, x not in rest, has the first candidate y where rest
-is false store x+j at y+i: the row of a table lookup; without such a y the
-lookup is vacuous and the block is enumerated.  Every other value of x
-falsifies the witness or the row: the tail argument, one quantifier down.
+shifted by i.  Every other value in the enumerated block falsifies the
+conjunct, and so leaves the body false (exists) or true (forall).  This is
+the paper's argument for the tail, applied to one atom inside the block,
+so the block's verdict, the tail and the decider path are those of the
+split.  Every known anchor filters the candidates: the shortest address
+list is scanned, and a value k is kept only if h(k+j) = t' for each other
+known anchor x+j |-> t'.  Pins and anchors are searched through nested
+quantifiers that do not bind t.  Without a bound pin or anchor, x is
+joined through a quantifier q on y that the body needs and whose body ties
+y to x by y+i |-> x+j.  A needed witness of q (an exists true, a forall
+false) is q's pin or among its candidates and stores x+j at y+i.  A needed
+forall q with body rest \\/ y+i |-> x+j, x not in rest, has the first
+candidate y where rest is false store x+j at y+i: the row of a table
+lookup; without such a y the lookup is vacuous and the block is
+enumerated.  Every other value of x falsifies the witness or the row: the
+tail argument, one quantifier down.
 """
 
 from __future__ import annotations
@@ -387,17 +398,18 @@ class _Or(_Binary):
 
 
 def _needs(node: _Node, x: str, positive: bool) -> frozenset:
-    """Points-to atoms mentioning x that hold whenever node is true
-    (positive) or false; and joins (rest, q, i, j) where node needs, via
-    connectives only, a witness of q on y whose body needs y+i |-> x+j
-    (rest None) or the forall q, its body rest \\/ y+i |-> x+j, x not in rest.
+    """Atoms mentioning x, points-to atoms and equations, that hold whenever
+    node is true (positive) or false; and joins (rest, q, i, j) where node
+    needs, via connectives only, a witness of q on y whose body needs
+    y+i |-> x+j (rest None) or the forall q, its body rest \\/ y+i |-> x+j,
+    x not in rest.
 
     The domain is never empty, so an atom needed by the body of any
     quantifier is needed by the quantifier too, unless it mentions the
     bound variable."""
-    if x not in node.addr_vars and x not in node.val_vars:
+    if x not in node.free:
         return frozenset()
-    if isinstance(node, _PointsTo):
+    if isinstance(node, _Atom):
         return frozenset((node,)) if positive else frozenset()
     if isinstance(node, _Not):
         return _needs(node.body, x, not positive)
@@ -408,7 +420,7 @@ def _needs(node: _Node, x: str, positive: bool) -> frozenset:
         return l and l & _needs(node.right, x, positive)
     if isinstance(node, _Quant):
         y, body = node.shape.var, node.shape.body
-        inner = [p for p in _needs(body, x, positive) if type(p) is _PointsTo]
+        inner = [p for p in _needs(body, x, positive) if type(p) is not tuple]
         ties = ([(p, None) for p in inner] if positive == node.shape.exists
                 else [(body.left, body.right), (body.right, body.left)]
                 if positive and type(body) is _Or else [])
@@ -439,79 +451,94 @@ def _replace(node: _Node, x: str, side: str) -> _Node:
 class _Shape:
     """A quantifier without its guard, with the facts the enumeration
     needs: the side the variable is enumerated on, and, each derived once
-    on first use, its anchors, its joins and the body of the guarded tail."""
+    on first use, its pins, its address anchors, its joins and the body of
+    the guarded tail."""
 
-    __slots__ = ("exists", "var", "body", "side", "_anchors", "_joins", "_tail", "__weakref__")
+    __slots__ = ("exists", "var", "body", "side", "_pins", "_anchors", "_joins", "_tail",
+                 "__weakref__")
 
     def __init__(self, exists: bool, var: str, body: _Node) -> None:
         self.exists, self.var, self.body = exists, var, body
         self.side = ("addr" if var in body.addr_vars else
                      "val" if var in body.val_vars else None)
-        self._anchors = self._joins = self._tail = None
+        self._pins = self._anchors = self._joins = self._tail = None
 
-    def _find_anchors(self) -> tuple:
+    def _find_anchors(self) -> None:
         x, body = self.var, self.body
         # For exists, the atoms the body needs; for forall, the atoms whose
-        # failure makes the body true.  Value-side anchors come first: each
-        # yields at most one candidate; so do pins among the joins.
-        addr, val, joins = [], [], []
+        # failure makes the body true.  A pin is (an equation?, base and
+        # offset of t, offset of x); an address anchor drops the first.
+        pins, addr, joins = [], [], []
         for p in _needs(body, x, self.exists):
             if type(p) is tuple:
                 joins.append(p)
-            # (on the value side?, base and offset of t, offset of x)
+            elif type(p) is _Eq:  # the bases differ, so x is on one side only
+                pins.append((True, p.rb, p.ro, p.lo) if p.lb == x else (True, p.lb, p.lo, p.ro))
             elif p.lb == x and p.rb != x:
-                addr.append((False, p.rb, p.ro, p.lo))
+                addr.append((p.rb, p.ro, p.lo))
             elif p.rb == x and p.lb != x:
-                val.append((True, p.lb, p.lo, p.ro))
-        joins.sort(key=lambda join: join[0] is None)
-        return tuple(val + addr), tuple(joins)
+                pins.append((False, p.lb, p.lo, p.ro))
+        joins.sort(key=lambda join: join[0] is None)  # lookups first: one value each
+        self._pins, self._anchors, self._joins = tuple(pins), tuple(addr), tuple(joins)
 
     def bound(self, h: Heap) -> int:
         """The last value of the enumerated block; the tail takes the rest."""
         return h.max_addr if self.side == "addr" else h.max_val
 
+    def pin(self, env, h) -> int | None:
+        """The one value of x at which the body can differ from its neutral
+        verdict, over the whole domain, read off the first pin whose t env
+        binds: t - i for x+i = t, the value stored at t less i for
+        t |-> x+i (-1 for an empty cell); None when no pin's t is bound."""
+        if self._pins is None:
+            self._find_anchors()
+        for is_eq, base, offset, i in self._pins:
+            t = 0 if base is None else env.get(base)
+            if t is not None:  # an empty cell gives i - 1, less i
+                return t + offset - i if is_eq else h._cells.get(t + offset, i - 1) - i
+        return None
+
     def candidates(self, env, h, guard: int):
         """The values from guard to the bound at which the body can differ
-        from its neutral verdict, or None when no anchor or join applies.
-        An anchor, x+i |-> t or t |-> x+i, is false at every other value,
-        and so is the body of an exists (for a forall, its body is true).
-        Anchors whose t is not bound in env are skipped.  A value anchor
-        gives at most one value; otherwise the address anchor with the
-        fewest values gives the list, and every other one filters it."""
-        if self._anchors is None:
-            self._anchors, self._joins = self._find_anchors()
+        from its neutral verdict, or None when no address anchor or join
+        applies.  An anchor x+i |-> t is false at every other value, and so
+        is the body of an exists (for a forall, its body is true).  Anchors
+        whose t is not bound in env are skipped; the one with the fewest
+        addresses gives the list, and every other one filters it."""
+        if self._pins is None:
+            self._find_anchors()
         known = []
-        get = h._cells.get  # the dict's own get: no wrapper call per address
-        for is_val, base, offset, i in self._anchors:
+        for base, offset, i in self._anchors:
             t = 0 if base is None else env.get(base)
-            if t is None:
-                continue
-            t += offset
-            if is_val:
-                # t |-> x+i: x is the value stored at t, minus i
-                stored = get(t)
-                k = -1 if stored is None else stored - i
-                return (k,) if guard <= k <= self.bound(h) else ()
-            known.append((h.addresses_holding(t), t, i))
+            if t is not None:
+                known.append((h.addresses_holding(t + offset), t + offset, i))
         if not known:
             return self._joined(env, h, guard) if self._joins else None
         if len(known) > 1:
             known.sort(key=lambda anchor: len(anchor[0]))
         addrs, _, i = known[0]
+        get = h._cells.get  # the dict's own get: no wrapper call per address
         for _, t, j in known[1:]:
             d = j - i  # from an address of the first anchor to this one's
             addrs = [a for a in addrs if get(a + d) == t]
-        bound = self.bound(h)
-        return [a - i for a in addrs if guard <= a - i <= bound]
+        # x is addressed, so its bound is the largest address: only the
+        # guard can cut an ascending list, and often cuts nothing
+        if i == 0 and (not addrs or addrs[0] >= guard):
+            return addrs
+        return [a - i for a in addrs if a - i >= guard]
 
     def _joined(self, env, h, guard: int):
-        """The values the first join that applies reads off q's candidates, or None."""
+        """The values the first join that applies reads off q's pin or candidates, or None."""
         for rest, q, i, j in self._joins:
             y = q.shape.var
             inner = {v: k for v, k in env.items() if v != y}
-            ys = q.shape.candidates(inner, h, q.guard)
-            if ys is None:
-                ys = range(q.guard, q.shape.bound(h) + 1)
+            k = q.shape.pin(inner, h)
+            if k is not None:
+                ys = (k,) if k >= q.guard else ()
+            else:
+                ys = q.shape.candidates(inner, h, q.guard)
+                if ys is None:
+                    ys = range(q.guard, q.shape.bound(h) + 1)
             if rest is not None:
                 ys = next(([k] for k in ys if rest.ev({**inner, y: k}, h) is False), None)
                 if ys is None:
@@ -553,6 +580,13 @@ class _Quant(_Node):
         x, body, want = shape.var, shape.body, shape.exists
         saved = env.pop(x, _UNSET)
         try:
+            if closed:
+                k = shape.pin(env, h)
+                if k is not None:
+                    env[x] = k
+                    found = k >= guard and body.ev(env, h) is want
+                    verdict = h._memo[key] = want if found else not want
+                    return verdict
             values = shape.candidates(env, h, guard) if closed else None
             if values is None:
                 verdict = body.ev(env, h)
@@ -670,12 +704,16 @@ def _join(parts: list[Formula], exists: bool) -> Formula:
 
 def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
     """`Q x >= guard. body` as successor arithmetic over the variables
-    env leaves unbound, x aside: a constant once some value of x decides
-    it, else the join of the bodies that stay undecided with the tail.
-    env is left as it came."""
+    env leaves unbound, x aside: the body at a bound pin's value, else a
+    constant once some value of x decides it, else the join of the bodies
+    that stay undecided with the tail.  env is left as it came."""
     x, body, want = shape.var, shape.body, shape.exists
     saved = env.pop(x, _UNSET)
     try:
+        k = shape.pin(env, h)
+        if k is not None:
+            env[x] = k
+            return body.res(env, h) if k >= guard else FALSE if want else TRUE
         if shape.side is None:
             return _guarded(want, x, guard, body.res(env, h))
         bound = shape.bound(h)
@@ -707,8 +745,9 @@ def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
 def check(sigma: VarAssignment, h: Heap, a: Formula) -> bool:
     """Truth of sigma, h |= a, on every SLN formula, or succ.BudgetExceeded
     when a residual sentence handed to the decider passes its budget: for
-    example a quantifier whose variable is in no points-to atom, with an
-    open quantifier in its body, whose residual joins one disjunct per value
-    of that quantifier's block."""
+    example forall w. (!(w = 3) /\\ !(w = 4)) \\/ exists x. (L(x) /\\ s(w) = s(x)),
+    L(x) a table lookup, on {0: 7, 2: 3, 4: 3, 5: 0}: w has no pin and is in
+    no points-to atom, and x's residual, its pin unbound, joins one disjunct
+    per value of x's block."""
     root = _compile(a)
     return root.ev({v: sigma(v) for v in root.free}, h)

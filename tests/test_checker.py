@@ -40,17 +40,32 @@ def test_check_is_total_on_plain_equalities():
     assert not check(SIGMA, Heap(), parse_sln("exists y. forall x. y = s(x)"))
 
 
-BUDGET_TEXT = ("forall w. !(w = s(s(s(0)))) \\/ exists x. forall a. "
+# w is pinned by !(w = 3), and at w = 3 the equation s(w) = s(x) pins x.
+PINNED_TEXT = ("forall w. !(w = s(s(s(0)))) \\/ exists x. forall a. "
+               "(!(a |-> 0 /\\ s(a) |-> s(0)) \\/ s(s(a)) |-> x) /\\ s(w) = s(x)")
+# No equation pins w here, and w is in no points-to atom.
+BUDGET_TEXT = ("forall w. (!(w = s(s(s(0)))) /\\ !(w = s(s(s(s(0)))))) \\/ exists x. forall a. "
                "(!(a |-> 0 /\\ s(a) |-> s(0)) \\/ s(s(a)) |-> x) /\\ s(w) = s(x)")
 
 
-def test_check_ends_in_a_verdict_or_budget_exceeded(tmp_path, capsys):
-    """check is total up to the decider's budget.  Here w is in no points-to
-    atom, so its quantifier goes to the decider as a residual that joins one
-    disjunct per value of x's block, and deciding it multiplies out past
-    MAX_CUBES: check must end quickly, with the oracle's verdict or with
+def test_check_ends_in_a_verdict_or_budget_exceeded(tmp_path, capsys, monkeypatch):
+    """check is total up to the decider's budget.  The first formula is
+    decided by its pins, True as the oracle has it, with no call to the
+    decider, and the CLI exits 0.  In the second, w goes to the decider as
+    a residual that joins one disjunct per value of x's block, since x's
+    pin has w unbound there, and deciding it multiplies out past MAX_CUBES:
+    check must end quickly, with the oracle's verdict or with
     BudgetExceeded, and the CLI must exit to match."""
-    a, heap = parse_sln(BUDGET_TEXT), Heap({0: 7, 2: 3, 4: 3, 5: 0})
+    heap = Heap({0: 7, 2: 3, 4: 3, 5: 0})
+    heap_file = tmp_path / "budget.heap"
+    heap_file.write_text(save_heap(heap) + "\n")
+    decided, decide = [], checker.decide_sentence
+    monkeypatch.setattr(checker, "decide_sentence", lambda s: decided.append(s) or decide(s))
+    a = parse_sln(PINNED_TEXT)
+    assert check(SIGMA, heap, a) is stable_brute_force(SIGMA, heap, a) is True
+    assert decided == []
+    assert main(["check", "--heap", str(heap_file), PINNED_TEXT]) == 0
+    a = parse_sln(BUDGET_TEXT)
     start = time.perf_counter()
     try:
         verdict = check(SIGMA, heap, a)
@@ -58,8 +73,7 @@ def test_check_ends_in_a_verdict_or_budget_exceeded(tmp_path, capsys):
         verdict = None
     assert time.perf_counter() - start < 5
     assert verdict in (None, stable_brute_force(SIGMA, heap, a))
-    heap_file = tmp_path / "budget.heap"
-    heap_file.write_text(save_heap(heap) + "\n")
+    capsys.readouterr()
     code = main(["check", "--heap", str(heap_file), BUDGET_TEXT])
     assert code == {None: 2, True: 0, False: 1}[verdict]
     if verdict is None:
@@ -307,6 +321,15 @@ def test_anchored_shapes(text):
     # residual blocks with several copies join by the quantifier's kind
     ("exists x. exists a. (a |-> 0 /\\ x = s(a))", Heap({2: 0, 4: 0}), {}),
     ("forall x. forall a. (!(a |-> 0) \\/ !(x = a))", Heap({2: 0, 4: 0}), {}),
+    # an address below the guard is no candidate
+    ("exists a >= 1. (a |-> 0 /\\ !(s(a) |-> s(0)))", Heap({0: 0, 3: 0, 4: 1}), {}),
+    # an open quantifier pinned below its guard folds to its neutral verdict
+    ("forall w. (w = s(0) \\/ exists x >= 2. (x = s(0) /\\ s(w) = s(x)))", Heap({0: 1}), {}),
+    ("forall w. (w = s(s(s(s(s(0))))) \\/ forall x >= 2. (!(x = s(0)) \\/ w = x))",
+     Heap({0: 1}), {}),
+    # the equation x = s(b) is about the inner b, so it pins nothing
+    ("exists b. (0 |-> b /\\ exists x. ((exists b. (x = s(b) /\\ b = s(s(0)))) /\\ !(x = s(b))))",
+     Heap({0: 1}), {}),
 ])
 def test_anchor_scoping(text, heap, sigma):
     a, sigma = parse_sln(text), VarAssignment(sigma)
@@ -388,18 +411,23 @@ def test_closed_decisions_build_no_residual(monkeypatch):
 @pytest.mark.parametrize("text, verdict", [
     ("exists y. y = s(s(0))", True),
     ("exists y. (y = s(s(0)) /\\ y = s(0))", False),  # no value is a witness
+    ("exists y. !(y = s(s(0)))", True),
 ])
 def test_unanchored_closed_quantifier_goes_to_the_decider(monkeypatch, text, verdict):
     """A closed quantifier whose variable is in no points-to atom is
-    handed to the decider whole: its body's atoms are evaluated a few
-    times, not once per value up to the heap's largest value, 10^6."""
+    decided by a pin, when its body needs an equation on the variable (the
+    first two: one evaluation of the body at y = 2), and is otherwise
+    handed to the decider whole (the third, whose equation is negated):
+    either way its body's atoms are evaluated a few times, not once per
+    value up to the heap's largest value, 10^6."""
     calls, decided = [], []
     ev, decide = checker._Eq.ev, checker.decide_sentence
     monkeypatch.setattr(checker._Eq, "ev",
                         lambda self, env, h: calls.append(self) or ev(self, env, h))
     monkeypatch.setattr(checker, "decide_sentence", lambda s: decided.append(s) or decide(s))
     assert check(SIGMA, Heap({0: 10**6}), parse_sln(text)) is verdict
-    assert len(decided) == 1 and 0 < len(calls) < 10
+    pinned = "!" not in text
+    assert len(decided) == (0 if pinned else 1) and 0 < len(calls) < (3 if pinned else 10)
 
 
 def test_table_heap_condition_on_larger_tables():
@@ -512,13 +540,13 @@ def test_pin_is_the_only_x_in_the_lookup():
 
 
 def test_table_lookups_read_their_rows(monkeypatch):
-    """On a table heap the defining existential of a sum is pinned by the
-    one row of its lookup, and a bounded quantifier takes the operands of
-    the inequality rows it asks for, not its whole block; the lookups of a
-    translation are built once."""
+    """On a table heap the defining existential of a sum reads one value,
+    and a bounded quantifier takes the operands of the inequality rows it
+    asks for, not its whole block; the lookups of a translation are built
+    once."""
     a = circle_translate(normalize_bounded(parse_pa("forall b <= x. exists c <= y. b + c = y")))
     sizes = {"x#1": [], "c": [], "b": []}
-    candidates = checker._Shape.candidates
+    candidates, pin = checker._Shape.candidates, checker._Shape.pin
 
     def counted(self, env, h, guard):
         values = candidates(self, env, h, guard)
@@ -526,7 +554,14 @@ def test_table_lookups_read_their_rows(monkeypatch):
             sizes[self.var].append(None if values is None else len(values))
         return values
 
+    def pinned(self, env, h):
+        k = pin(self, env, h)
+        if self.var in sizes and k is not None:
+            sizes[self.var].append(1)
+        return k
+
     monkeypatch.setattr(checker._Shape, "candidates", counted)
+    monkeypatch.setattr(checker._Shape, "pin", pinned)
     heap = Heap(simple_table_heap(3).cells)
     assert check(VarAssignment({"x": 1, "y": 2}), heap, a) is True
     assert {var: set(n) for var, n in sizes.items()} == {"x#1": {1}, "c": {3}, "b": {2}}
@@ -609,6 +644,88 @@ def test_nested_joins_against_oracle():
         assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a), (a, heap)
 
 
+def _equations(rng, scope, depth):
+    """A formula over equations only: its variables are in no points-to atom."""
+    if depth <= 0:
+        return Eq(_term(rng, scope), _term(rng, scope))
+    roll = rng.random()
+    if roll < 0.2:
+        return Not(_equations(rng, scope, depth - 1))
+    if roll < 0.7:
+        return rng.choice([And, Or])(_equations(rng, scope, depth - 1),
+                                     _equations(rng, scope, depth - 1))
+    y = rng.choice(["b", "z"])
+    return rng.choice([Exists, Forall])(y, _equations(rng, scope + [y], depth - 1))
+
+
+def _pinned(rng, scope, depth, bases):
+    """A quantifier on x whose body needs a pin, t |-> x+i or x+i = t
+    either way round, t's base in bases, under a negation for forall; at
+    times with x in no points-to atom, under a nested quantifier (at times
+    one that binds t's base, which then pins nothing), with a guard, or
+    with x shadowing an outer binder."""
+    x = rng.choice(["a", "x", "y", "u"])
+    t, xi = _term(rng, bases), SLNTerm(x, rng.randint(0, 2))
+    roll = rng.random()
+    pin = PointsTo(t, xi) if roll < 0.4 else Eq(xi, t) if roll < 0.7 else Eq(t, xi)
+    if rng.random() < 0.6:
+        rest = _equations(rng, scope + [x], depth - 1)
+    else:
+        rest = _random_formula(rng, scope + [x], depth - 1)
+    exists = rng.random() < 0.5
+    body = And(pin, rest) if exists else Or(Not(pin), rest)
+    if rng.random() < 0.4:
+        y = rng.choice(["b", "z", t.base or "b"])
+        body = rng.choice([Exists, Forall])(y, body)
+    guard = rng.choice([0, 0, 1, 3])
+    if guard:
+        return (GExists if exists else GForall)(x, guard, body)
+    return (Exists if exists else Forall)(x, body)
+
+
+def _pinned_sentence(rng):
+    """A pinned quantifier under up to two outer quantifiers, whose
+    variables may be t's base or only in the rest of its body (then it is
+    open, with its pin bound, while an outer residual is folded), with
+    three quantifiers at most: the oracle's cost grows as its bound to the
+    power of their number."""
+    while True:
+        free = ["f"] if rng.random() < 0.5 else []
+        outer = rng.sample(["u", "v"], rng.randint(0, 2))
+        bases = free + outer if rng.random() < 0.5 else free
+        a = _pinned(rng, free + outer, rng.randint(1, 2), bases)
+        for u in reversed(outer):
+            side = Eq(svar(u), _term(rng, free))
+            a = rng.choice([Exists, Forall])(u, rng.choice([And, Or])(a, side))
+        if sum(type(sub) in (Exists, Forall, GExists, GForall) for sub in subformulas(a)) <= 3:
+            return a
+
+
+def test_pins_against_oracle(monkeypatch):
+    """Quantifiers pinned by value atoms and by equations, closed and open
+    (under outer quantifiers whose variables are t's bases), agree with the
+    oracle at two bounds; some pinned ones have x in no points-to atom."""
+    rng = random.Random(58)
+    sides = []
+    pin = checker._Shape.pin
+
+    def pinned(self, env, h):
+        k = pin(self, env, h)
+        if k is not None:
+            sides.append(self.side)
+        return k
+
+    monkeypatch.setattr(checker._Shape, "pin", pinned)
+    for _ in range(300):
+        a = _pinned_sentence(rng)
+        heap = Heap({rng.randint(0, 5): rng.randint(0, 4) for _ in range(rng.randint(0, 5))})
+        sigma = VarAssignment({v: rng.randint(0, 5) for v in free_vars(a)})
+        expected = stable_brute_force(sigma, heap, a)
+        bound = sln_bound(sigma, heap, a) + 3
+        assert check(sigma, heap, a) == expected == brute_force_sln(sigma, heap, a, bound), a
+    assert {None, "addr", "val"} <= set(sides)
+
+
 def _add2_exists_b():
     """The `exists $b` of the add2 clause: the only one whose body needs a
     row tagged 0 at $b."""
@@ -639,6 +756,54 @@ def test_add2_gets_one_candidate_per_row(monkeypatch, n):
     assert check(SIGMA, heap, table_heap_condition()) is True
     rows = n * n + 1
     assert sizes == [1] * (rows * (rows - 1))
+
+
+def _ineq1_exists_z():
+    """The `exists $z` of the ineq1 clause: the one whose body has the
+    equation $y = s($z)."""
+    eq = Eq(svar("$y"), SLNTerm("$z", 1))
+    (node,) = {checker._compile(sub) for sub in subformulas(table_heap_condition())
+               if isinstance(sub, Exists) and sub.var == "$z"
+               and eq in set(subformulas(sub.body))}
+    return node.shape
+
+
+def test_ineq1_reads_one_value_of_z(monkeypatch):
+    """The equation $y = s($z) pins ineq1's `exists $z`: each evaluation
+    reads the one value $y - 1 and takes no candidate list.  The verdicts
+    are the scan's on intact tables; on single-cell mutations (every cell
+    of h_1, the inequality rows of h_2 and h_3) they are H's read off the
+    cells, and reject every heap the scan rejects."""
+    shape, reads = _ineq1_exists_z(), []
+    candidates, pin = checker._Shape.candidates, checker._Shape.pin
+
+    def pinned(self, env, h):
+        k = pin(self, env, h)
+        if self is shape:
+            reads.append((k, env["$y"]))
+        return k
+
+    def listed(self, env, h, guard):
+        assert self is not shape, "ineq1's exists $z took a candidate list"
+        return candidates(self, env, h, guard)
+
+    monkeypatch.setattr(checker._Shape, "pin", pinned)
+    monkeypatch.setattr(checker._Shape, "candidates", listed)
+    H = table_heap_condition()
+    for n in (1, 2, 3):
+        t = simple_table_heap(n)
+        assert check(SIGMA, Heap(t.cells), H) is True and not scan_violations(t)
+        ineq = 4 * (n * n + 1) ** 2 + 4 * (n + 1) ** 2  # the first inequality row
+        cells = [a for a in t.cells if n == 1 or a >= ineq]
+        for a in cells:
+            old = t.get(a)
+            for v in range(t.max_val + 3) if n < 3 else (old - 1, old + 1):
+                if v != old and v >= 0:
+                    h = t.mutated(a, v)
+                    verdict = check(SIGMA, h, H)
+                    assert verdict is _table_condition(h)
+                    assert not (verdict and scan_violations(h))
+    assert reads and all(k == y - 1 for k, y in reads)
 
 
 def test_anchored_closed_quantifier_skips_the_prepass(monkeypatch):
