@@ -14,15 +14,16 @@ them.
 Environment evaluation.  A formula is compiled once into nodes and decided
 under an environment that maps variables to values; enumerating a
 quantifier rebinds its variable and never builds a substituted formula.
-A closed quantifier, one whose free variables the environment binds, is
-decided on a boolean path: every value of its block decides the body, the
-loop stops at the first that gives the quantifier's verdict, and only a
-tail whose body stays undecided becomes a residual for the decider.
-Without a pin or anchored or joined candidates the body is first
-evaluated with the variable unbound, and a constant body is returned as
-is; a variable in no points-to atom then goes to the decider whole.  An
-open quantifier is folded into a residual: the join of the undecided
-bodies with the tail.
+One method, _Quant.ev, splits every quantifier: the body at a pin, else at
+each anchored or joined candidate, else, once the body with the variable
+unbound is not constant, at each value of the block, up to the first value
+that gives the quantifier's verdict; then the tail, split the same way by
+its own node.  A variable in no points-to atom has no block: its
+quantifier is a residual whole.  A closed quantifier, one whose free
+variables the environment binds, is decided on a boolean path, and only
+such a residual, or one left by its tail, goes to the decider.  An open one is folded to
+the body with the variable unbound, or, for res, split into the join of
+the bodies left undecided with the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
 within one formula or across formulas, are one node.  A formula keeps its
@@ -451,7 +452,7 @@ def _replace(node: _Node, x: str, side: str) -> _Node:
 class _Shape:
     """A quantifier without its guard, with the facts the enumeration
     needs: the side the variable is enumerated on, and, each derived once
-    on first use, its pins, its address anchors, its joins and the body of
+    on first use, its pins, its address anchors, its joins and the node of
     the guarded tail."""
 
     __slots__ = ("exists", "var", "body", "side", "_pins", "_anchors", "_joins", "_tail",
@@ -547,13 +548,26 @@ class _Shape:
             return sorted({k for k in xs if guard <= k <= bound})
         return None
 
-    def tail(self) -> "_Shape":
-        """The same quantifier with the atoms on its side replaced by
-        false, which is its body beyond the side's bound."""
-        if self._tail is None:
-            self._tail = _intern((_Shape, self.exists, self.var,
-                                  _replace(self.body, self.var, self.side)))
-        return self._tail
+    def tail(self, guard: int) -> _Node:
+        """This quantifier from guard on, with the atoms on its side
+        replaced by false, which is its body past the side's bound.  The
+        last tail made is kept."""
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = _quant_node(self.exists, self.var, guard,
+                                            _replace(self.body, self.var, self.side))
+        elif type(tail) is _Quant and tail.guard != guard:
+            tail = self._tail = _intern((_Quant, tail.shape, guard))
+        return tail
+
+
+def _join(parts: list[Formula], exists: bool) -> Formula:
+    """The disjunction (exists) or conjunction of the nonempty parts, as a
+    balanced tree, so its depth grows with the log of their number."""
+    while len(parts) > 1:
+        joined = [(disj if exists else conj)(l, r) for l, r in zip(parts[::2], parts[1::2])]
+        parts = joined + parts[len(joined) * 2:]
+    return parts[0]
 
 
 class _Quant(_Node):
@@ -566,10 +580,12 @@ class _Quant(_Node):
         names = sorted(self.free)
         self._values = itemgetter(*names) if names else None
 
-    def ev(self, env, h) -> bool | None:
-        """A closed quantifier is decided on the boolean path of the module
-        docstring, and its verdict memoized per heap on (node, free
-        values); an open one is only folded."""
+    def ev(self, env, h, fold=True):
+        """The one split of the module docstring.  A closed quantifier hands
+        a residual to the decider and memoizes its verdict per heap on
+        (node, free values).  An open one is only folded, unless fold is
+        off: then it gives its verdict or its residual over the variables
+        env leaves unbound.  env is left as it came."""
         closed = env.keys() >= self.free
         if closed:
             key = self if self._values is None else (self, self._values(env))
@@ -580,34 +596,44 @@ class _Quant(_Node):
         x, body, want = shape.var, shape.body, shape.exists
         saved = env.pop(x, _UNSET)
         try:
-            if closed:
+            if closed or not fold:
                 k = shape.pin(env, h)
                 if k is not None:
                     env[x] = k
-                    found = k >= guard and body.ev(env, h) is want
-                    verdict = h._memo[key] = want if found else not want
+                    verdict = body.ev(env, h) if k >= guard else not want
+                    if verdict is None:  # only an open body is undecided
+                        return body.res(env, h)
+                    if closed:
+                        h._memo[key] = verdict
                     return verdict
-            values = shape.candidates(env, h, guard) if closed else None
+                values = shape.candidates(env, h, guard)
+            else:
+                values = None
             if values is None:
                 verdict = body.ev(env, h)
-                if verdict is not None or not closed:
+                if verdict is not None or fold and not closed:
                     return verdict
                 if shape.side is None:
-                    verdict = h._memo[key] = decide_sentence(_residual(shape, guard, env, h))
+                    verdict = _guarded(want, x, guard, body.res(env, h))
+                    if closed:
+                        verdict = h._memo[key] = decide_sentence(verdict)
                     return verdict
                 values = range(guard, shape.bound(h) + 1)
+            parts = []
             for k in values:
                 env[x] = k
-                if body.ev(env, h) is want:
-                    h._memo[key] = want
-                    return want
-            env.pop(x, None)
-            tail = shape.tail()
-            verdict = tail.body.ev(env, h)
-            if verdict is None:
-                verdict = decide_sentence(
-                    _residual(tail, max(guard, shape.bound(h) + 1), env, h))
-            h._memo[key] = verdict
+                verdict = body.ev(env, h)
+                if verdict is want:
+                    break
+                if verdict is None:
+                    parts.append(body.res(env, h))
+            else:
+                env.pop(x, None)
+                tail = shape.tail(max(guard, shape.bound(h) + 1))
+                verdict = (tail.ev(env, h) if closed
+                           else _join(parts + [tail.res(env, h)], want))
+            if closed:
+                h._memo[key] = verdict
             return verdict
         finally:
             env.pop(x, None)
@@ -615,10 +641,8 @@ class _Quant(_Node):
                 env[x] = saved
 
     def res(self, env, h) -> Formula:
-        verdict = self.ev(env, h)
-        if verdict is not None:
-            return TRUE if verdict else FALSE
-        return _residual(self.shape, self.guard, env, h)
+        verdict = self.ev(env, h, False)
+        return verdict if type(verdict) is not bool else TRUE if verdict else FALSE
 
 
 # Node constructors: they fold constants and intern what is left.
@@ -687,55 +711,6 @@ def _compile(a: Formula) -> _Node:
         raise TypeError(f"not an SLN formula: {a!r}")
     vars(a)["_node"] = node
     return node
-
-
-# ---------------------------------------------------------------------------
-# Enumeration
-
-
-def _join(parts: list[Formula], exists: bool) -> Formula:
-    """The disjunction (exists) or conjunction of the nonempty parts, as a
-    balanced tree, so its depth grows with the log of their number."""
-    while len(parts) > 1:
-        joined = [(disj if exists else conj)(l, r) for l, r in zip(parts[::2], parts[1::2])]
-        parts = joined + parts[len(joined) * 2:]
-    return parts[0]
-
-
-def _residual(shape: _Shape, guard: int, env: dict, h: Heap) -> Formula:
-    """`Q x >= guard. body` as successor arithmetic over the variables
-    env leaves unbound, x aside: the body at a bound pin's value, else a
-    constant once some value of x decides it, else the join of the bodies
-    that stay undecided with the tail.  env is left as it came."""
-    x, body, want = shape.var, shape.body, shape.exists
-    saved = env.pop(x, _UNSET)
-    try:
-        k = shape.pin(env, h)
-        if k is not None:
-            env[x] = k
-            return body.res(env, h) if k >= guard else FALSE if want else TRUE
-        if shape.side is None:
-            return _guarded(want, x, guard, body.res(env, h))
-        bound = shape.bound(h)
-        values = shape.candidates(env, h, guard)
-        parts = []
-        for k in range(guard, bound + 1) if values is None else values:
-            env[x] = k
-            verdict = body.ev(env, h)
-            if verdict == want:
-                return TRUE if want else FALSE
-            if verdict is None:
-                parts.append(body.res(env, h))
-        env.pop(x, None)
-        tail = shape.tail()
-        verdict = tail.body.ev(env, h)
-        parts.append(_residual(tail, max(guard, bound + 1), env, h) if verdict is None
-                     else TRUE if verdict else FALSE)
-        return _join(parts, want)
-    finally:
-        env.pop(x, None)
-        if saved is not _UNSET:
-            env[x] = saved
 
 
 # ---------------------------------------------------------------------------

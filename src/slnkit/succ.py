@@ -14,8 +14,9 @@ NNF does, and eliminates each quantifier on the way up: forall x. b is
 Within a cube an existential variable is either pinned by an equation
 (substitute it) or occurs only in disequalities, which a witness over the
 infinite domain always avoids.  The same walk checks that the input is a
-sentence: `_closed` walks the operands a short circuit skips, and on any
-raise the whole input, for its message: a rejection may cost up to a budget.
+sentence: `_closed` walks the operands a short circuit skips, so an input
+is rejected whichever operand settles it, and on any raise the whole
+input, for its message: a rejection may cost up to a budget.
 
 Intermediate results are lists of cubes, each a tuple of literals, rather
 than Formula trees: they are flat, so no walk over them recurses with their
@@ -165,12 +166,20 @@ def _solve(x: str, guard: int, cube: tuple) -> list[tuple]:
     return _cube(lits)
 
 
+_READ = (Not, And, Or, Exists, Forall, GExists, GForall, TruthConst)  # what `_dnf` reads besides Eq
+
+
 def _closed(todo: list) -> None:
-    """Raise ValueError on a points-to atom, or on the free variables, of the
+    """Raise ValueError on a points-to atom, else on the free variables,
+    else on the first formula, left to right, that `_dnf` rejects, of the
     formulas in todo, each paired with the names bound around it."""
     free: set[str] = set()
+    other = None
     while todo:
         b, bound = todo.pop()
+        if other is None and type(b) not in _READ and not (
+                type(b) is Eq and type(b.left) is SLNTerm and type(b.right) is SLNTerm):
+            other = b
         if isinstance(b, PointsTo):
             raise ValueError("points-to atom in successor-arithmetic input")
         if isinstance(b, (Eq, Leq)):
@@ -184,6 +193,8 @@ def _closed(todo: list) -> None:
             todo.append((b.body, bound | {b.var}))
     if free:
         raise ValueError(f"free variables in sentence: {sorted(free)}")
+    if other is not None:
+        raise ValueError(f"not a successor-arithmetic formula: {other!r}")
 
 
 def _dnf(a: Formula, positive: bool, bound: frozenset) -> list[tuple]:

@@ -24,6 +24,7 @@ from slnkit.succ import BudgetExceeded
 from slnkit.translate import add_formula, circle_translate, table_heap_condition
 
 from oracles import brute_force_sln, scan_violations, sln_bound, stable_brute_force
+from shallow import shallow
 
 SIGMA = VarAssignment()
 
@@ -354,6 +355,76 @@ def test_residual_chain_stays_shallow():
     assert check(SIGMA, simple_table_heap(4), f) is False
 
 
+# Closed quantifiers whose tail reaches the decider through an open
+# quantifier's anchored residual: forall x >= 4. ... and forall x >= 2. s(0) = x.
+OPEN_TAIL_CASES = [
+    ("forall x. x |-> s(0) \\/ exists y. (y |-> 0 /\\ !(y = x))", Heap({0: 1, 2: 0, 3: 0}), True),
+    ("forall x. x |-> s(0) \\/ exists y. (y |-> 0 /\\ y = x)", Heap({0: 1, 1: 0}), False),
+]
+
+
+def _open_tail(rng):
+    """A closed quantifier on x whose body joins a points-to atom on x, not
+    needed, with an inner quantifier on y that an equation ties to x: past
+    the heap's bound the atom is false and the inner quantifier, x unbound,
+    is open.  Its y is pinned (by a heap read or an equation), anchored,
+    enumerated as a block, or in no points-to atom."""
+    num = lambda: sln_num(rng.randint(0, 3))
+    y = SLNTerm("y", rng.randint(0, 1))
+    kind = rng.randrange(4)
+    if kind == 0:  # pinned
+        core = rng.choice([PointsTo(num(), y), Eq(y, num())])
+    elif kind == 1:  # anchored
+        core = PointsTo(y, num())
+    elif kind == 2:  # addressed, but no atom on y is needed
+        core = rng.choice([Not(PointsTo(y, num())), Or(PointsTo(y, num()), Eq(y, num()))])
+    else:  # in no points-to atom
+        core = rng.choice([Not(Eq(y, num())), Or(Eq(y, num()), Eq(y, num()))])
+    tie = Eq(SLNTerm("y", rng.randint(0, 2)), SLNTerm("x", rng.randint(0, 2)))
+    tie = Not(tie) if rng.random() < 0.5 else tie
+    exists = rng.random() < 0.5
+    inner = _quantifier(rng, exists, "y", And(core, tie) if exists else Or(Not(core), tie))
+    x = SLNTerm("x", rng.randint(0, 1))
+    atom = PointsTo(x, num()) if rng.random() < 0.5 else PointsTo(num(), x)
+    body = Or(atom, inner) if rng.random() < 0.5 else And(Not(atom), inner)
+    return _quantifier(rng, rng.random() < 0.5, "x", body)
+
+
+def _quantifier(rng, exists, var, body):
+    guard = rng.choice([0, 0, 1, 2])
+    if guard:
+        return (GExists if exists else GForall)(var, guard, body)
+    return (Exists if exists else Forall)(var, body)
+
+
+def test_open_tail_residuals_against_oracle(monkeypatch):
+    """A closed quantifier whose tail stays undecided splits the open
+    quantifier in it into a residual for the decider: every verdict is the
+    oracle's, and at least a fifth of the sentences reach the decider."""
+    calls, decide = [], checker.decide_sentence
+    monkeypatch.setattr(checker, "decide_sentence", lambda s: calls.append(s) or decide(s))
+    rng, decided = random.Random(59), 0
+    cases = [(parse_sln(text), heap) for text, heap, _ in OPEN_TAIL_CASES]
+    cases += [(_open_tail(rng), Heap({rng.randint(0, 4): rng.randint(0, 3)
+                                      for _ in range(rng.randint(0, 4))})) for _ in range(300)]
+    for a, heap in cases:
+        calls.clear()
+        assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a), (a, heap)
+        decided += bool(calls)
+    assert decided >= len(cases) / 5, decided
+    for text, heap, verdict in OPEN_TAIL_CASES:
+        assert check(SIGMA, heap, parse_sln(text)) is verdict
+
+
+def test_nested_exists_chain_takes_one_frame_per_level():
+    """A closed quantifier is decided in one frame per level, so check
+    takes 800 nested exists at the default recursion limit."""
+    a = PointsTo(svar("x799"), svar("x0"))
+    for i in reversed(range(800)):
+        a = Exists(f"x{i}", a)
+    assert shallow(check, SIGMA, Heap({0: 0, 1: 1}), a) is True
+
+
 def _table_condition(h: Heap) -> bool:
     """H read clause by clause off the cells of h, without a formula.  The
     scan of oracles.py checks each row's arithmetic; H also asks every row
@@ -385,15 +456,19 @@ def _table_condition(h: Heap) -> bool:
 def test_closed_decisions_build_no_residual(monkeypatch):
     """Every quantifier of H is closed when it is decided: each value of
     its block decides the body, and each tail's body is decided with the
-    variable unbound, so no residual formula is built.  The verdicts are
-    the scan's on intact tables and on every corrupted addition result of
-    h_2, and H's read off the cells on every single-cell mutation of h_1,
-    where the scan misses the mutations that break a predecessor row."""
+    variable unbound, so no node builds a residual formula and none goes
+    to the decider.  The verdicts are the scan's on intact tables and on
+    every corrupted addition result of h_2, and H's read off the cells on
+    every single-cell mutation of h_1, where the scan misses the mutations
+    that break a predecessor row."""
 
     def no_residual(*args):
         raise AssertionError("a closed decision built a residual")
 
-    monkeypatch.setattr(checker, "_residual", no_residual)
+    for cls in (checker._Const, checker._Eq, checker._PointsTo, checker._Not,
+                checker._And, checker._Or, checker._Quant):
+        monkeypatch.setattr(cls, "res", no_residual)
+    monkeypatch.setattr(checker, "decide_sentence", no_residual)
     H = table_heap_condition()
     h1, h2 = simple_table_heap(1), simple_table_heap(2)
     heaps = [Heap(simple_table_heap(n).cells) for n in range(4)]
@@ -515,7 +590,7 @@ LOOKUP = "(forall a. (!(a |-> 0 /\\ s(a) |-> s(0)) \\/ s(s(a)) |-> x))"
     # y's own candidates come from a join on z that reads y
     "exists a. (s(s(0)) |-> a /\\ exists x. (!(x = a) /\\ exists a. (a |-> 0 /\\ s(s(a)) |-> x)))",
     "exists y. (0 |-> y /\\ exists x. (!(x = y) /\\ exists y. (y |-> x /\\ exists z. (z |-> s(y) /\\ s(z) |-> 0))))",
-    # open quantifiers on x, folded by _residual: w is in no points-to atom
+    # open quantifiers on x, split into residuals: w is in no points-to atom
     f"exists w. (w = s(s(s(0))) /\\ exists x. ({LOOKUP} /\\ s(w) = s(x)))",
     "exists w. exists x. ((exists a. (a |-> 0 /\\ s(s(a)) |-> x)) /\\ s(w) = x)",
 ])

@@ -84,9 +84,17 @@ def test_free_name_past_the_budget(monkeypatch):
 
 def test_structural_error_only_on_a_sentence():
     """An atom outside successor arithmetic is reported as such only when
-    the sentence has no free variable and no points-to atom."""
+    the sentence has no free variable and no points-to atom, also in an
+    operand that a short circuit skips."""
     with pytest.raises(ValueError, match="^not a successor-arithmetic formula: Leq"):
         decide_sentence(Or(Eq(sln_num(0), sln_num(1)), Leq(Zero(), Zero())))
+    zero = Eq(sln_num(0), sln_num(0))
+    for skipped in (Leq(Zero(), Zero()), Eq(Zero(), Zero())):
+        message = f"^not a successor-arithmetic formula: {type(skipped).__name__}"
+        for a in (Or(zero, skipped), And(Not(zero), skipped),
+                  Exists("x", Or(Eq(svar("x"), svar("x")), Not(skipped)))):
+            with pytest.raises(ValueError, match=message):
+                decide_sentence(a)
     with pytest.raises(ValueError, match="^free variables in sentence: \\['x'\\]$"):
         decide_sentence(And(Leq(Zero(), Zero()), Eq(svar("x"), sln_num(0))))
 
@@ -118,9 +126,8 @@ def _mixed(rng, depth, names=("x", "y")):
 
 def test_rejects_exactly_the_non_sentences():
     """A points-to atom or a free name anywhere, skipped operands included,
-    is rejected with the message of the whole-sentence walk.  A closed PA
-    atom is a structural error only where the elimination reaches it; in an
-    operand a short circuit skips, it is not read."""
+    is rejected with the message of the whole-sentence walk, and so is a
+    closed PA atom once neither is there."""
     rng = random.Random(18)
     counts = dict.fromkeys(("points-to", "free", "leq", "decided"), 0)
     for _ in range(1000):
@@ -135,10 +142,8 @@ def test_rejects_exactly_the_non_sentences():
             assert str(err.value) == message, a
         elif Leq in kinds:
             kind = "leq"
-            try:
-                assert decide_sentence(a) in (True, False)
-            except ValueError as err:
-                assert str(err).startswith("not a successor-arithmetic formula: Leq"), a
+            with pytest.raises(ValueError, match="^not a successor-arithmetic formula: Leq"):
+                decide_sentence(a)
         else:
             kind = "decided"
             assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a), a
