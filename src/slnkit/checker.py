@@ -11,19 +11,20 @@ syntactic single-step rewrites are exposed as address_free_rewrite and
 value_free_rewrite; the checker evaluates the same splits without building
 them.
 
-Environment evaluation.  A formula is compiled once into nodes and decided
-under an environment that maps variables to values; enumerating a
-quantifier rebinds its variable and never builds a substituted formula.
+Environment evaluation.  A formula is compiled once into nodes, a chain of
+one connective, nested either way, into one junction node read in loops,
+and decided under an environment that maps variables to values; enumerating
+a quantifier rebinds its variable and never builds a substituted formula.
 One method, _Quant.ev, splits every quantifier: the body at a pin, else at
 each anchored or joined candidate, else, once the body with the variable
 unbound is not constant, at each value of the block, up to the first value
 that gives the quantifier's verdict; then the tail, split the same way by
-its own node.  A variable in no points-to atom has no block: its
-quantifier is a residual whole.  A closed quantifier, one whose free
-variables the environment binds, is decided on a boolean path, and only
-such a residual, or one left by its tail, goes to the decider.  An open one is folded to
-the body with the variable unbound, or, for res, split into the join of
-the bodies left undecided with the tail.
+its own node.  A variable in no points-to atom has no block: its quantifier
+is a residual whole.  A closed quantifier, one whose free variables the
+environment binds, is decided on a boolean path, and only such a residual,
+or one left by its tail, goes to the decider.  An open one is folded to the
+body with the variable unbound, or, for res, split into one right-nested
+chain of the bodies left undecided and the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
 within one formula or across formulas, are one node.  A formula keeps its
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 
 from .ast import (
@@ -119,10 +121,8 @@ def _fold_atoms(a: Formula, atom, shadow: str | None = None) -> Formula:
                 return None, atom(b)
             case Not(body):
                 return neg, [(body, None)]
-            case And(l, r):
-                return conj, [(l, None), (r, None)]
-            case Or(l, r):
-                return disj, [(l, None), (r, None)]
+            case And(l, r) | Or(l, r):
+                return (conj if type(b) is And else disj), [(l, None), (r, None)]
             case Exists() | Forall() | GExists() | GForall() if b.var == shadow:
                 return None, b
             case Exists() | Forall() | GExists() | GForall():
@@ -189,12 +189,9 @@ def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Compiled nodes.  A formula is compiled once into interned nodes: two
-# structurally equal subformulas, from one formula or from two, compile to
-# the same node object, so a memo keyed on node identity is keyed on shape
-# and a lookup never hashes a tree.  The intern table holds its nodes
-# weakly; a node lives as long as a formula compiled to it or a heap memo
-# uses it.
+# Compiled nodes, interned as the module docstring's structural memo says.
+# The intern table holds its nodes weakly; a node lives as long as a
+# formula compiled to it or a heap memo uses it.
 
 
 class _Ref(weakref.ref):
@@ -350,55 +347,50 @@ class _Not(_Node):
         return neg(self.body.res(env, h))
 
 
-class _Binary(_Node):
-    __slots__ = ("left", "right")
+class _Junction(_Node):
+    """A conjunction (_And) or disjunction (_Or) of two or more operands, none
+    a constant, a repeat or a junction of its kind.  The kinds differ only in
+    unit, the verdict that drops out; zero, the absorbing residual; the ast fold."""
 
-    def __init__(self, left: _Node, right: _Node) -> None:
-        self.left, self.right = left, right
-        if not right.free:  # then it has no points-to atom over a variable either
-            self._facts(left.free, left.addr_vars, left.val_vars)
-        elif not left.free:
-            self._facts(right.free, right.addr_vars, right.val_vars)
-        else:
-            self._facts(left.free | right.free, left.addr_vars | right.addr_vars,
-                        left.val_vars | right.val_vars)
+    __slots__ = ("parts",)
 
-
-class _And(_Binary):
-    __slots__ = ()
-
-    def ev(self, env, h) -> bool | None:
-        l = self.left.ev(env, h)
-        if l is False:
-            return False
-        r = self.right.ev(env, h)
-        if r is False:
-            return False
-        return None if l is None or r is None else True
-
-    def res(self, env, h) -> Formula:
-        l = self.left.res(env, h)
-        return FALSE if l == FALSE else conj(l, self.right.res(env, h))
-
-
-class _Or(_Binary):
-    __slots__ = ()
+    def __init__(self, *parts: _Node) -> None:
+        self.parts = parts
+        free, addr_vars, val_vars = set(), set(), set()
+        for p in parts:
+            free |= p.free
+            addr_vars |= p.addr_vars
+            val_vars |= p.val_vars
+        self._facts(frozenset(free), frozenset(addr_vars), frozenset(val_vars))
 
     def ev(self, env, h) -> bool | None:
-        l = self.left.ev(env, h)
-        if l is True:
-            return True
-        r = self.right.ev(env, h)
-        if r is True:
-            return True
-        return None if l is None or r is None else False
+        unit = verdict = self.unit
+        for p in self.parts:
+            v = p.ev(env, h)
+            if v is None:
+                verdict = None
+            elif v is not unit:
+                return v
+        return verdict
 
     def res(self, env, h) -> Formula:
-        l = self.left.res(env, h)
-        return TRUE if l == TRUE else disj(l, self.right.res(env, h))
+        parts = []
+        for p in self.parts:
+            parts.append(p.res(env, h))
+            if parts[-1] == self.zero:
+                break
+        return self.fold(*parts)
 
 
-def _needs(node: _Node, x: str, positive: bool) -> frozenset:
+class _And(_Junction):
+    __slots__, unit, zero, fold = (), True, FALSE, staticmethod(conj)
+
+
+class _Or(_Junction):
+    __slots__, unit, zero, fold = (), False, TRUE, staticmethod(disj)
+
+
+def _needs(node: _Node, x: str, positive: bool) -> frozenset | set:
     """Atoms mentioning x, points-to atoms and equations, that hold whenever
     node is true (positive) or false; and joins (rest, q, i, j) where node
     needs, via connectives only, a witness of q on y whose body needs
@@ -414,16 +406,22 @@ def _needs(node: _Node, x: str, positive: bool) -> frozenset:
         return frozenset((node,)) if positive else frozenset()
     if isinstance(node, _Not):
         return _needs(node.body, x, not positive)
-    if isinstance(node, _Binary):
-        l = _needs(node.left, x, positive)
+    if isinstance(node, _Junction):
         if isinstance(node, _And) == positive:
-            return l | _needs(node.right, x, positive)
-        return l and l & _needs(node.right, x, positive)
+            needs = set()
+            for p in node.parts:
+                needs |= _needs(p, x, positive)
+            return needs
+        needs = _needs(node.parts[0], x, positive)
+        for p in node.parts[1:]:
+            needs = needs and needs & _needs(p, x, positive)
+        return needs
     if isinstance(node, _Quant):
         y, body = node.shape.var, node.shape.body
         inner = [p for p in _needs(body, x, positive) if type(p) is not tuple]
         ties = ([(p, None) for p in inner] if positive == node.shape.exists
-                else [(body.left, body.right), (body.right, body.left)]
+                else [(p, _junction_node(_Or, [q for q in body.parts if q is not p]))
+                      for p in body.parts if type(p) is _PointsTo]
                 if positive and type(body) is _Or else [])
         return frozenset([(rest, node, p.lo, p.ro) for p, rest in ties
                           if type(p) is _PointsTo and p.lb == y and p.rb == x
@@ -441,9 +439,8 @@ def _replace(node: _Node, x: str, side: str) -> _Node:
         return _FALSE_NODE
     if isinstance(node, _Not):
         return _not_node(_replace(node.body, x, side))
-    if isinstance(node, _Binary):
-        return _binary_node(type(node), _replace(node.left, x, side),
-                            _replace(node.right, x, side))
+    if isinstance(node, _Junction):
+        return _junction_node(type(node), map(_replace, node.parts, repeat(x), repeat(side)))
     shape = node.shape  # binds a variable other than x, which is free in it
     return _quant_node(shape.exists, shape.var, node.guard,
                        _replace(shape.body, x, side))
@@ -561,15 +558,6 @@ class _Shape:
         return tail
 
 
-def _join(parts: list[Formula], exists: bool) -> Formula:
-    """The disjunction (exists) or conjunction of the nonempty parts, as a
-    balanced tree, so its depth grows with the log of their number."""
-    while len(parts) > 1:
-        joined = [(disj if exists else conj)(l, r) for l, r in zip(parts[::2], parts[1::2])]
-        parts = joined + parts[len(joined) * 2:]
-    return parts[0]
-
-
 class _Quant(_Node):
     __slots__ = ("shape", "guard", "_values")
 
@@ -631,7 +619,7 @@ class _Quant(_Node):
                 env.pop(x, None)
                 tail = shape.tail(max(guard, shape.bound(h) + 1))
                 verdict = (tail.ev(env, h) if closed
-                           else _join(parts + [tail.res(env, h)], want))
+                           else (disj if want else conj)(*parts, tail.res(env, h)))
             if closed:
                 h._memo[key] = verdict
             return verdict
@@ -660,13 +648,19 @@ def _not_node(body: _Node) -> _Node:
     return _intern((_Not, body))
 
 
-def _binary_node(cls, left: _Node, right: _Node) -> _Node:
-    unit = cls is _And  # the value that drops out of the connective
-    if isinstance(left, _Const):
-        return right if left.value == unit else left
-    if isinstance(right, _Const):
-        return left if right.value == unit else right
-    return _intern((cls, left, right))
+def _junction_node(cls, parts) -> _Node:
+    """The junction of parts: cls's own spliced in, constants folded, repeats dropped."""
+    flat = {}
+    for p in parts:
+        if type(p) is cls:
+            flat.update(dict.fromkeys(p.parts))
+        elif type(p) is not _Const:
+            flat[p] = None
+        elif p.value is not cls.unit:
+            return p
+    if len(flat) > 1:
+        return _intern((cls, *flat))
+    return next(iter(flat), _TRUE_NODE if cls.unit else _FALSE_NODE)
 
 
 def _quant_node(exists: bool, x: str, guard: int, body: _Node) -> _Node:
@@ -678,13 +672,20 @@ def _quant_node(exists: bool, x: str, guard: int, body: _Node) -> _Node:
 def _compile(a: Formula) -> _Node:
     """The interned node of a.  It is kept on a, outside its fields, so a
     subformula shared by many formulas, such as H, compiles once.  A run of
-    ! is read in a loop and folded by its parity."""
+    ! (folded by its parity) and a chain of one connective are read in loops."""
     node = vars(a).get("_node")
     if node is not None:
         return node
     cls = type(a)
     if cls is And or cls is Or:
-        node = _binary_node(_And if cls is And else _Or, _compile(a.left), _compile(a.right))
+        parts, todo = [], [a.right, a.left]
+        while todo:
+            b = todo.pop()
+            if type(b) is cls:
+                todo += b.right, b.left
+            else:
+                parts.append(_compile(b))
+        node = _junction_node(_And if cls is And else _Or, parts)
     elif cls is PointsTo:
         node = _atom_node(_PointsTo, a.addr, a.val)
     elif cls is Eq:
@@ -696,8 +697,7 @@ def _compile(a: Formula) -> _Node:
         else:
             node = _atom_node(_Eq, l, r)
     elif cls in _EXISTS:
-        exists, x, guard, body = _split_quant(a)
-        node = _quant_node(exists, x, guard, _compile(body))
+        node = _quant_node(*_split_quant(a)[:3], _compile(a.body))
     elif cls is Not:
         body, negations = a.body, 1
         while type(body) is Not:

@@ -3,13 +3,14 @@ differential comparison against the brute-force oracle."""
 
 import random
 import time
+from functools import reduce
 
 import pytest
 
 from slnkit import checker
 from slnkit.ast import (
     And, Eq, Exists, Forall, GExists, GForall, Not, Or, PointsTo, SLNTerm,
-    TruthConst, and_all, free_vars, sln_num, subformulas, svar,
+    TruthConst, and_all, free_vars, nest, sln_num, subformulas, svar,
 )
 from slnkit.checker import (
     address_free_rewrite, check, ground_points_to_eval, value_free_rewrite,
@@ -349,8 +350,9 @@ def test_tail_starts_right_after_the_block(heap):
 
 
 def test_residual_chain_stays_shallow():
-    """The enumerated copies under a residual quantifier are joined in a
-    balanced tree: on h_4 the chain would be thousands deep."""
+    """The copies left undecided under a residual quantifier are joined
+    into one right-nested chain, 289 operands on h_4, which the decider
+    reads in a loop."""
     f = parse_sln("forall x. exists a. (a |-> 0 /\\ x = a) \\/ !(x = x)")
     assert check(SIGMA, simple_table_heap(4), f) is False
 
@@ -618,9 +620,9 @@ def test_table_lookups_read_their_rows(monkeypatch):
     """On a table heap the defining existential of a sum reads one value,
     and a bounded quantifier takes the operands of the inequality rows it
     asks for, not its whole block; the lookups of a translation are built
-    once."""
-    a = circle_translate(normalize_bounded(parse_pa("forall b <= x. exists c <= y. b + c = y")))
-    sizes = {"x#1": [], "c": [], "b": []}
+    once.  In b + b <= y, x#1 = b + b has no pin: the forall lookup of its
+    sum row joins it to that row's result, one candidate, not its block."""
+    sizes = {}
     candidates, pin = checker._Shape.candidates, checker._Shape.pin
 
     def counted(self, env, h, guard):
@@ -637,9 +639,15 @@ def test_table_lookups_read_their_rows(monkeypatch):
 
     monkeypatch.setattr(checker._Shape, "candidates", counted)
     monkeypatch.setattr(checker._Shape, "pin", pinned)
-    heap = Heap(simple_table_heap(3).cells)
-    assert check(VarAssignment({"x": 1, "y": 2}), heap, a) is True
-    assert {var: set(n) for var, n in sizes.items()} == {"x#1": {1}, "c": {3}, "b": {2}}
+    for text, sigma, expected in [
+        ("forall b <= x. exists c <= y. b + c = y", {"x": 1, "y": 2}, {"x#1": {1}, "c": {3}, "b": {2}}),
+        ("forall b <= x. b + b <= y", {"x": 2, "y": 4}, {"x#1": {1}, "c": set(), "b": {3}}),
+    ]:
+        sizes.update({"x#1": [], "c": [], "b": []})
+        a = circle_translate(normalize_bounded(parse_pa(text)))
+        heap = Heap(simple_table_heap(3).cells)
+        assert check(VarAssignment(sigma), heap, a) is True
+        assert {var: set(n) for var, n in sizes.items()} == expected, text
     x, y, z = svar("x"), svar("y"), svar("z")
     assert add_formula(x, y, z) is add_formula(x, y, z)
 
@@ -911,6 +919,30 @@ def test_deep_negation_chain(depth):
     # with a quantifier inside, decided by enumeration and by the decider
     assert check(SIGMA, h, parse_sln("!" * depth + "exists x. x |-> s(0)")) is not odd
     assert check(SIGMA, h, parse_sln("!" * depth + "forall x. exists y. y = s(x)")) is not odd
+
+
+@pytest.mark.parametrize("nest", [
+    lambda cls, parts: nest(parts, cls),
+    lambda cls, parts: reduce(cls, parts),
+], ids=["right", "left"])
+def test_deep_junction_chains(monkeypatch, nest):
+    """A chain of one connective compiles in a loop to one junction node, so
+    check takes 10^4 operands, nested either way, at the default recursion
+    limit.  The operands are distinct, so dropping repeats cannot fold the
+    chain away; the anchored exists never reaches the decider."""
+
+    def no_decider(sentence):
+        raise AssertionError("a chain reached the decider")
+
+    monkeypatch.setattr(checker, "decide_sentence", no_decider)
+    n, one, h = 10**4, sln_num(1), Heap({0: 1, 1: 1})
+    xs = [svar(f"x{k}") for k in range(n)]
+    assert shallow(check, SIGMA, h, nest(And, [Not(Eq(x, one)) for x in xs])) is True
+    assert shallow(check, SIGMA, h, nest(Or, [Eq(x, one) for x in xs])) is False
+    # x |-> 1 and !(x |-> 1) among the operands: no x is a witness
+    cells = [PointsTo(svar("x"), one)] + [Not(PointsTo(svar("x"), sln_num(k))) for k in range(1, n)]
+    assert shallow(check, SIGMA, h, Exists("x", nest(And, cells))) is False
+    assert shallow(check, SIGMA, h, parse_sln(" /\\ ".join(["0 = 0"] * n))) is True
 
 
 def test_public_rewrites_on_deep_chains():
