@@ -245,12 +245,12 @@ def parse_structure(text: str) -> FiniteStructure:
         if line.startswith("U:"):
             saw_u = True
             for tok in line[2:].split():
-                if not tok.isdigit():
+                if not tok.isdecimal():
                     raise ValueError(f"line {lineno}: bad universe element {tok!r}")
                 universe.add(int(tok))
         elif line.startswith("R:"):
             parts = line[2:].split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
                 raise ValueError(f"line {lineno}: relation line needs two naturals")
             relation.add((int(parts[0]), int(parts[1])))
         else:
@@ -272,15 +272,11 @@ def render_structure(m: FiniteStructure) -> str:
 
 
 class _LParser(_Parser):
-    NOT, AND, EXISTS = LNot, LAnd, LExists
-    OR, IMP, FORALL = staticmethod(l_or), staticmethod(l_imp), staticmethod(l_forall)
+    NOT, EXISTS, FORALL = LNot, LExists, staticmethod(l_forall)
+    JOINS = {"=>": l_imp, "\\/": l_or, "/\\": LAnd}
     RESERVED = ()  # s and P are variables too
 
-    def _atom_or_paren(self) -> LFormula:
-        if self.eat("("):
-            inner = self.formula()
-            self.expect(")")
-            return inner
+    def _atom(self) -> LFormula:
         word = self.texts[self.pos]
         if self.kinds[self.pos] != "ident":
             raise self.fail(f"expected a formula, found {word or 'end of input'!r}")

@@ -131,7 +131,7 @@ def load_heap(text: str) -> Heap:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'ADDR VALUE', got {raw!r}")
         addr_s, val_s = parts
-        if not addr_s.isdigit() or not val_s.isdigit():
+        if not addr_s.isdecimal() or not val_s.isdecimal():
             raise ValueError(f"line {lineno}: non-numeric or negative token in {raw!r}")
         addr, val = int(addr_s), int(val_s)
         if addr in cells:

@@ -1,20 +1,25 @@
-"""Recursive-descent parsers for the PA and SLN surface grammars, and the
-connective grammar that the L parser in `finite` shares.
+"""Parsers for the PA and SLN surface grammars, and the connective grammar
+that the L parser in `finite` shares.
 
 The grammars share tokens and structure; PA owns +, * and <= (atoms and
 bounded quantifiers, plus the defining existential), SLN owns |-> and the
 guarded quantifiers.  A -> B desugars to !A \\/ B at parse time.  The dot
 after a quantifier binder may be omitted when the body is self-delimiting.
+
+Terms and formulas are each read in one operator-precedence loop on an
+explicit stack, so no level of parentheses, quantifiers or s( costs a
+frame.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
-    GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times,
-    Var, Zero, imp, nest, shift, sln_num, svar,
+    GForall, Leq, Not, Or, Plus, PointsTo, Succ, Times, Var, Zero, imp, shift,
+    sln_num, svar,
 )
 
 
@@ -96,13 +101,31 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int], dict[int, int
     return kinds, texts, starts, groups
 
 
+# The precedence of each operator: a higher one binds tighter.  The
+# connectives nest to the right, + and * to the left.  A quantifier head
+# binds loosest, so its body reaches as far right as it can; "(" and "s("
+# are markers, which only their ")" takes off the stack.
+_PRECEDENCE = {"=>": 1, "\\/": 2, "/\\": 3, "!": 4, "+": 1, "*": 2}
+_HEAD, _MARKER = 0, -1
+
+
+def _reduce(stack: list, out, floor: int):
+    """out under the operators on top of stack whose precedence is above
+    floor, the innermost applied first.  An entry is (precedence, node,
+    the operands to the left of out)."""
+    while stack and stack[-1][0] > floor:
+        _, node, left = stack.pop()
+        out = node(*left, out)
+    return out
+
+
 class _Parser:
     """The grammar of `mode`, "pa" or "sln".  The L parser in `finite`
     (mode "l") replaces the node constructors, the atoms and the reserved
     names."""
 
-    NOT, AND, OR, EXISTS, FORALL = Not, And, Or, Exists, Forall
-    IMP = staticmethod(imp)
+    NOT, EXISTS, FORALL = Not, Exists, Forall
+    JOINS = {"=>": imp, "\\/": Or, "/\\": And}  # the node of each connective
     RESERVED = ("s",)  # names that are not variables
 
     def __init__(self, text: str, mode: str) -> None:
@@ -132,91 +155,62 @@ class _Parser:
         start = self.starts[self.pos if pos is None else pos]
         return ParseError(message, *_line_col(self.source, start))
 
+    def _ident(self) -> str:
+        word = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or word in self.RESERVED:
+            raise self.fail("expected a variable name")
+        self.pos += 1
+        return word
+
     # -- terms
 
     def term(self):
-        if self.mode == "pa":
-            return self._pa_add()
-        return self._sln_prim()
-
-    def _pa_add(self) -> PATerm:
-        t = self._pa_mul()
-        while self.eat("+"):
-            t = Plus(t, self._pa_mul())
-        return t
-
-    def _pa_mul(self) -> PATerm:
-        t = self._prim()
-        while self.eat("*"):
-            t = Times(t, self._prim())
-        return t
-
-    def _prim(self):
-        pos = self.pos
-        kind, word = self.kinds[pos], self.texts[pos]
-        if kind == "num":
+        """A term: each operand in turn, with the operators and open groups
+        before it on a stack."""
+        pa = self.mode == "pa"
+        stack: list = []
+        while True:
+            pos = self.pos
+            kind, word = self.kinds[pos], self.texts[pos]
             self.pos += 1
-            if word != "0":
-                raise self.fail("numerals other than 0 must be written with s(...)", pos)
-            return Zero() if self.mode == "pa" else sln_num(0)
-        if kind == "ident":
-            self.pos += 1
-            if word == "s":
+            if word == "(":
+                stack.append((_MARKER, None, ()))
+                continue
+            if kind == "ident" and word == "s":
                 self.expect("(")
-                inner = self.term()
+                stack.append((_MARKER, Succ if pa else partial(shift, k=1), ()))
+                continue
+            if kind == "num":
+                if word != "0":
+                    raise self.fail("numerals other than 0 must be written with s(...)", pos)
+                out = Zero() if pa else sln_num(0)
+            elif kind == "ident":
+                out = Var(word) if pa else svar(word)
+            else:
+                raise self.fail(f"expected a term, found {word or 'end of input'!r}", pos)
+            while True:  # after an operand: an operator, or the end of a group
+                word = self.texts[self.pos]
+                if word == "+" or word == "*":
+                    if not pa:
+                        raise self.fail(f"{word!r} is not SLN syntax")
+                    self.pos += 1
+                    prec = _PRECEDENCE[word]
+                    out = _reduce(stack, out, prec - 1)  # an equal one too: nest to the left
+                    stack.append((prec, Plus if word == "+" else Times, (out,)))
+                    break
+                out = _reduce(stack, out, _MARKER)
+                if not stack:
+                    return out
                 self.expect(")")
-                return Succ(inner) if self.mode == "pa" else shift(inner, 1)
-            return Var(word) if self.mode == "pa" else svar(word)
-        if self.eat("("):
-            inner = self.term()
-            self.expect(")")
-            return inner
-        raise self.fail(f"expected a term, found {word or 'end of input'!r}")
-
-    def _sln_prim(self) -> SLNTerm:
-        t = self._prim()
-        word = self.texts[self.pos]
-        if word == "+" or word == "*":
-            raise self.fail(f"{word!r} is not SLN syntax")
-        return t
+                _, node, _ = stack.pop()
+                if node:
+                    out = node(out)
 
     # -- formulas
-    # Each connective's chain is read in a loop in its own method, not by
-    # recursion or through a shared helper: a long chain cannot exhaust the
-    # stack, and a level of parentheses or quantifiers costs no extra frame.
 
-    def formula(self) -> Formula:
-        parts = [self._or()]
-        while self.eat("=>"):
-            parts.append(self._or())
-        return nest(parts, self.IMP)
-
-    def _or(self) -> Formula:
-        parts = [self._and()]
-        while self.eat("\\/"):
-            parts.append(self._and())
-        return nest(parts, self.OR)
-
-    def _and(self) -> Formula:
-        parts = [self._unary()]
-        while self.eat("/\\"):
-            parts.append(self._unary())
-        return nest(parts, self.AND)
-
-    def _unary(self) -> Formula:
-        # a loop, not a recursion, so a long run of ! cannot exhaust the stack
-        negations = 0
-        while self.eat("!"):
-            negations += 1
-        if self.at("forall") or self.at("exists"):
-            out = self._quantified()
-        else:
-            out = self._atom_or_paren()
-        for _ in range(negations):
-            out = self.NOT(out)
-        return out
-
-    def _quantified(self) -> Formula:
+    def _head(self):
+        """Read a quantifier head; return the node constructor that takes
+        its body."""
         kind = self.texts[self.pos]
         self.pos += 1
         if kind == "exists" and self.at("(") and self.mode == "pa":
@@ -225,18 +219,14 @@ class _Parser:
             self.expect("=")
             defn = self.term()
             self.expect(")")
-            body = self.formula()
-            return ExistsEq(name, defn, body)
+            return partial(ExistsEq, name, defn)
         name = self._ident()
         if self.at("<="):
             if self.mode != "pa":
                 raise self.fail("bounded quantifiers are PA-only syntax")
             self.pos += 1
-            bound = self.term()
-            self.eat(".")
-            body = self.formula()
-            return BForall(name, bound, body) if kind == "forall" else BExists(name, bound, body)
-        if self.at(">="):
+            node = partial(BForall if kind == "forall" else BExists, name, self.term())
+        elif self.at(">="):
             if self.mode != "sln":
                 raise self.fail("guarded quantifiers are SLN-only syntax")
             self.pos += 1
@@ -244,55 +234,14 @@ class _Parser:
             if self.kinds[self.pos] != "num" or not digits.isdecimal():
                 raise self.fail("guard must be a decimal natural")
             self.pos += 1
-            guard = int(digits)
-            self.eat(".")
-            body = self.formula()
-            return GForall(name, guard, body) if kind == "forall" else GExists(name, guard, body)
+            node = partial(GForall if kind == "forall" else GExists, name, int(digits))
+        else:
+            node = partial(self.FORALL if kind == "forall" else self.EXISTS, name)
         self.eat(".")
-        body = self.formula()
-        return self.FORALL(name, body) if kind == "forall" else self.EXISTS(name, body)
-
-    def _ident(self) -> str:
-        word = self.texts[self.pos]
-        if self.kinds[self.pos] != "ident" or word in self.RESERVED:
-            raise self.fail("expected a variable name")
-        self.pos += 1
-        return word
-
-    def _atom_or_paren(self) -> Formula:
-        """An atom, or a formula in parentheses.  A "(" opens a term only if
-        its parenthesis holds nothing but term tokens and the token after
-        it continues a term or makes it an atom; otherwise it opens a
-        formula, and no term is tried."""
-        start = self.pos
-        if not self.at("("):
-            return self._atom()
-        close = self.groups.get(start)
-        if close is None or self.texts[close + 1] not in _TERM_FOLLOW:
-            self.pos += 1
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        try:
-            return self._atom()
-        except ParseError as err:
-            term_err = err
-        # A formula in this parenthesis fails as well, as no atom fits in a
-        # group of term tokens: through the leading parentheses, the first
-        # atom inside fails, and its error is reported.
-        self.pos = start
-        while self.eat("("):
-            pass
-        self._atom()
-        raise term_err
+        return node
 
     def _atom(self) -> Formula:
         left = self.term()
-        if self.at("=") or self.at("<=") or self.at("|->"):
-            return self._atom_rest(left)
-        raise self.fail("expected '=', '<=' or '|->' after a term")
-
-    def _atom_rest(self, left) -> Formula:
         if self.eat("="):
             return Eq(left, self.term())
         if self.at("<="):
@@ -300,16 +249,66 @@ class _Parser:
                 raise self.fail("<= is not SLN syntax")
             self.pos += 1
             return Leq(left, self.term())
-        if self.mode != "sln":
-            raise self.fail("|-> is not PA syntax")
-        self.expect("|->")
-        return PointsTo(left, self.term())
+        if self.at("|->"):
+            if self.mode != "sln":
+                raise self.fail("|-> is not PA syntax")
+            self.pos += 1
+            return PointsTo(left, self.term())
+        raise self.fail("expected '=', '<=' or '|->' after a term")
 
     def parse(self) -> Formula:
-        out = self.formula()
-        if self.kinds[self.pos] != "eof":
-            raise self.fail(f"unexpected trailing input {self.texts[self.pos]!r}")
-        return out
+        """The formula that is the whole text: each atom in turn, with the
+        negations, quantifier heads, connectives and open parentheses
+        before it on a stack."""
+        stack: list = []
+        while True:
+            start = self.pos
+            word = self.texts[start]
+            if word == "!":
+                self.pos += 1
+                stack.append((_PRECEDENCE["!"], self.NOT, ()))
+                continue
+            if word == "forall" or word == "exists":
+                stack.append((_HEAD, self._head(), ()))
+                continue
+            if word == "(":
+                # A "(" opens a term only if its parenthesis holds nothing
+                # but term tokens and the token after it continues a term or
+                # makes it an atom; otherwise it opens a formula.
+                close = self.groups.get(start)
+                if close is None or self.texts[close + 1] not in _TERM_FOLLOW:
+                    self.pos += 1
+                    stack.append((_MARKER, None, ()))
+                    continue
+            try:
+                out = self._atom()
+            except ParseError as err:
+                if word != "(":
+                    raise
+                # A formula in this parenthesis fails as well, as no atom
+                # fits in a group of term tokens: through the leading
+                # parentheses, the first atom inside fails, and its error is
+                # reported.
+                self.pos = start
+                while self.eat("("):
+                    pass
+                self._atom()
+                raise err
+            while True:  # after an operand: a connective, or the end of a group
+                word = self.texts[self.pos]
+                node = self.JOINS.get(word)
+                if node:
+                    self.pos += 1
+                    prec = _PRECEDENCE[word]
+                    stack.append((prec, node, (_reduce(stack, out, prec),)))
+                    break
+                out = _reduce(stack, out, _MARKER)
+                if not stack:
+                    if self.kinds[self.pos] != "eof":
+                        raise self.fail(f"unexpected trailing input {word!r}")
+                    return out
+                self.expect(")")
+                stack.pop()
 
 
 def parse_pa(text: str) -> Formula:

@@ -56,7 +56,7 @@ def parse_assignment(text: str) -> VarAssignment:
         name, val = name.strip(), val.strip()
         if not name:
             raise ValueError(f"malformed assignment entry: {chunk!r}")
-        if not val.isdigit():
+        if not val.isdecimal():
             raise ValueError(f"assignment value for {name} is not a natural: {val!r}")
         if name in support:
             raise ValueError(f"duplicate assignment for {name}")

@@ -349,12 +349,16 @@ def test_tail_starts_right_after_the_block(heap):
         assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a)
 
 
-def test_residual_chain_stays_shallow():
+def test_residual_chain_stays_shallow(monkeypatch):
     """The copies left undecided under a residual quantifier are joined
-    into one right-nested chain, 289 operands on h_4, which the decider
-    reads in a loop."""
+    into one right-nested chain, 1,369 operands on h_6, past the default
+    recursion limit, which the checker and the decider read in a loop."""
+    decided, decide = [], checker.decide_sentence
+    monkeypatch.setattr(checker, "decide_sentence", lambda s: decided.append(s) or decide(s))
     f = parse_sln("forall x. exists a. (a |-> 0 /\\ x = a) \\/ !(x = x)")
-    assert check(SIGMA, simple_table_heap(4), f) is False
+    assert shallow(check, SIGMA, simple_table_heap(6), f) is False
+    [sentence] = decided
+    assert sum(type(b) is Eq for b in subformulas(sentence)) > 1000
 
 
 # Closed quantifiers whose tail reaches the decider through an open

@@ -142,11 +142,15 @@ def test_verify_every_suite(capsys, lemma):
 
 
 def test_deep_nesting_exits_2(capsys):
-    """The parser recurses once per level of parentheses, so 600 of them
-    exhaust the recursion limit: a typed exit, not a traceback."""
-    code, out, err = run(capsys, "parse-sln", "(" * 600 + "0 = 0" + ")" * 600)
+    """The parser reads parentheses on an explicit stack, so 600 of them
+    parse and print back.  The checker still recurses once per nested
+    quantifier, so 3000 of them exhaust the recursion limit: a typed exit,
+    not a traceback."""
+    code, out, _ = run(capsys, "parse-sln", "(" * 600 + "0 = 0" + ")" * 600)
+    assert code == 0 and out.strip() == "0 = 0"
+    code, out, err = run(capsys, "check", "exists x. " * 3000 + "x = x")
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: recursion limit exceeded")
 
 
 def test_deep_negation_chain_prints_back(capsys):

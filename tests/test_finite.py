@@ -157,6 +157,11 @@ def test_structure_text_round_trip():
         parse_structure("R: 1 2")
     with pytest.raises(ValueError):
         parse_structure("U: x")
+    # a superscript is a digit to str.isdigit, but not to int
+    with pytest.raises(ValueError, match="line 1: bad universe element '²'"):
+        parse_structure("U: ²")
+    with pytest.raises(ValueError, match="line 2: relation line needs two naturals"):
+        parse_structure("U: 1\nR: 1 ²")
 
 
 def test_parse_l():

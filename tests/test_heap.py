@@ -79,6 +79,9 @@ def test_load_heap_errors():
         load_heap("3 -1")
     with pytest.raises(ValueError):
         load_heap("1 2 3")
+    # a superscript is a digit to str.isdigit, but not to int
+    with pytest.raises(ValueError, match="line 1: non-numeric or negative token in '0 ²'"):
+        load_heap("0 ²")
 
 
 def test_addresses_holding():

@@ -3,12 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from slnkit.ast import (
     And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
-    PointsTo, SLNTerm, Succ, Times, Var, Zero, free_vars, sln_num, svar,
+    PointsTo, SLNTerm, Succ, Times, Var, Zero, free_vars, pa_num, sln_num, svar,
 )
-from slnkit.finite import LAnd, LNot, parse_l
+from slnkit.finite import LAnd, LExists, LNot, parse_l
 from slnkit.gen import Generators
 from slnkit.parser import ParseError, _line_col, _Parser, _tokenize, parse_pa, parse_sln
 from slnkit.render import render
+
+from shallow import shallow
 
 
 def test_parse_pa_simple_forall():
@@ -147,11 +149,78 @@ def test_long_connective_chain(parse, atom, op):
     assert _chain_operands(a, op) == [parse(atom)] * 3000
 
 
+DEEP = 10**4
+
+
+def _peel(a, inner):
+    """The number of levels that inner unwraps off a, one per call until it
+    returns None, and what is left."""
+    depth = 0
+    while (b := inner(a)) is not None:
+        a, depth = b, depth + 1
+    return depth, a
+
+
+def _body(cls):
+    return lambda a: a.body if type(a) is cls else None
+
+
+def _l_forall_body(a):
+    match a:
+        case LNot(LExists(_, LNot(body))):
+            return body
+
+
+def _negated_exists_body(a):
+    match a:
+        case Not(Exists(_, body)) | LNot(LExists(_, body)):
+            return body
+
+
 @pytest.mark.parametrize("parse, atom", [(parse_pa, "0 = 0"), (parse_sln, "0 = 0"),
                                          (parse_l, "x = x")])
 def test_nested_parentheses(parse, atom):
-    """150 levels of parentheses stay within the default recursion limit."""
-    assert parse("(" * 150 + atom + ")" * 150) == parse(atom)
+    """10^4 levels of parentheses around a formula parse at the default
+    recursion limit."""
+    assert shallow(parse, "(" * DEEP + atom + ")" * DEEP) == parse(atom)
+
+
+@pytest.mark.parametrize("parse, head, atom, inner", [
+    (parse_pa, "exists x. ", "x = x", _body(Exists)),
+    (parse_pa, "forall x. ", "x = x", _body(Forall)),
+    (parse_pa, "forall y <= x. ", "x = y", _body(BForall)),
+    (parse_pa, "exists (z = x + y) ", "x = z", _body(ExistsEq)),
+    (parse_sln, "exists x. ", "x = x", _body(Exists)),
+    (parse_sln, "forall x. ", "x = x", _body(Forall)),
+    (parse_sln, "forall x >= 3. ", "x = x", _body(GForall)),
+    (parse_l, "exists x. ", "x = x", _body(LExists)),
+    (parse_l, "forall x. ", "x = x", _l_forall_body),
+], ids=["pa-exists", "pa-forall", "pa-bforall", "pa-existseq", "sln-exists", "sln-forall",
+        "sln-gforall", "l-exists", "l-forall"])
+def test_deep_quantifier_heads(parse, head, atom, inner):
+    """10^4 quantifier heads parse at the default recursion limit, each
+    body reaching to the end of the text."""
+    assert _peel(shallow(parse, head * DEEP + atom), inner) == (DEEP, parse(atom))
+
+
+@pytest.mark.parametrize("parse", [parse_pa, parse_sln, parse_l])
+def test_deep_negated_quantifiers(parse):
+    """10^4 levels of !(exists x. ( ... )) parse at the default recursion
+    limit."""
+    text = "!(exists x. (" * DEEP + "x = x" + "))" * DEEP
+    assert _peel(shallow(parse, text), _negated_exists_body) == (DEEP, parse("x = x"))
+
+
+def test_deep_terms():
+    """s(^10^4 and 10^4 parentheses around a term parse at the default
+    recursion limit, on either side of an atom."""
+    nested = "s(" * DEEP + "0" + ")" * DEEP
+    assert shallow(parse_pa, "x <= " + nested) == Leq(Var("x"), pa_num(DEEP))
+    assert shallow(parse_sln, "x = " + nested) == Eq(svar("x"), sln_num(DEEP))
+    nested = "(" * DEEP + "y" + ")" * DEEP
+    assert shallow(parse_pa, "x = " + nested) == Eq(Var("x"), Var("y"))
+    assert shallow(parse_pa, nested + " <= x") == Leq(Var("y"), Var("x"))
+    assert shallow(parse_sln, nested + " |-> x") == PointsTo(svar("y"), svar("x"))
 
 
 def test_render_deep_chains():

@@ -105,3 +105,6 @@ def test_assignment_text_format():
         parse_assignment("x=1,x=2")
     with pytest.raises(ValueError):
         parse_assignment("nonsense")
+    # a superscript is a digit to str.isdigit, but not to int
+    with pytest.raises(ValueError, match="assignment value for x is not a natural: '²'"):
+        parse_assignment("x=²")
