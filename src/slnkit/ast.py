@@ -202,14 +202,17 @@ def succ_run(t: PATerm) -> tuple[PATerm, int]:
 
 
 def pa_term_vars(t: PATerm) -> frozenset[str]:
-    match succ_run(t)[0]:
-        case Var(name):
-            return frozenset((name,))
-        case Zero():
-            return frozenset()
-        case Plus(left, right) | Times(left, right):
-            return pa_term_vars(left) | pa_term_vars(right)
-    raise TypeError(f"not a PA term: {t!r}")
+    out, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        u = succ_run(t)[0]
+        if isinstance(u, Var):
+            out.add(u.name)
+        elif isinstance(u, (Plus, Times)):
+            todo += (u.left, u.right)
+        elif not isinstance(u, Zero):
+            raise TypeError(f"not a PA term: {t!r}")
+    return frozenset(out)
 
 
 def has_arith(t: PATerm) -> bool:
@@ -338,26 +341,25 @@ class ExistsEq(Node):
             raise ValueError(f"definition of exists ({self.var} = ...) mentions {self.var}")
 
 
+def _natural_guard(self) -> None:
+    if self.guard < 0:
+        raise ValueError("guard must be a natural")
+
+
 class GForall(Node):
     """forall var >= guard. body (SLN abbreviation)."""
 
     var: str
     guard: int
     body: "Formula"
-
-    def __post_init__(self) -> None:
-        if self.guard < 0:
-            raise ValueError("guard must be a natural")
+    __post_init__ = _natural_guard
 
 
 class GExists(Node):
     var: str
     guard: int
     body: "Formula"
-
-    def __post_init__(self) -> None:
-        if self.guard < 0:
-            raise ValueError("guard must be a natural")
+    __post_init__ = _natural_guard
 
 
 Formula = Union[
@@ -431,14 +433,10 @@ def disj(*parts: Formula) -> Formula:
 def binder_term(a: Formula) -> PATerm | int | None:
     """The bound (BForall, BExists), definition (ExistsEq) or guard
     (GForall, GExists) of a quantifier; None for Exists and Forall."""
-    match a:
-        case Exists() | Forall():
-            return None
-        case BForall(_, t, _) | BExists(_, t, _) | ExistsEq(_, t, _):
-            return t
-        case GForall(_, m, _) | GExists(_, m, _):
-            return m
-    raise TypeError(f"not a quantifier: {a!r}")
+    if not isinstance(a, QUANTIFIERS):
+        raise TypeError(f"not a quantifier: {a!r}")
+    fields = a.__match_args__
+    return getattr(a, fields[1]) if len(fields) == 3 else None
 
 
 def binder_vars(a: Formula) -> frozenset[str]:

@@ -104,8 +104,9 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int], dict[int, int
 # The precedence of each operator: a higher one binds tighter.  The
 # connectives nest to the right, + and * to the left.  A quantifier head
 # binds loosest, so its body reaches as far right as it can; "(" and "s("
-# are markers, which only their ")" takes off the stack.
-_PRECEDENCE = {"=>": 1, "\\/": 2, "/\\": 3, "!": 4, "+": 1, "*": 2}
+# are markers, which only their ")" takes off the stack.  `render` reads
+# the table too, to parenthesize what it prints.
+PRECEDENCE = {"=>": 1, "\\/": 2, "/\\": 3, "!": 4, "+": 1, "*": 2}
 _HEAD, _MARKER = 0, -1
 
 
@@ -194,7 +195,7 @@ class _Parser:
                     if not pa:
                         raise self.fail(f"{word!r} is not SLN syntax")
                     self.pos += 1
-                    prec = _PRECEDENCE[word]
+                    prec = PRECEDENCE[word]
                     out = _reduce(stack, out, prec - 1)  # an equal one too: nest to the left
                     stack.append((prec, Plus if word == "+" else Times, (out,)))
                     break
@@ -266,7 +267,7 @@ class _Parser:
             word = self.texts[start]
             if word == "!":
                 self.pos += 1
-                stack.append((_PRECEDENCE["!"], self.NOT, ()))
+                stack.append((PRECEDENCE["!"], self.NOT, ()))
                 continue
             if word == "forall" or word == "exists":
                 stack.append((_HEAD, self._head(), ()))
@@ -299,7 +300,7 @@ class _Parser:
                 node = self.JOINS.get(word)
                 if node:
                     self.pos += 1
-                    prec = _PRECEDENCE[word]
+                    prec = PRECEDENCE[word]
                     stack.append((prec, node, (_reduce(stack, out, prec),)))
                     break
                 out = _reduce(stack, out, _MARKER)

@@ -6,58 +6,30 @@ from __future__ import annotations
 
 from .ast import (
     QUANTIFIERS, And, BExists, BForall, Eq, Exists, ExistsEq, Forall,
-    Formula, GExists, GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm,
-    Succ, Times, TruthConst, Var, Zero, binder_term, succ_run,
+    Formula, GExists, GForall, Leq, Not, Or, Plus, PointsTo, SLNTerm, Succ,
+    Term, Times, TruthConst, Var, Zero, binder_term, succ_run,
 )
+from .parser import PRECEDENCE
 
-_PLUS, _TIMES, _PRIM = 1, 2, 3
-
-# The text before each binder's body: x is its variable, t its bound,
-# definition or guard.
+# The text before a binder's bound, definition or guard (x is its
+# variable), and the text between that and the body.
 _HEADS = {
-    Forall: "forall {x}. ", Exists: "exists {x}. ",
-    BForall: "forall {x} <= {t}. ", BExists: "exists {x} <= {t}. ",
-    ExistsEq: "exists ({x} = {t}) ",
-    GForall: "forall {x} >= {t}. ", GExists: "exists {x} >= {t}. ",
+    Forall: ("forall {x}. ",), Exists: ("exists {x}. ",),
+    BForall: ("forall {x} <= ", ". "), BExists: ("exists {x} <= ", ". "),
+    ExistsEq: ("exists ({x} = ", ") "),
+    GForall: ("forall {x} >= ", ". "), GExists: ("exists {x} >= ", ". "),
 }
+# The text between the two operands of an atom, connective, + or *.
+_INFIX = {Eq: " = ", Leq: " <= ", PointsTo: " |-> ",
+          And: " /\\ ", Or: " \\/ ", Plus: " + ", Times: " * "}
 
 
-def render_term(t) -> str:
-    if isinstance(t, SLNTerm):
-        base = "0" if t.base is None else t.base
-        return "s(" * t.offset + base + ")" * t.offset
-    return _pa_term(t, _PLUS)
-
-
-def _pa_term(t: PATerm, req: int) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Zero():
-            return "0"
-        case Succ():
-            u, n = succ_run(t)
-            return "s(" * n + _pa_term(u, _PLUS) + ")" * n
-        case Plus(l, r):
-            out = f"{_pa_term(l, _PLUS)} + {_pa_term(r, _TIMES)}"
-            return f"({out})" if req > _PLUS else out
-        case Times(l, r):
-            out = f"{_pa_term(l, _TIMES)} * {_pa_term(r, _PRIM)}"
-            return f"({out})" if req > _TIMES else out
-    raise TypeError(f"not a term: {t!r}")
-
-
-def render(a: Formula) -> str:
-    """Concrete syntax for a PA or SLN formula."""
-    return _fmt(a, req=0, tail=True)
-
-
-def _fmt(a: Formula, req: int, tail: bool) -> str:
-    """The text of a, built on an explicit stack so that nesting depth is
-    bounded by memory, not by the recursion limit.  The stack holds text
-    still to emit and (formula, req, tail) tasks still to expand."""
-    out: list[str] = []
-    stack: list = [(a, req, tail)]
+def render(a: Formula | Term) -> str:
+    """Concrete syntax for a PA or SLN formula or term, built on an explicit
+    stack of text still to emit and (node, level, tail) tasks still to
+    expand: the node is parenthesized if it binds looser than level, or is a
+    quantifier and not the tail of the text around it."""
+    out, stack = [], [(a, 0, True)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -67,31 +39,41 @@ def _fmt(a: Formula, req: int, tail: bool) -> str:
     return "".join(out)
 
 
-def _pieces(a: Formula, req: int, tail: bool) -> list:
-    """a's text one level down: strings, and a task per direct subformula."""
+render_term = render
+
+
+def _pieces(a, level: int, tail: bool) -> list:
+    """a's text one level down: strings, and a task per direct child."""
     match a:
-        case Eq(l, r):
-            return [f"{render_term(l)} = {render_term(r)}"]
-        case Leq(l, r):
-            return [f"{render_term(l)} <= {render_term(r)}"]
-        case PointsTo(l, r):
-            return [f"{render_term(l)} |-> {render_term(r)}"]
+        case SLNTerm(base, offset):
+            return ["s(" * offset + ("0" if base is None else base) + ")" * offset]
+        case Var(name):
+            return [name]
+        case Zero():
+            return ["0"]
+        case Succ():
+            u, n = succ_run(a)
+            return ["s(" * n, (u, 0, True), ")" * n]
+        case Eq(l, r) | Leq(l, r) | PointsTo(l, r):
+            return [(l, 0, True), _INFIX[type(a)], (r, 0, True)]
         case TruthConst(v):
             return ["0 = 0" if v else "!(0 = 0)"]
         case Not(b):
             return ["!(", (b, 0, True), ")"]
-        case And(l, r):
-            if req > 2:
-                return ["(", (l, 3, False), " /\\ ", (r, 2, True), ")"]
-            return [(l, 3, False), " /\\ ", (r, 2, tail)]
-        case Or(l, r):
-            if req > 1:
-                return ["(", (l, 2, False), " \\/ ", (r, 1, True), ")"]
-            return [(l, 2, False), " \\/ ", (r, 1, tail)]
+        case And(l, r) | Or(l, r) | Plus(l, r) | Times(l, r):
+            op = _INFIX[type(a)]
+            prec = PRECEDENCE[op.strip()]
+            # One operand is printed a level up: the connectives nest to the
+            # right, so the left one; + and * to the left, so the right one.
+            up = isinstance(a, (And, Or))
+            wrap = level > prec
+            out = [(l, prec + up, False), op, (r, prec + (not up), tail or wrap)]
+            return ["(", *out, ")"] if wrap else out
     if not isinstance(a, QUANTIFIERS):
-        raise TypeError(f"not a formula: {a!r}")
+        raise TypeError(f"not a formula or term: {a!r}")
+    head, *rest = _HEADS[type(a)]
     t = binder_term(a)
-    if t is not None and not isinstance(t, int):
-        t = render_term(t)
-    head = _HEADS[type(a)].format(x=a.var, t=t)
-    return [head, (a.body, 0, True)] if tail else ["(", head, (a.body, 0, True), ")"]
+    out = [head.format(x=a.var), *rest, (a.body, 0, True)]
+    if t is not None:
+        out.insert(1, str(t) if isinstance(t, int) else (t, 0, True))
+    return out if tail else ["(", *out, ")"]

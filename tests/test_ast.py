@@ -7,8 +7,8 @@ import pytest
 from slnkit.ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, GExists, GForall, Leq,
     Node, Not, Or, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
-    alpha_eq, free_vars, is_quantifier_free, pa_num, shift, sln_num,
-    subformulas, svar,
+    alpha_eq, free_vars, is_quantifier_free, pa_num, pa_term_vars, shift,
+    sln_num, subformulas, svar, term_vars,
 )
 from slnkit.finite import LAnd, LEq, LExists, LNot, LPred
 from slnkit.gen import Generators
@@ -54,6 +54,31 @@ def test_free_vars_examples():
 def test_free_vars_bounded_counts_bound_term():
     a = BForall("y", Var("x"), Leq(Var("y"), Var("y")))
     assert free_vars(a) == {"x"}
+
+
+def test_pa_term_vars_names_the_offending_subterm():
+    """A node that is no PA term is reported inside the operand of + or *
+    that holds it, with the run of s above it."""
+    bad = Succ(svar("y"))
+    with pytest.raises(TypeError, match=r"not a PA term: Succ\(arg=SLNTerm"):
+        pa_term_vars(Plus(Var("x"), Times(Zero(), bad)))
+
+
+def test_deep_sum_term_vars():
+    """pa_term_vars walks + and * on an explicit stack, so term_vars and the
+    bound check of BForall, BExists and ExistsEq take 10^4-deep sums and
+    products at the default recursion limit."""
+    n = 10_000
+    right, left = Var("y"), Var("y")
+    for i in range(n):
+        right = (Plus if i % 2 else Times)(Var("x"), right)
+        left = (Plus if i % 2 else Times)(left, Succ(Var("x")))
+    for t in (right, left):
+        assert shallow(term_vars, t) == {"x", "y"}
+        for cls in (BForall, BExists, ExistsEq):
+            assert shallow(cls, "z", t, Leq(Var("z"), Var("x"))).var == "z"
+            with pytest.raises(ValueError, match="mentions y"):
+                shallow(cls, "y", t, Leq(Var("y"), Var("x")))
 
 
 def test_alpha_eq():

@@ -153,6 +153,14 @@ def test_deep_nesting_exits_2(capsys):
     assert err.startswith("error: recursion limit exceeded")
 
 
+def test_deep_sum_prints_back(capsys):
+    """parse-pa reads a 3000-deep sum on the parser's stack and prints it
+    back on render's."""
+    text = "x <= " + "x + (" * 3000 + "x + y" + ")" * 3000
+    code, out, _ = run(capsys, "parse-pa", text)
+    assert code == 0 and out.strip() == text
+
+
 def test_deep_negation_chain_prints_back(capsys):
     """A run of `!` parses in a loop and prints back without recursing."""
     code, out, _ = run(capsys, "parse-sln", "!" * 3000 + "(0 = 0)")

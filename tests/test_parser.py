@@ -8,7 +8,7 @@ from slnkit.ast import (
 from slnkit.finite import LAnd, LExists, LNot, parse_l
 from slnkit.gen import Generators
 from slnkit.parser import ParseError, _line_col, _Parser, _tokenize, parse_pa, parse_sln
-from slnkit.render import render
+from slnkit.render import render, render_term
 
 from shallow import shallow
 
@@ -237,6 +237,82 @@ def test_render_deep_chains():
         for _ in range(depth):
             a = wrap(a)
         assert render(a) == expected
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+A, B, C = Eq(X, Zero()), Leq(Y, X), Eq(Z, Succ(Zero()))
+# (term, text): + and * nest to the left, so a right operand of the same or
+# a looser operator is parenthesized, and s( holds a sum bare.
+TERM_GOLDENS = [
+    (Plus(Plus(X, Y), Z), "x + y + z"),
+    (Plus(X, Plus(Y, Z)), "x + (y + z)"),
+    (Times(Times(X, Y), Z), "x * y * z"),
+    (Times(X, Times(Y, Z)), "x * (y * z)"),
+    (Plus(Times(X, Y), Times(Y, Z)), "x * y + y * z"),
+    (Plus(X, Times(Y, Z)), "x + y * z"),
+    (Times(Plus(X, Y), Plus(Y, Z)), "(x + y) * (y + z)"),
+    (Times(X, Plus(Y, Z)), "x * (y + z)"),
+    (Plus(Plus(X, Times(Y, Z)), Times(Plus(X, Y), Z)), "x + y * z + (x + y) * z"),
+    (Succ(Plus(X, Y)), "s(x + y)"),
+    (Succ(Succ(Times(Plus(X, Y), Z))), "s(s((x + y) * z))"),
+    (Times(Succ(Plus(X, Y)), Plus(Succ(Zero()), X)), "s(x + y) * (s(0) + x)"),
+]
+# (formula, text): the connectives nest to the right, /\ binds tighter than
+# \/, and a quantifier that is not the tail of its text is parenthesized.
+FORMULA_GOLDENS = [
+    (And(And(A, B), C), "(x = 0 /\\ y <= x) /\\ z = s(0)"),
+    (And(A, And(B, C)), "x = 0 /\\ y <= x /\\ z = s(0)"),
+    (Or(Or(A, B), C), "(x = 0 \\/ y <= x) \\/ z = s(0)"),
+    (Or(A, Or(B, C)), "x = 0 \\/ y <= x \\/ z = s(0)"),
+    (And(Or(A, B), C), "(x = 0 \\/ y <= x) /\\ z = s(0)"),
+    (And(A, Or(B, C)), "x = 0 /\\ (y <= x \\/ z = s(0))"),
+    (Or(And(A, B), C), "x = 0 /\\ y <= x \\/ z = s(0)"),
+    (Or(A, And(B, C)), "x = 0 \\/ y <= x /\\ z = s(0)"),
+    (And(Exists("x", A), B), "(exists x. x = 0) /\\ y <= x"),
+    (And(B, Exists("x", A)), "y <= x /\\ exists x. x = 0"),
+    (Or(And(A, Forall("y", B)), C), "x = 0 /\\ (forall y. y <= x) \\/ z = s(0)"),
+    (And(Or(A, Forall("y", B)), C), "(x = 0 \\/ forall y. y <= x) /\\ z = s(0)"),
+    (Or(ExistsEq("z", Plus(X, Y), C), A), "(exists (z = x + y) z = s(0)) \\/ x = 0"),
+    (Not(BForall("z", Times(X, Plus(Y, X)), C)), "!(forall z <= x * (y + x). z = s(0))"),
+    (Leq(Plus(X, Plus(Y, Z)), Times(X, Times(Y, Z))), "x + (y + z) <= x * (y * z)"),
+]
+
+
+@pytest.mark.parametrize("t, text", TERM_GOLDENS, ids=[t for _, t in TERM_GOLDENS])
+def test_render_term_goldens(t, text):
+    assert render_term(t) == text
+    assert parse_pa(f"x = {text}") == Eq(X, t)
+
+
+@pytest.mark.parametrize("a, text", FORMULA_GOLDENS, ids=[t for _, t in FORMULA_GOLDENS])
+def test_render_formula_goldens(a, text):
+    assert render(a) == text
+    assert parse_pa(text) == a
+
+
+@pytest.mark.parametrize("node", [Plus, Times])
+def test_render_deep_sums_and_products(node):
+    """Terms print on render's explicit stack too: 10^4-deep sums and
+    products, nested to either side, print at the default recursion limit."""
+    n, op = 10_000, " + " if node is Plus else " * "
+    left, right = Y, Y
+    for _ in range(n):
+        left, right = node(left, X), node(X, right)
+    left_text = "y" + (op + "x") * n
+    right_text = ("x" + op + "(") * (n - 1) + "x" + op + "y" + ")" * (n - 1)
+    for t, text in ((left, left_text), (right, right_text)):
+        assert shallow(render_term, t) == text
+        assert shallow(render, Leq(Z, t)) == "z <= " + text
+
+
+def test_deep_sum_bound_parses():
+    """A bound that is a 10^4-deep sum parses, its binder checks its
+    variable against it, and free_vars reads it, all on explicit stacks."""
+    n = 10_000
+    text = "forall z <= " + "x + (" * n + "x + y" + ")" * n + ". z <= x"
+    a = shallow(parse_pa, text)
+    assert isinstance(a, BForall) and shallow(free_vars, a) == {"x", "y"}
+    assert shallow(render, a) == text
 
 
 # (grammar, text, message, line, col) of the error each malformed text gives
