@@ -201,6 +201,28 @@ def succ_run(t: PATerm) -> tuple[PATerm, int]:
     return t, n
 
 
+def fold_term(t: PATerm, leaf, op, succ):
+    """t folded bottom-up on an explicit stack: leaf(v) for a subterm v with
+    no sum or product in it, op(u, l, r) for a sum or product u whose
+    operands folded to l and r, the left one first, and succ(w, n) for s^n(u),
+    n > 0, u a sum or product that folded to w."""
+    done, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # a sum or product whose operands are folded
+            u, n = t
+            r = done.pop()
+            w = op(u, done.pop(), r)
+            done.append(succ(w, n) if n else w)
+            continue
+        u, n = succ_run(t)
+        if isinstance(u, (Plus, Times)):
+            todo += (u, n), u.right, u.left
+        else:
+            done.append(leaf(t))
+    return done.pop()
+
+
 def pa_term_vars(t: PATerm) -> frozenset[str]:
     out, todo = set(), [t]
     while todo:
@@ -576,18 +598,17 @@ def map_term(t: Term, env: dict) -> Term:
         if not isinstance(r, SLNTerm):
             raise TypeError("cannot substitute a PA term into an SLN formula")
         return shift(r, t.offset)
-    match t:
-        case Var(name):
-            r = env.get(name, t)
-            return Var(r) if isinstance(r, str) else r
-        case Zero():
-            return t
-        case Succ():
-            u, n = succ_run(t)
-            return succs(map_term(u, env), n)
-        case Plus(l, r) | Times(l, r):
-            return type(t)(map_term(l, env), map_term(r, env))
-    raise TypeError(f"not a PA term: {t!r}")
+    u, n = succ_run(t)
+    if isinstance(u, Var):
+        r = env.get(u.name, u)
+        r = Var(r) if isinstance(r, str) else r
+    elif isinstance(u, Zero):
+        r = u
+    elif isinstance(u, (Plus, Times)):
+        return fold_term(t, lambda v: map_term(v, env), lambda u, l, r: type(u)(l, r), succs)
+    else:
+        raise TypeError(f"not a PA term: {t!r}")
+    return t if r is u else succs(r, n)
 
 
 def map_vars(a: Formula, env: dict, bind) -> Formula:

@@ -31,7 +31,9 @@ within one formula or across formulas, are one node.  A formula keeps its
 compiled node, outside its fields, so a subformula shared by many formulas,
 such as H inside every translation, compiles once.  Each enumerated
 quantifier's verdict is memoized on its heap, keyed on the node and the
-values of its free variables; a lookup hashes no tree.
+values of its free variables; a lookup hashes no tree.  A pinned closed
+quantifier is not memoized: it costs one heap read and one evaluation of
+its core, about what a memo entry would save.
 
 Pins.  When the body of an exists needs a conjunct t |-> x+i or x+i = t,
 with t bound outside, or the body of a forall holds unless that conjunct
@@ -41,7 +43,8 @@ in the tail alike, leaves the body false (exists) or true (forall), and
 the quantifier is its body at k, or its neutral verdict when k is below
 the guard.  The body's atoms read the heap directly, so a k past the block
 is evaluated exactly: a pinned quantifier, closed or open, takes one heap
-read and one evaluation of its body, with no block, tail or decider.
+read and one evaluation of its body (of its core, when closed: see Known
+atoms), with no block, tail or decider.
 
 Anchored enumeration.  When the body of an exists needs a conjunct
 x+i |-> t, with t bound outside, or the body of a forall holds unless that
@@ -63,6 +66,17 @@ candidate y where rest is false store x+j at y+i: the row of a table
 lookup; without such a y the lookup is vacuous and the block is
 enumerated.  Every other value of x falsifies the witness or the row: the
 tail argument, one quantifier down.
+
+Known atoms.  The atoms that chose a value of x hold at it, so a closed
+quantifier evaluates its body there with them replaced by true: its core,
+built once per shape by the walk that builds the tail, which replaces the
+side's atoms by false.  Closed, every pin's t and every anchor's is bound,
+so the pin read is the first pin's and each anchored candidate satisfies
+every anchor; the core folds the first pin's atom, or, without a pin, each
+anchor's.  The fold enters nested quantifiers, where most of H's anchors
+are, and stops at one that binds x or a base of a folded atom, where the
+same atom means another thing.  Joins, the block, the tail, open
+quantifiers and residuals keep the plain body.
 """
 
 from __future__ import annotations
@@ -430,52 +444,59 @@ def _needs(node: _Node, x: str, positive: bool) -> frozenset | set:
     return frozenset()
 
 
-def _replace(node: _Node, x: str, side: str) -> _Node:
-    """node with the points-to atoms whose `side` term iterates x replaced
-    by false, as _replace_atoms does on formulas."""
-    if x not in (node.addr_vars if side == "addr" else node.val_vars):
+def _replace(node: _Node, x: str, swap, facts: str = "free", stop=()) -> _Node:
+    """node with each atom p it reaches replaced by swap(p), constants
+    folded on the way up.  The walk enters only nodes whose `facts` (free,
+    addr_vars or val_vars) hold x, so it stops at a quantifier that binds
+    x, and at one that binds a name in stop.  The tail swaps the points-to
+    atoms whose side term iterates x for false, as _replace_atoms does on
+    formulas; the core swaps the atoms known to hold for true."""
+    if x not in getattr(node, facts):
         return node
-    if isinstance(node, _PointsTo):
-        return _FALSE_NODE
+    if isinstance(node, _Atom):
+        return swap(node)
     if isinstance(node, _Not):
-        return _not_node(_replace(node.body, x, side))
+        return _not_node(_replace(node.body, x, swap, facts, stop))
     if isinstance(node, _Junction):
-        return _junction_node(type(node), map(_replace, node.parts, repeat(x), repeat(side)))
+        return _junction_node(type(node), map(_replace, node.parts, repeat(x), repeat(swap),
+                                              repeat(facts), repeat(stop)))
     shape = node.shape  # binds a variable other than x, which is free in it
+    if shape.var in stop:
+        return node
     return _quant_node(shape.exists, shape.var, node.guard,
-                       _replace(shape.body, x, side))
+                       _replace(shape.body, x, swap, facts, stop))
 
 
 class _Shape:
     """A quantifier without its guard, with the facts the enumeration
     needs: the side the variable is enumerated on, and, each derived once
-    on first use, its pins, its address anchors, its joins and the node of
-    the guarded tail."""
+    on first use, its pins, its address anchors, its joins, the node of
+    the guarded tail and the core body."""
 
     __slots__ = ("exists", "var", "body", "side", "_pins", "_anchors", "_joins", "_tail",
-                 "__weakref__")
+                 "_core", "__weakref__")
 
     def __init__(self, exists: bool, var: str, body: _Node) -> None:
         self.exists, self.var, self.body = exists, var, body
         self.side = ("addr" if var in body.addr_vars else
                      "val" if var in body.val_vars else None)
-        self._pins = self._anchors = self._joins = self._tail = None
+        self._pins = self._anchors = self._joins = self._tail = self._core = None
 
     def _find_anchors(self) -> None:
         x, body = self.var, self.body
         # For exists, the atoms the body needs; for forall, the atoms whose
-        # failure makes the body true.  A pin is (an equation?, base and
-        # offset of t, offset of x); an address anchor drops the first.
+        # failure makes the body true.  A pin or an address anchor is (its
+        # atom, base and offset of t, offset of x).
         pins, addr, joins = [], [], []
         for p in _needs(body, x, self.exists):
             if type(p) is tuple:
                 joins.append(p)
             elif type(p) is _Eq:  # the bases differ, so x is on one side only
-                pins.append((True, p.rb, p.ro, p.lo) if p.lb == x else (True, p.lb, p.lo, p.ro))
+                pins.append((p, p.rb, p.ro, p.lo) if p.lb == x else (p, p.lb, p.lo, p.ro))
             elif p.lb == x and p.rb != x:
-                addr.append((p.rb, p.ro, p.lo))
+                addr.append((p, p.rb, p.ro, p.lo))
             elif p.rb == x and p.lb != x:
-                pins.append((False, p.lb, p.lo, p.ro))
+                pins.append((p, p.lb, p.lo, p.ro))
         joins.sort(key=lambda join: join[0] is None)  # lookups first: one value each
         self._pins, self._anchors, self._joins = tuple(pins), tuple(addr), tuple(joins)
 
@@ -490,10 +511,10 @@ class _Shape:
         t |-> x+i (-1 for an empty cell); None when no pin's t is bound."""
         if self._pins is None:
             self._find_anchors()
-        for is_eq, base, offset, i in self._pins:
+        for p, base, offset, i in self._pins:
             t = 0 if base is None else env.get(base)
             if t is not None:  # an empty cell gives i - 1, less i
-                return t + offset - i if is_eq else h._cells.get(t + offset, i - 1) - i
+                return t + offset - i if type(p) is _Eq else h._cells.get(t + offset, i - 1) - i
         return None
 
     def candidates(self, env, h, guard: int):
@@ -506,17 +527,19 @@ class _Shape:
         if self._pins is None:
             self._find_anchors()
         known = []
-        for base, offset, i in self._anchors:
+        for _, base, offset, i in self._anchors:
             t = 0 if base is None else env.get(base)
             if t is not None:
-                known.append((h.addresses_holding(t + offset), t + offset, i))
+                addrs = h.addresses_holding(t + offset)
+                if not addrs:
+                    return []
+                known.append((len(addrs), t + offset, i, addrs))
         if not known:
             return self._joined(env, h, guard) if self._joins else None
-        if len(known) > 1:
-            known.sort(key=lambda anchor: len(anchor[0]))
-        addrs, _, i = known[0]
+        known.sort()
+        _, _, i, addrs = known[0]
         get = h._cells.get  # the dict's own get: no wrapper call per address
-        for _, t, j in known[1:]:
+        for _, t, j, _ in known[1:]:
             d = j - i  # from an address of the first anchor to this one's
             addrs = [a for a in addrs if get(a + d) == t]
         # x is addressed, so its bound is the largest address: only the
@@ -551,11 +574,25 @@ class _Shape:
         last tail made is kept."""
         tail = self._tail
         if tail is None:
-            tail = self._tail = _quant_node(self.exists, self.var, guard,
-                                            _replace(self.body, self.var, self.side))
+            body = _replace(self.body, self.var, lambda p: _FALSE_NODE, self.side + "_vars")
+            tail = self._tail = _quant_node(self.exists, self.var, guard, body)
         elif type(tail) is _Quant and tail.guard != guard:
             tail = self._tail = _intern((_Quant, tail.shape, guard))
         return tail
+
+    def core(self) -> _Node:
+        """The body at the value a closed quantifier reads off its first pin,
+        or, without a pin, at each of its anchored candidates, with the atoms
+        that chose the value replaced by true: the first pin's, or every
+        anchor's, all of which hold there.  The walk stops at a quantifier
+        that rebinds x or a base of those atoms.  Made once."""
+        core = self._core
+        if core is None:
+            known = {p for p, _, _, _ in self._pins[:1] or self._anchors}
+            stop = {b for p in known for b in (p.lb, p.rb)}
+            core = self._core = _replace(self.body, self.var,
+                                         lambda p: _TRUE_NODE if p in known else p, stop=stop)
+        return core
 
 
 class _Quant(_Node):
@@ -569,34 +606,34 @@ class _Quant(_Node):
         self._values = itemgetter(*names) if names else None
 
     def ev(self, env, h, fold=True):
-        """The one split of the module docstring.  A closed quantifier hands
-        a residual to the decider and memoizes its verdict per heap on
-        (node, free values).  An open one is only folded, unless fold is
-        off: then it gives its verdict or its residual over the variables
-        env leaves unbound.  env is left as it came."""
+        """The one split of the module docstring.  A closed quantifier reads
+        its pin or its anchored candidates on its shape's core, hands a
+        residual to the decider, and memoizes the verdict of an enumeration
+        per heap on (node, free values).  An open one is only folded, unless
+        fold is off: then it gives its verdict or its residual over the
+        variables env leaves unbound.  env is left as it came."""
         closed = env.keys() >= self.free
-        if closed:
+        shape, guard = self.shape, self.guard
+        x, body, want = shape.var, shape.body, shape.exists
+        # no pin's t is x; a shape found to have no pin skips the call
+        k = shape.pin(env, h) if (closed or not fold) and shape._pins != () else None
+        if k is not None and k < guard:
+            return not want
+        if closed and k is None:
             key = self if self._values is None else (self, self._values(env))
             verdict = h._memo.get(key)
             if verdict is not None:
                 return verdict
-        shape, guard = self.shape, self.guard
-        x, body, want = shape.var, shape.body, shape.exists
         saved = env.pop(x, _UNSET)
         try:
-            if closed or not fold:
-                k = shape.pin(env, h)
-                if k is not None:
-                    env[x] = k
-                    verdict = body.ev(env, h) if k >= guard else not want
-                    if verdict is None:  # only an open body is undecided
-                        return body.res(env, h)
-                    if closed:
-                        h._memo[key] = verdict
-                    return verdict
-                values = shape.candidates(env, h, guard)
-            else:
-                values = None
+            if k is not None:
+                env[x] = k
+                if closed:
+                    return shape.core().ev(env, h)
+                verdict = body.ev(env, h)
+                # only an open body is undecided
+                return body.res(env, h) if verdict is None else verdict
+            values = shape.candidates(env, h, guard) if closed or not fold else None
             if values is None:
                 verdict = body.ev(env, h)
                 if verdict is not None or fold and not closed:
@@ -607,6 +644,8 @@ class _Quant(_Node):
                         verdict = h._memo[key] = decide_sentence(verdict)
                     return verdict
                 values = range(guard, shape.bound(h) + 1)
+            elif closed and shape._anchors and values:
+                body = shape.core()  # every anchor is bound, and holds at every candidate
             parts = []
             for k in values:
                 env[x] = k

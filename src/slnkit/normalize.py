@@ -12,8 +12,8 @@ the end of the prefix.  Equal subterms each get their own variable.
 from __future__ import annotations
 
 from .ast import (
-    Eq, ExistsEq, Forall, Formula, Leq, PATerm, Plus, Times, Var, rebuild,
-    succ_run, succs,
+    Eq, ExistsEq, Forall, Formula, Leq, PATerm, Var, fold_term, has_arith,
+    rebuild, succs,
 )
 from .transform import (
     FreshNames, is_bounded, is_normal, is_pi01, prenex_parts, to_dnf,
@@ -30,14 +30,13 @@ def normalize_bounded(a: Formula) -> Formula:
     prefix, matrix = prenex_parts(a, fresh)
     out: list[tuple] = []
 
+    def define(u: PATerm, l: PATerm, r: PATerm) -> PATerm:
+        z = fresh.fresh("x")
+        out.append((ExistsEq, z, type(u)(l, r)))
+        return Var(z)
+
     def flat(t: PATerm) -> PATerm:
-        u, n = succ_run(t)
-        if isinstance(u, (Plus, Times)):
-            occ = type(u)(flat(u.left), flat(u.right))
-            z = fresh.fresh("x")
-            out.append((ExistsEq, z, occ))
-            return succs(Var(z), n)
-        return t
+        return fold_term(t, lambda v: v, define, succs) if has_arith(t) else t
 
     def flat_atom(m: Formula, _):
         if isinstance(m, (Eq, Leq)):

@@ -3,9 +3,13 @@ standard model, plus the operation-table size bound for a formula."""
 
 from __future__ import annotations
 
+from functools import partial
+from operator import add
+
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, Leq, Not,
-    Or, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero, succ_run,
+    Or, Plus, SLNTerm, Times, TruthConst, Var, Zero, fold_term,
+    succ_run,
 )
 
 
@@ -72,18 +76,14 @@ def eval_term(sigma: VarAssignment, t) -> int:
     """Standard interpretation of a PA or SLN term."""
     if isinstance(t, SLNTerm):
         return t.offset + (0 if t.base is None else sigma(t.base))
-    match t:
-        case Var(name):
-            return sigma(name)
-        case Zero():
-            return 0
-        case Succ():
-            u, n = succ_run(t)
-            return eval_term(sigma, u) + n
-        case Plus(l, r):
-            return eval_term(sigma, l) + eval_term(sigma, r)
-        case Times(l, r):
-            return eval_term(sigma, l) * eval_term(sigma, r)
+    u, n = succ_run(t)
+    if isinstance(u, Var):
+        return sigma(u.name) + n
+    if isinstance(u, Zero):
+        return n
+    if isinstance(u, (Plus, Times)):
+        return fold_term(t, partial(eval_term, sigma),
+                         lambda u, l, r: l + r if isinstance(u, Plus) else l * r, add)
     raise TypeError(f"not a term: {t!r}")
 
 

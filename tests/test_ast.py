@@ -7,8 +7,8 @@ import pytest
 from slnkit.ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, GExists, GForall, Leq,
     Node, Not, Or, Plus, PointsTo, SLNTerm, Succ, Times, TruthConst, Var, Zero,
-    alpha_eq, free_vars, is_quantifier_free, pa_num, pa_term_vars, shift,
-    sln_num, subformulas, svar, term_vars,
+    alpha_eq, free_vars, is_quantifier_free, map_term, pa_num, pa_term_vars,
+    shift, sln_num, subformulas, svar, term_vars,
 )
 from slnkit.finite import LAnd, LEq, LExists, LNot, LPred
 from slnkit.gen import Generators
@@ -79,6 +79,21 @@ def test_deep_sum_term_vars():
             assert shallow(cls, "z", t, Leq(Var("z"), Var("x"))).var == "z"
             with pytest.raises(ValueError, match="mentions y"):
                 shallow(cls, "y", t, Leq(Var("y"), Var("x")))
+
+
+def test_deep_sum_map_term():
+    """map_term folds + and * on an explicit stack, so renaming x to z takes
+    10^4-deep sums, nested either way, at the default recursion limit."""
+
+    def sums(x):
+        right, left = Var("y"), Var("y")
+        for i in range(10_000):
+            right = (Plus if i % 2 else Times)(Var(x), right)
+            left = (Plus if i % 2 else Times)(left, Succ(Var(x)))
+        return right, left
+
+    for t, renamed in zip(sums("x"), sums("z")):
+        assert shallow(map_term, t, {"x": "z"}) == renamed
 
 
 def test_alpha_eq():

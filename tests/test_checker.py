@@ -221,7 +221,7 @@ def test_memo_is_per_heap():
 
 def test_memo_is_keyed_on_shape():
     """Two formulas sharing a structurally equal subformula, parsed apart,
-    share its memo entries on one heap."""
+    share its memo entries on one heap; a pinned quantifier adds none."""
     h = Heap({0: 2, 1: 0, 2: 3, 4: 0, 5: 1})
     shared = "forall b. exists c. (b |-> c => c |-> b \\/ s(c) |-> b)"
     f = parse_sln(f"exists a. (a |-> 0 /\\ {shared})")
@@ -231,6 +231,11 @@ def test_memo_is_keyed_on_shape():
     assert check(SIGMA, h, parse_sln(shared)) == stable_brute_force(SIGMA, h, parse_sln(shared))
     assert len(h._memo) == entries
     assert check(SIGMA, h, g) == stable_brute_force(SIGMA, h, g)
+    # a closed pinned quantifier is one heap read, and is not memoized
+    pinned = parse_sln("exists c. (0 |-> c /\\ !(c |-> c))")
+    entries = len(h._memo)
+    assert check(SIGMA, h, pinned) is stable_brute_force(SIGMA, h, pinned) is True
+    assert len(h._memo) == entries
 
 
 def _term(rng, scope):
@@ -299,6 +304,16 @@ def test_anchored_enumeration_against_oracle():
     "exists a >= 2. (a |-> 0 /\\ forall a. (a |-> 0 => a = a))",
     "forall x. exists a. (a |-> 0 /\\ x = s(a)) \\/ x = 0",
     "forall x >= 1. exists a. (a |-> x \\/ s(a) |-> x) \\/ !(x = s(0))",
+    # an anchor's or a pin's atom again under a binder of x or of its t: it
+    # holds at the value it chose only where both mean what they mean there
+    "exists a. (a |-> 0 /\\ exists a. (s(a) |-> s(s(s(0))) /\\ !(a |-> 0)))",
+    "exists y. (0 |-> y /\\ exists a. (a |-> y /\\ exists y. (s(0) |-> y /\\ !(a |-> y))))",
+    "forall a. (!(a |-> 0) \\/ forall a. (!(a |-> 0) \\/ s(a) |-> s(0)))",
+    "forall y. (!(0 |-> y) \\/ forall a. (!(a |-> y) \\/ exists y. (s(0) |-> y /\\ a |-> y)))",
+    "exists y. (0 |-> y /\\ forall y. (0 |-> y => y = s(s(0))))",
+    "exists w. (s(0) |-> w /\\ exists y. (y = w /\\ exists w. (0 |-> w /\\ !(y = w))))",
+    "forall y. (!(0 |-> y) \\/ exists y. (0 |-> y /\\ !(y = s(s(0)))))",
+    "forall w. (!(s(0) |-> w) \\/ forall y. (!(y = w) \\/ forall w. (!(0 |-> w) \\/ !(y = w))))",
 ])
 def test_anchored_shapes(text):
     a = parse_sln(text)
@@ -489,26 +504,30 @@ def test_closed_decisions_build_no_residual(monkeypatch):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-@pytest.mark.parametrize("text, verdict", [
-    ("exists y. y = s(s(0))", True),
-    ("exists y. (y = s(s(0)) /\\ y = s(0))", False),  # no value is a witness
-    ("exists y. !(y = s(s(0)))", True),
+@pytest.mark.parametrize("text, verdict, evaluations", [
+    ("exists y. y = s(s(0))", True, 0),
+    ("exists y. (y = s(s(0)) /\\ y = s(0))", False, 1),  # no value is a witness
+    ("exists y. !(y = s(s(0)))", True, None),
 ])
-def test_unanchored_closed_quantifier_goes_to_the_decider(monkeypatch, text, verdict):
+def test_unanchored_closed_quantifier_goes_to_the_decider(monkeypatch, text, verdict,
+                                                          evaluations):
     """A closed quantifier whose variable is in no points-to atom is
     decided by a pin, when its body needs an equation on the variable (the
-    first two: one evaluation of the body at y = 2), and is otherwise
-    handed to the decider whole (the third, whose equation is negated):
-    either way its body's atoms are evaluated a few times, not once per
-    value up to the heap's largest value, 10^6."""
+    first two: one evaluation of the body at y = 2, where the pinning
+    equation is known to hold, so only the other equations are evaluated),
+    and is otherwise handed to the decider whole (the third, whose equation
+    is negated): either way its body's atoms are evaluated a few times, not
+    once per value up to the heap's largest value, 10^6."""
     calls, decided = [], []
     ev, decide = checker._Eq.ev, checker.decide_sentence
     monkeypatch.setattr(checker._Eq, "ev",
                         lambda self, env, h: calls.append(self) or ev(self, env, h))
     monkeypatch.setattr(checker, "decide_sentence", lambda s: decided.append(s) or decide(s))
     assert check(SIGMA, Heap({0: 10**6}), parse_sln(text)) is verdict
-    pinned = "!" not in text
-    assert len(decided) == (0 if pinned else 1) and 0 < len(calls) < (3 if pinned else 10)
+    if evaluations is None:
+        assert len(decided) == 1 and 0 < len(calls) < 10
+    else:
+        assert not decided and len(calls) == evaluations
 
 
 def test_table_heap_condition_on_larger_tables():

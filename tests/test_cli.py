@@ -161,6 +161,15 @@ def test_deep_sum_prints_back(capsys):
     assert code == 0 and out.strip() == text
 
 
+def test_normalize_deep_sum(capsys):
+    """normalize_bounded flattens a 3000-deep sum on an explicit stack: one
+    defining existential per +, innermost first."""
+    code, out, _ = run(capsys, "normalize", "x <= " + "x + (" * 3000 + "x + y" + ")" * 3000)
+    assert code == 0
+    assert out.startswith("exists (x#1 = x + y) exists (x#2 = x + x#1) ")
+    assert out.strip().endswith("exists (x#3001 = x + x#3000) x <= x#3001")
+
+
 def test_deep_negation_chain_prints_back(capsys):
     """A run of `!` parses in a loop and prints back without recursing."""
     code, out, _ = run(capsys, "parse-sln", "!" * 3000 + "(0 = 0)")

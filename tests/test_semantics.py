@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slnkit.ast import (
-    Eq, Exists, Plus, SLNTerm, Succ, TruthConst, Var, Zero, pa_num, sln_num,
+    Eq, Exists, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero, pa_num,
+    sln_num,
 )
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa
@@ -11,6 +12,8 @@ from slnkit.semantics import (
     VarAssignment, eval_bounded, eval_term, max_bound, parse_assignment,
     render_assignment,
 )
+
+from shallow import shallow
 
 
 def test_eval_term_examples():
@@ -21,6 +24,18 @@ def test_eval_term_examples():
     sigma1 = VarAssignment({"x": 1})
     bound = Plus(Var("x"), Plus(Var("x"), Succ(Var("x"))))
     assert eval_term(sigma1, bound) == 4
+
+
+def test_deep_sum_eval_term():
+    """eval_term folds + and * on an explicit stack, so it takes 10^4-deep
+    sums, nested either way, at the default recursion limit."""
+    n, sigma = 10_000, VarAssignment({"x": 1, "y": 2})
+    right, left = Var("y"), Var("y")
+    for i in range(n):
+        right = (Plus if i % 2 else Times)(Var("x"), right)
+        left = Plus(left, Succ(Var("x")))
+    assert shallow(eval_term, sigma, right) == n // 2 + 2
+    assert shallow(eval_term, sigma, left) == 2 * n + 2
 
 
 def test_eval_bounded_examples():
