@@ -54,9 +54,10 @@ shifted by i.  Every other value in the enumerated block falsifies the
 conjunct, and so leaves the body false (exists) or true (forall).  This is
 the paper's argument for the tail, applied to one atom inside the block,
 so the block's verdict, the tail and the decider path are those of the
-split.  Every known anchor filters the candidates: the shortest address
-list is scanned, and a value k is kept only if h(k+j) = t' for each other
-known anchor x+j |-> t'.  Pins and anchors are searched through nested
+split.  The heap answers the known anchors at once, by its two-anchor
+lookup: the values k with h(k+j) = t' for every known anchor x+j |-> t'.
+The checker reads a heap only through its public members (heap.py's
+docstring lists them).  Pins and anchors are searched through nested
 quantifiers that do not bind t.  Without a bound pin or anchor, x is
 joined through a quantifier q on y that the body needs and whose body ties
 y to x by y+i |-> x+j.  A needed witness of q (an exists true, a forall
@@ -324,11 +325,10 @@ class _PointsTo(_Atom):
         self.addr_vars, self.val_vars = _term_vars(lb), _term_vars(rb)
 
     def ev(self, env, h) -> bool | None:
-        # the heap's dict is read without a wrapper call per atom
         l = 0 if self.lb is None else env.get(self.lb)
         r = 0 if self.rb is None else env.get(self.rb)
         if l is not None:
-            stored = h._cells.get(l + self.lo)
+            stored = h.get(l + self.lo)
             if stored is None:
                 return False
             if r is not None:
@@ -514,39 +514,26 @@ class _Shape:
         for p, base, offset, i in self._pins:
             t = 0 if base is None else env.get(base)
             if t is not None:  # an empty cell gives i - 1, less i
-                return t + offset - i if type(p) is _Eq else h._cells.get(t + offset, i - 1) - i
+                return t + offset - i if type(p) is _Eq else h.get(t + offset, i - 1) - i
         return None
 
     def candidates(self, env, h, guard: int):
         """The values from guard to the bound at which the body can differ
         from its neutral verdict, or None when no address anchor or join
         applies.  An anchor x+i |-> t is false at every other value, and so
-        is the body of an exists (for a forall, its body is true).  Anchors
-        whose t is not bound in env are skipped; the one with the fewest
-        addresses gives the list, and every other one filters it."""
+        is the body of an exists (for a forall, its body is true).  The
+        heap's two-anchor lookup answers the anchors whose t env binds; x is
+        addressed, so no value it finds passes the bound, the largest address."""
         if self._pins is None:
             self._find_anchors()
-        known = []
+        pairs = []
         for _, base, offset, i in self._anchors:
             t = 0 if base is None else env.get(base)
             if t is not None:
-                addrs = h.addresses_holding(t + offset)
-                if not addrs:
-                    return []
-                known.append((len(addrs), t + offset, i, addrs))
-        if not known:
+                pairs.append((i, t + offset))
+        if not pairs:
             return self._joined(env, h, guard) if self._joins else None
-        known.sort()
-        _, _, i, addrs = known[0]
-        get = h._cells.get  # the dict's own get: no wrapper call per address
-        for _, t, j, _ in known[1:]:
-            d = j - i  # from an address of the first anchor to this one's
-            addrs = [a for a in addrs if get(a + d) == t]
-        # x is addressed, so its bound is the largest address: only the
-        # guard can cut an ascending list, and often cuts nothing
-        if i == 0 and (not addrs or addrs[0] >= guard):
-            return addrs
-        return [a - i for a in addrs if a - i >= guard]
+        return h.matching(pairs, guard)
 
     def _joined(self, env, h, guard: int):
         """The values the first join that applies reads off q's pin or candidates, or None."""
@@ -564,7 +551,7 @@ class _Shape:
                 ys = next(([k] for k in ys if rest.ev({**inner, y: k}, h) is False), None)
                 if ys is None:
                     continue  # a vacuous lookup: no row
-            bound, xs = self.bound(h), (h._cells.get(a + i, -1) - j for a in ys)
+            bound, xs = self.bound(h), (h.get(a + i, -1) - j for a in ys)
             return sorted({k for k in xs if guard <= k <= bound})
         return None
 
@@ -621,7 +608,7 @@ class _Quant(_Node):
             return not want
         if closed and k is None:
             key = self if self._values is None else (self, self._values(env))
-            verdict = h._memo.get(key)
+            verdict = h.memo.get(key)
             if verdict is not None:
                 return verdict
         saved = env.pop(x, _UNSET)
@@ -641,7 +628,7 @@ class _Quant(_Node):
                 if shape.side is None:
                     verdict = _guarded(want, x, guard, body.res(env, h))
                     if closed:
-                        verdict = h._memo[key] = decide_sentence(verdict)
+                        verdict = h.memo[key] = decide_sentence(verdict)
                     return verdict
                 values = range(guard, shape.bound(h) + 1)
             elif closed and shape._anchors and values:
@@ -660,7 +647,7 @@ class _Quant(_Node):
                 verdict = (tail.ev(env, h) if closed
                            else (disj if want else conj)(*parts, tail.res(env, h)))
             if closed:
-                h._memo[key] = verdict
+                h.memo[key] = verdict
             return verdict
         finally:
             env.pop(x, None)

@@ -211,11 +211,11 @@ def test_memo_is_per_heap():
     assert check(SIGMA, h1, f)
     # a verdict is cached on the heap it was reached on, and only there
     g = parse_sln("forall y. exists x. (x |-> y \\/ y = s(s(0)))")
-    before = dict(h1._memo)
+    before = dict(h1.memo)
     assert not check(SIGMA, h2, g)
-    assert h1._memo == before
+    assert h1.memo == before
     assert not check(SIGMA, h1, g)
-    assert len(h1._memo) > len(before)
+    assert len(h1.memo) > len(before)
     assert check(SIGMA, h1, f) and not check(SIGMA, h2, f)
 
 
@@ -227,15 +227,15 @@ def test_memo_is_keyed_on_shape():
     f = parse_sln(f"exists a. (a |-> 0 /\\ {shared})")
     g = parse_sln(f"{shared} \\/ forall a. !(a |-> s(s(s(s(0)))))")
     assert check(SIGMA, h, f) == stable_brute_force(SIGMA, h, f)
-    entries = len(h._memo)
+    entries = len(h.memo)
     assert check(SIGMA, h, parse_sln(shared)) == stable_brute_force(SIGMA, h, parse_sln(shared))
-    assert len(h._memo) == entries
+    assert len(h.memo) == entries
     assert check(SIGMA, h, g) == stable_brute_force(SIGMA, h, g)
     # a closed pinned quantifier is one heap read, and is not memoized
     pinned = parse_sln("exists c. (0 |-> c /\\ !(c |-> c))")
-    entries = len(h._memo)
+    entries = len(h.memo)
     assert check(SIGMA, h, pinned) is stable_brute_force(SIGMA, h, pinned) is True
-    assert len(h._memo) == entries
+    assert len(h.memo) == entries
 
 
 def _term(rng, scope):
@@ -536,6 +536,56 @@ def test_table_heap_condition_on_larger_tables():
     h5 = simple_table_heap(5)
     cell = 4 * 17 + 3  # the result of addition row 17
     assert check(SIGMA, h5.mutated(cell, h5.get(cell) + 1), H) is False
+
+
+class _StandInHeap:
+    """A heap over a plain dict with only the members the checker reads,
+    its lookups by brute force, and none of Heap's private ones."""
+
+    __slots__ = ("_data", "get", "max_addr", "max_val", "memo")
+
+    def __init__(self, cells) -> None:
+        self._data = dict(cells)
+        self.get = self._data.get
+        self.max_addr = max(self._data, default=-1)
+        self.max_val = max(self._data.values(), default=-1)
+        self.memo = {}
+
+    def addresses_holding(self, value):
+        return tuple(a for a in sorted(self._data) if self._data[a] == value)
+
+    def matching(self, pairs, guard=0):
+        last = self.max_addr - min(i for i, _ in pairs)
+        return [k for k in range(guard, last + 1) if all(self.get(k + i) == v for i, v in pairs)]
+
+
+def test_checker_reads_a_heap_through_its_public_members():
+    """A stand-in heap that has only the public members gives Heap's
+    verdicts: on H over h_0..h_3 and the single-cell mutations of h_1, and
+    on a seeded slice of the differential generators."""
+    H = table_heap_condition()
+    h1 = simple_table_heap(1)
+    heaps = [simple_table_heap(n) for n in range(4)]
+    heaps += [h1.mutated(a, v) for a in h1.cells for v in range(h1.max_val + 3) if v != h1.get(a)]
+    verdicts = [check(SIGMA, _StandInHeap(h.cells), H) for h in heaps]
+    assert verdicts == [check(SIGMA, h, H) for h in heaps]
+    assert verdicts[:4] == [True] * 4 and False in verdicts
+    rng = random.Random(60)
+
+    def small_heap(addrs, values):
+        return Heap({rng.randint(0, addrs): rng.randint(0, values)
+                     for _ in range(rng.randint(0, 6))})
+
+    cases = []
+    for _ in range(60):
+        scope = ["x"] if rng.random() < 0.5 else []
+        cases.append((_random_formula(rng, scope, rng.randint(1, 3)), small_heap(7, 4)))
+        cases.append((_pinned_sentence(rng), small_heap(5, 4)))
+        cases.append((_multi_anchored(rng), small_heap(6, 3)))
+        cases.append((_nested_join(rng), _rows(rng)))
+    for a, heap in cases:
+        sigma = VarAssignment({v: rng.randint(0, 4) for v in free_vars(a)})
+        assert check(sigma, _StandInHeap(heap.cells), a) == check(sigma, heap, a), (a, heap)
 
 
 def test_shared_subformula_compiles_once(monkeypatch):

@@ -1,8 +1,15 @@
+import copy
+import pickle
+
 import pytest
 
+from slnkit.checker import check
+from slnkit.gen import Generators
 from slnkit.heap import (
     Heap, load_heap, save_heap, simple_table_heap, table_cell_count,
 )
+from slnkit.parser import parse_sln
+from slnkit.semantics import VarAssignment
 
 
 def test_lookup_absence_is_distinguishable():
@@ -10,6 +17,9 @@ def test_lookup_absence_is_distinguishable():
     assert h.get(0) == 0
     assert h.get(7) is None
     assert 1 in h and 7 not in h
+    # a default applies only to an absent address: a stored 0 is a value
+    assert h.get(0, 9) == 0 and h.get(1, -1) == 3
+    assert h.get(7, 9) == 9 and h.get(7, -1) == -1
 
 
 def test_rejects_negative_cells():
@@ -90,3 +100,66 @@ def test_addresses_holding():
     assert h.addresses_holding(2) == (3,)
     assert h.addresses_holding(7) == ()
     assert h.mutated(3, 1).addresses_holding(1) == (0, 3, 5)
+
+
+def _scan(h: Heap, pairs, guard: int) -> list[int]:
+    """The two-anchor lookup by brute force: every k from guard up to the
+    last one whose cells k + i lie in the domain."""
+    last = h.max_addr - min(i for i, _ in pairs)
+    return [k for k in range(guard, last + 1) if all(h.cells.get(k + i) == v for i, v in pairs)]
+
+
+def test_matching_against_a_scan():
+    """The lookup agrees with a scan of the cells on sampled heaps and on
+    h_0..h_3, for one to three pairs whose offsets differ either way and
+    reach below address 0, values stored and not, and guards that cut the
+    list and that cut nothing."""
+    tables = [simple_table_heap(n) for n in range(4)]
+    gens = Generators(61)
+    heaps = tables + [gens.heap_sample(tables) for _ in range(60)]
+    rng = gens.rng
+    seen = dict.fromkeys(["found", "cut", "uncut", "absent", "up", "down", "below 0"], 0)
+    for h in heaps:
+        values = sorted(set(h.cells.values())) or [0]
+        for _ in range(40):
+            pairs = [(rng.randint(0, 3), rng.choice(values)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.1:
+                pairs[rng.randrange(len(pairs))] = (rng.randint(0, 3), h.max_val + 1)
+                seen["absent"] += 1
+            whole = _scan(h, pairs, 0)
+            for guard in [0, rng.randint(0, h.max_addr + 2)] + whole[len(whole) // 2:][:1]:
+                expected = _scan(h, pairs, guard)
+                assert list(h.matching(pairs, guard)) == expected, (h, pairs, guard)
+                seen["found"] += bool(expected)
+                seen["cut" if len(expected) < len(whole) else "uncut"] += bool(whole)
+            for i, v in pairs:
+                for j, _ in pairs:
+                    seen["up" if j > i else "down"] += j != i
+                    # an address holding v, less i, plus j
+                    seen["below 0"] += any(a - i + j < 0 for a in h.addresses_holding(v))
+    assert all(seen.values()), seen
+
+
+def test_matching_examples():
+    h = Heap({0: 5, 1: 7, 3: 5, 4: 7, 6: 5, 7: 8})
+    assert list(h.matching([(0, 5)])) == [0, 3, 6]
+    assert list(h.matching([(1, 5)])) == [2, 5]  # 5 at address 0 gives k = -1
+    assert list(h.matching([(0, 5), (1, 7)])) == [0, 3]
+    # 7 has the shorter list, so 5 is read one address below each
+    assert list(h.matching([(1, 7), (0, 5)])) == [0, 3]
+    assert list(h.matching([(1, 7), (0, 5)], 1)) == [3]
+    assert list(h.matching([(0, 5)], 7)) == []
+    assert list(h.matching([(0, 5), (2, 9)])) == []  # no cell stores 9
+    # 9 has the shorter list; at address 0 the other pair reads address -1
+    h = Heap({0: 9, 3: 9, 2: 4, 5: 4, 8: 4})
+    assert list(h.matching([(1, 9), (0, 4)])) == [2]
+
+
+def test_copies_are_rebuilt_from_the_cells():
+    h = Heap({0: 1, 2: 1, 3: 0})
+    assert check(VarAssignment(), h, parse_sln("exists x (x |-> s(0) /\\ s(x) |-> 0)"))
+    assert h.memo and h.addresses_holding(1) == (0, 2)
+    for c in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert c == h and c.memo == {}
+        assert c.get.__self__ is c._cells and c.get(3) == 0
+        assert (c.max_addr, c.max_val, c.addresses_holding(1)) == (3, 1, (0, 2))
