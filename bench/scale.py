@@ -1,13 +1,17 @@
-"""Scaling ladders for the model checker and the successor-arithmetic decider.
+"""Scaling ladders for the model checker and the successor-arithmetic decider,
+and the verify suites.
 
 The checker ladder times check(H, h_n) for growing n, the decider ladder
-decide_sentence on the alternation ladder for growing k.
+decide_sentence on the alternation ladder for growing k, and the verify
+runs each suite of slnkit.verify over a range of seeds.
 
     python3 bench/scale.py                                  # n = 4..12, this tree
     python3 bench/scale.py --source parent=../old/src --source change=src \
         > BENCH_checker.json
     python3 bench/scale.py --decider --source parent=../old/src --source change=src \
         > BENCH_decider.json                                # k = 2..15
+    python3 bench/scale.py --verify --source parent=../old/src --source change=src \
+        > BENCH_verify.json                                 # seeds 0..19
 
 Run from the repository root.  Each --source LABEL=DIR is one column, a
 directory holding the slnkit package; the default is one column, current=src.
@@ -16,9 +20,13 @@ directory.  A checker run builds simple_table_heap(n) and H untimed, copies
 the table into a fresh Heap (so no memo or value index survives), and times
 one check(VarAssignment(), heap, H).  A decider run parses ladder(k) from
 tests/test_succ.py untimed and times one decide_sentence; a run that raises
-BudgetExceeded is timed to the raise.  Each (column, n) is run REPEATS
-times, interleaved across columns, the first column changing place with
-each repeat, so a drift in the host's speed falls on every column alike.
+BudgetExceeded is timed to the raise.  A verify run times run_suite(suite,
+seed) for every seed of the range in one process, so that what the suite
+caches carries over from seed to seed, and records each report's
+agreements and instances; its verdict is whether every instance agreed.
+Each (column, n) or (column, suite) is run REPEATS times, interleaved
+across columns, the first column changing place with each repeat, so a
+drift in the host's speed falls on every column alike.
 Each entry records the median and the minimum of the run times, the largest
 peak RSS of its subprocesses and the verdict, or the status "budget" when
 the runs ended in BudgetExceeded; a run past --timeout is recorded as
@@ -71,6 +79,20 @@ seconds = time.perf_counter() - start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"seconds": seconds, "verdict": verdict, "peak_rss_mb": rss_mb}))
 """
+VERIFY_CHILD = """
+import json, resource, sys, time
+from slnkit.verify import run_suite
+suite, seeds = sys.argv[1], range(int(sys.argv[2]), int(sys.argv[3]) + 1)
+start = time.perf_counter()
+reports = [run_suite(suite, seed) for seed in seeds]
+seconds = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb,
+                  "agreements": [r["agreements"] for r in reports],
+                  "instances": [r["instances"] for r in reports],
+                  "verdict": all(r["agreements"] == r["instances"] for r in reports)}))
+"""
+SUITES = ["pa2hn", "hn2forallh", "representation", "sigma01", "fol"]
 
 
 def decider_ladders(ks: list[int]) -> dict[int, str]:
@@ -86,11 +108,11 @@ def decider_ladders(ks: list[int]) -> dict[int, str]:
     return dict(zip(ks, json.loads(out.stdout)))
 
 
-def run_once(src: Path, child: str, arg: str, timeout: float) -> dict | None:
-    """One run of child on arg against the package in src; None on timeout."""
+def run_once(src: Path, child: str, args: list[str], timeout: float) -> dict | None:
+    """One run of child on args against the package in src; None on timeout."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        out = subprocess.run([sys.executable, "-c", child, arg], env=env,
+        out = subprocess.run([sys.executable, "-c", child, *args], env=env,
                              capture_output=True, text=True, timeout=timeout, check=True)
     except subprocess.TimeoutExpired:
         return None
@@ -119,10 +141,11 @@ def environment() -> dict:
             "cpu": cpu, "cpu_count": os.cpu_count()}
 
 
-def ladder(sources: dict[str, Path], ns: list[int], timeout: float,
-           decider: bool = False) -> dict:
-    child, key = (DECIDER_CHILD, "k") if decider else (CHILD, "n")
-    args = decider_ladders(ns) if decider else {n: str(n) for n in ns}
+def ladder(sources: dict[str, Path], child: str, key: str, args: dict,
+           timeout: float) -> dict:
+    """Run child on args[n] for each n in turn, REPEATS times per column;
+    the entries of each column, keyed by `key`."""
+    ns = list(args)
     labels = list(sources)
     runs = {(label, n): [] for label in labels for n in ns}
     timed_out = set()
@@ -150,8 +173,8 @@ def ladder(sources: dict[str, Path], ns: list[int], timeout: float,
                 continue
             times = [d["seconds"] for d in done]
             entry = {key: n, "status": "budget" if done[0]["verdict"] == "budget" else "ok"}
-            if "cells" in done[0]:
-                entry["cells"] = done[0]["cells"]
+            entry.update({k: done[0][k] for k in ("cells", "agreements", "instances")
+                          if k in done[0]})
             if entry["status"] == "ok":
                 entry["verdict"] = done[0]["verdict"]
             entries.append({**entry, "runs": len(times),
@@ -166,10 +189,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--source", action="append", metavar="LABEL=DIR",
                         help="a column: a label and a directory holding slnkit")
-    parser.add_argument("--n", help="sizes, as LO-HI: table sizes (default 4-12), or ladder"
-                        " sizes k with --decider (default 2-15)")
-    parser.add_argument("--decider", action="store_true",
-                        help="run the decider's alternation ladder instead")
+    parser.add_argument("--n", help="sizes, as LO-HI: table sizes (default 4-12), ladder"
+                        " sizes k with --decider (default 2-15), or seeds with --verify"
+                        " (default 0-19)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--decider", action="store_true",
+                      help="run the decider's alternation ladder instead")
+    mode.add_argument("--verify", action="store_true",
+                      help="run each verify suite over the seeds instead")
     parser.add_argument("--timeout", type=float, default=120.0,
                         help="seconds before a run counts as a timeout (default 120)")
     args = parser.parse_args(argv)
@@ -179,15 +206,25 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not (Path(path) / "slnkit" / "__init__.py").is_file():
             parser.error(f"--source {item!r}: expected LABEL=DIR with DIR/slnkit")
         sources[label] = Path(path).resolve()
-    sizes = args.n or ("2-15" if args.decider else "4-12")
+    sizes = args.n or ("2-15" if args.decider else "0-19" if args.verify else "4-12")
     lo, _, hi = sizes.partition("-")
     ns = list(range(int(lo), int(hi or lo) + 1))
     if not ns:
         parser.error(f"--n {sizes!r}: no sizes")
-    benchmark = ("decide_sentence(parse_sln(ladder(k))), ladder from tests/test_succ.py"
-                 if args.decider else "check(VarAssignment(), Heap(simple_table_heap(n)), H)")
+    if args.verify:
+        benchmark = f"run_suite(suite, seed) for seed = {ns[0]}..{ns[-1]} in one process"
+        child, key = VERIFY_CHILD, "suite"
+        runs = {suite: [suite, str(ns[0]), str(ns[-1])] for suite in SUITES}
+    elif args.decider:
+        benchmark = "decide_sentence(parse_sln(ladder(k))), ladder from tests/test_succ.py"
+        child, key = DECIDER_CHILD, "k"
+        runs = {k: [text] for k, text in decider_ladders(ns).items()}
+    else:
+        benchmark = "check(VarAssignment(), Heap(simple_table_heap(n)), H)"
+        child, key = CHILD, "n"
+        runs = {n: [str(n)] for n in ns}
     report = {"benchmark": benchmark, "repeats": REPEATS, "environment": environment(),
-              "columns": ladder(sources, ns, args.timeout, args.decider)}
+              "columns": ladder(sources, child, key, runs, args.timeout)}
     print(json.dumps(report, indent=1))
     return 0
 

@@ -1,7 +1,9 @@
 """Desk-scale verification drivers: bounded counterexample search over
 assignments and heaps, executable forms of the translation lemmas, and the
 lemma suites.  `SUITES` maps each suite name to its driver and
-`run_suite(lemma, seed, samples)` returns the suite's JSON report."""
+`run_suite(lemma, seed, samples)` returns the suite's JSON report.  Each
+representation case is translated once per process: the last `_TRANSLATIONS`
+formulas keep their box and full translations, text and compiled nodes."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ast import Eq, Exists, Formula, Not, Plus, Var, Zero, free_vars
+from .ast import Eq, Exists, Forall, Formula, Not, Plus, Var, Zero, free_vars
 from .checker import check
 from .finite import (
     decode_heap, encode_structure, eval_fol, l_free_vars, triangle_translate,
@@ -135,6 +137,17 @@ def verify_hn2forallh(a: Formula, sigma: VarAssignment, samples: int = 50,
     }
 
 
+_TRANSLATIONS = 32  # the suite's 10 cases, the search workload's 5, and room
+
+
+@lru_cache(maxsize=_TRANSLATIONS)
+def _translation(a: Formula) -> tuple[Forall, Formula, str]:
+    """box_translate(a), its circle translation (whose body translates the
+    boxed body: outer universals stay) and render(a)."""
+    boxed = box_translate(a)
+    return boxed, circle_translate(boxed), render(a)
+
+
 def verify_representation(a: Formula, truth: str, witness: int | None = None,
                           limits: SearchLimits = SearchLimits()) -> dict:
     """Desk-scale check of the representation property for one closed
@@ -144,9 +157,9 @@ def verify_representation(a: Formula, truth: str, witness: int | None = None,
     if not is_pi01(a):
         raise ValueError("verify_representation expects forall x B with B bounded")
     start = time.perf_counter()
-    boxed = box_translate(a)
+    boxed, translated, text = _translation(a)
     if truth == "valid":
-        found = bounded_counterexample_search(circle_translate(boxed), limits)
+        found = bounded_counterexample_search(translated, limits)
         return {
             "truth": "valid",
             "as_expected": found is None,
@@ -154,7 +167,7 @@ def verify_representation(a: Formula, truth: str, witness: int | None = None,
                 "sigma": render_assignment(found.assignment),
                 "heap_cells": len(found.heap),
             },
-            "formula": render(a),
+            "formula": text,
             "runtime": time.perf_counter() - start,
         }
     if truth != "invalid" or witness is None:
@@ -162,15 +175,23 @@ def verify_representation(a: Formula, truth: str, witness: int | None = None,
     body = boxed.body
     sigma = VarAssignment({boxed.var: witness})
     n = max_bound(sigma, body)
-    refuted = not check(sigma, simple_table_heap(n), circle_translate(body))
+    refuted = not check(sigma, simple_table_heap(n), translated.body)
     return {
         "truth": "invalid",
         "witness": witness,
         "n": n,
         "as_expected": refuted,
-        "formula": render(a),
+        "formula": text,
         "runtime": time.perf_counter() - start,
     }
+
+
+@lru_cache(maxsize=1)
+def _sigma01_sentence() -> tuple[Formula, Formula, str]:
+    """x+0 != x, the full translation of exists x of it, and that text."""
+    body = Not(Eq(Plus(Var("x"), Zero()), Var("x")))
+    translated = Exists("x", circle_translate(normalize_bounded(body)))
+    return body, translated, render(translated)
 
 
 def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
@@ -178,11 +199,9 @@ def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
     """The boundary example: exists x (x+0 != x) has no witness in the
     standard model, yet its full translation holds on every sampled heap."""
     start = time.perf_counter()
-    x = Var("x")
-    body = Not(Eq(Plus(x, Zero()), x))
+    body, translated, text = _sigma01_sentence()
     witnesses = [k for k in range(pa_witness_bound + 1)
                  if eval_bounded(VarAssignment({"x": k}), body)]
-    translated = Exists("x", circle_translate(normalize_bounded(body)))
     heaps = _heap_pool(seed, samples, (0, 1, 2, 3))
     sigma = VarAssignment()
     failures = [i for i, h in enumerate(heaps) if not check(sigma, h, translated)]
@@ -191,7 +210,7 @@ def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
         "heaps": len(heaps),
         "failures": failures,
         "as_expected": not witnesses and not failures,
-        "formula": render(translated),
+        "formula": text,
         "runtime": time.perf_counter() - start,
     }
 

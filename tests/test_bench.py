@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from slnkit.verify import SUITES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -37,3 +39,14 @@ def test_decider_ladder_records_each_k():
     for e in entries:
         assert e["status"] == "ok" and e["verdict"] is False and e["runs"] == repeats
         assert 0 <= e["min_s"] <= e["median_s"] and e["peak_rss_mb"] > 0
+
+
+def test_verify_runs_record_each_suite():
+    repeats, entries = _ladder("--verify", "--n", "0")
+    assert [e["suite"] for e in entries] == list(SUITES)
+    for e in entries:
+        assert e["status"] == "ok" and e["verdict"] is True and e["runs"] == repeats
+        assert len(e["agreements"]) == 1 and e["agreements"] == e["instances"]
+        assert 0 <= e["min_s"] <= e["median_s"] and e["peak_rss_mb"] > 0
+    representation = entries[2]
+    assert representation["instances"] == representation["agreements"] == [10]

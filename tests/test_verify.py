@@ -1,11 +1,16 @@
 import pytest
 
+import slnkit.verify as verify
+from slnkit.ast import Eq, Exists, Not, Plus, Var, Zero
 from slnkit.gen import Generators
 from slnkit.heap import Heap, simple_table_heap
+from slnkit.normalize import box_translate, normalize_bounded
 from slnkit.parser import parse_pa, parse_sln
+from slnkit.render import render
 from slnkit.semantics import VarAssignment
+from slnkit.translate import circle_translate
 from slnkit.verify import (
-    Counterexample, SearchLimits, bounded_counterexample_search,
+    REPRESENTATION_CASES, Counterexample, SearchLimits, bounded_counterexample_search,
     verify_hn2forallh, verify_pa2hn, verify_representation,
     verify_sigma01_counterexample,
 )
@@ -91,10 +96,75 @@ def test_verify_representation_valid_and_invalid():
         verify_representation(parse_pa("exists x. x = 0"), "valid")
 
 
+def _without_runtime(report):
+    return {k: v for k, v in report.items() if k != "runtime"}
+
+
+def test_cached_translation_gives_the_uncached_reports():
+    """Each case, parsed afresh twice, reports what it reports with the
+    translation cache cleared, in both branches."""
+    for seed in (0, 3):
+        limits = SearchLimits(seed=seed)
+        for text, truth, witness in REPRESENTATION_CASES:
+            verify._translation.cache_clear()
+            cold = verify_representation(parse_pa(text), truth, witness, limits)
+            for _ in range(2):
+                warm = verify_representation(parse_pa(text), truth, witness, limits)
+                assert _without_runtime(warm) == _without_runtime(cold), text
+                assert warm["as_expected"] and warm["formula"] == render(parse_pa(text))
+
+
+def test_each_case_is_translated_once(monkeypatch):
+    calls = {"box": 0, "circle": 0}
+
+    def counting(name, fn):
+        def wrapper(a):
+            calls[name] += 1
+            return fn(a)
+        return wrapper
+
+    monkeypatch.setattr(verify, "box_translate", counting("box", box_translate))
+    monkeypatch.setattr(verify, "circle_translate", counting("circle", circle_translate))
+    verify._translation.cache_clear()
+    try:
+        for seed in (0, 1, 2):
+            report = verify.run_suite("representation", seed, 0)
+            assert report["agreements"] == report["instances"] == len(REPRESENTATION_CASES)
+    finally:
+        verify._translation.cache_clear()  # drop the entries built by the wrappers
+    assert calls == {"box": len(REPRESENTATION_CASES), "circle": len(REPRESENTATION_CASES)}
+
+
+def test_circle_translation_keeps_the_outer_universal():
+    """The invalid branch checks the body of the cached full translation in
+    place of translating the boxed body again."""
+    for text, _, _ in REPRESENTATION_CASES:
+        boxed = box_translate(parse_pa(text))
+        assert circle_translate(boxed).body == circle_translate(boxed.body)
+
+
+def test_non_pi01_input_raises_on_every_call():
+    a = parse_pa("exists x. x = 0")
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            verify_representation(a, "valid")
+        messages.add(str(err.value))
+    assert messages == {"verify_representation expects forall x B with B bounded"}
+
+
 def test_sigma01_driver_small():
     report = verify_sigma01_counterexample(samples=20, seed=2)
     assert report["as_expected"]
     assert report["pa_witnesses"] == []
+
+
+def test_sigma01_sentence_is_built_once():
+    first = verify_sigma01_counterexample(samples=3, seed=0)
+    second = verify_sigma01_counterexample(samples=5, seed=1)
+    x = Var("x")
+    fresh = Exists("x", circle_translate(normalize_bounded(Not(Eq(Plus(x, Zero()), x)))))
+    assert first["formula"] == second["formula"] == render(fresh)
 
 
 def test_generator_determinism():
