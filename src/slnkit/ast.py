@@ -1,9 +1,11 @@
-"""Abstract syntax for the two logics handled by this toolkit.
+"""Abstract syntax for the logics handled by this toolkit.
 
 PA terms are structural trees over 0, s, + and *.  SLN terms are kept in a
 canonical base-plus-offset form, so s(s(x)) and "x shifted by 2" are the
 same value.  Propositional connectives and the plain quantifiers are shared
-between the two logics; each logic adds its own atoms and special binders.
+between the logics; each logic adds its own atoms and special binders.  The
+language L of `finite` adds only its two atoms, and builds on !, /\\ and
+exists.
 """
 
 from __future__ import annotations

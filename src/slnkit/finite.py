@@ -36,45 +36,31 @@ class LPred(Node):
     right: str
 
 
-class LNot(Node):
-    body: "LFormula"
-
-
-class LAnd(Node):
-    left: "LFormula"
-    right: "LFormula"
-
-
-class LExists(Node):
-    var: str
-    body: "LFormula"
-
-
-LFormula = Union[LEq, LPred, LNot, LAnd, LExists]
+LFormula = Union[LEq, LPred, Not, And, Exists]
 
 
 def l_forall(var: str, body: LFormula) -> LFormula:
-    return LNot(LExists(var, LNot(body)))
+    return Not(Exists(var, Not(body)))
 
 
 def l_or(a: LFormula, b: LFormula) -> LFormula:
-    return LNot(LAnd(LNot(a), LNot(b)))
+    return Not(And(Not(a), Not(b)))
 
 
 def l_imp(a: LFormula, b: LFormula) -> LFormula:
-    return LNot(LAnd(a, LNot(b)))
+    return Not(And(a, Not(b)))
 
 
 def l_free_vars(a: LFormula) -> frozenset[str]:
     def visit(b: LFormula, _):
-        while type(b) is LNot:
+        while type(b) is Not:
             b = b.body
         match b:
             case LEq(l, r) | LPred(l, r):
                 return None, frozenset((l, r))
-            case LAnd(l, r):
+            case And(l, r):
                 return or_, [(l, None), (r, None)]
-            case LExists(x, body):
+            case Exists(x, body):
                 return (lambda free: free - {x}), [(body, None)]
         raise TypeError(f"not an L formula: {b!r}")
 
@@ -118,18 +104,26 @@ def eval_fol(m: FiniteStructure, sigma: VarAssignment, a: LFormula) -> bool:
                              f"outside the universe")
 
     def go(sigma: VarAssignment, a: LFormula) -> bool:
-        match a:
-            case LEq(l, r):
-                return sigma(l) == sigma(r)
-            case LPred(l, r):
-                return (sigma(l), sigma(r)) in m.relation
-            case LNot(b):
-                return not go(sigma, b)
-            case LAnd(l, r):
-                return go(sigma, l) and go(sigma, r)
-            case LExists(x, b):
-                return any(go(sigma.update(x, n), b) for n in m.universe)
-        raise TypeError(f"not an L formula: {a!r}")
+        """Truth of a under sigma.  One loop strips each run of ! and
+        follows the right operand of each conjunction, so a run of ! or a
+        chain of /\\, \\/ or => costs no frame; a quantifier does."""
+        positive = True  # an even number of ! above a
+        while True:
+            match a:
+                case Not(b):
+                    a, positive = b, not positive
+                case And(l, r):
+                    if not go(sigma, l):
+                        return not positive
+                    a = r
+                case LEq(l, r):
+                    return (sigma(l) == sigma(r)) == positive
+                case LPred(l, r):
+                    return ((sigma(l), sigma(r)) in m.relation) == positive
+                case Exists(x, b):
+                    return any(go(sigma.update(x, n), b) for n in m.universe) == positive
+                case _:
+                    raise TypeError(f"not an L formula: {a!r}")
 
     return go(sigma, a)
 
@@ -196,13 +190,11 @@ def triangle_translate(a: LFormula) -> Formula:
                                          [sln_num(1), shift(svar(l), 2), shift(svar(r), 2)]))
                 return None, and_all([rel, _member(l, _fresh_helper((l, r), 1)),
                                       _member(r, _fresh_helper((l, r), 2))])
-            case LNot(body):
-                return Not, [(body, None)]
-            case LAnd(l, r):
-                return And, [(l, None), (r, None)]
-            case LExists(x, body):
+            case Exists(x, body):
                 member = _member(x, _fresh_helper((x,)))
                 return (lambda c: Exists(x, And(member, c))), [(body, None)]
+            case Not() | And():
+                return None  # rebuilt from the translated operands
         raise TypeError(f"not an L formula: {b!r}")
 
     return rebuild(a, visit)
@@ -268,12 +260,12 @@ def render_structure(m: FiniteStructure) -> str:
 
 # ---------------------------------------------------------------------------
 # L formulas (CLI input): the connective grammar of the PA and SLN parsers
-# over L atoms and nodes
+# over L atoms
 
 
 class _LParser(_Parser):
-    NOT, EXISTS, FORALL = LNot, LExists, staticmethod(l_forall)
-    JOINS = {"=>": l_imp, "\\/": l_or, "/\\": LAnd}
+    FORALL = staticmethod(l_forall)
+    JOINS = {"=>": l_imp, "\\/": l_or, "/\\": And}
     RESERVED = ()  # s and P are variables too
 
     def _atom(self) -> LFormula:

@@ -15,7 +15,7 @@ from .ast import (
     GForall, Leq, Not, Or, PATerm, Plus, PointsTo, SLNTerm, Succ, Times,
     Var, and_all, or_all, pa_num, sln_num,
 )
-from .finite import FiniteStructure, LAnd, LEq, LExists, LFormula, LNot, LPred
+from .finite import FiniteStructure, LEq, LFormula, LPred, l_forall
 from .heap import Heap
 from .semantics import VarAssignment, max_bound
 from .transform import is_normal
@@ -263,13 +263,9 @@ class Generators:
             return LPred(l, r) if self.rng.random() < 0.6 else LEq(l, r)
         roll = self.rng.random()
         if roll < 0.25:
-            return LNot(self.l_formula(depth - 1, scope))
+            return Not(self.l_formula(depth - 1, scope))
         if roll < 0.5:
-            return LAnd(self.l_formula(depth - 1, scope), self.l_formula(depth - 1, scope))
+            return And(self.l_formula(depth - 1, scope), self.l_formula(depth - 1, scope))
         var = f"u{len(scope)}"
         body = self.l_formula(depth - 1, scope + [var])
-        return LExists(var, body) if roll < 0.8 else LNot(LExists(var, LNot(body)))
-
-
-def generators(seed: int, profile: GenProfile = SMALL) -> Generators:
-    return Generators(seed, profile)
+        return Exists(var, body) if roll < 0.8 else l_forall(var, body)

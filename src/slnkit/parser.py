@@ -122,10 +122,10 @@ def _reduce(stack: list, out, floor: int):
 
 class _Parser:
     """The grammar of `mode`, "pa" or "sln".  The L parser in `finite`
-    (mode "l") replaces the node constructors, the atoms and the reserved
-    names."""
+    (mode "l") keeps ! and exists, and replaces the universal quantifier,
+    the binary connectives, the atoms and the reserved names."""
 
-    NOT, EXISTS, FORALL = Not, Exists, Forall
+    FORALL = Forall
     JOINS = {"=>": imp, "\\/": Or, "/\\": And}  # the node of each connective
     RESERVED = ("s",)  # names that are not variables
 
@@ -237,7 +237,7 @@ class _Parser:
             self.pos += 1
             node = partial(GForall if kind == "forall" else GExists, name, int(digits))
         else:
-            node = partial(self.FORALL if kind == "forall" else self.EXISTS, name)
+            node = partial(self.FORALL if kind == "forall" else Exists, name)
         self.eat(".")
         return node
 
@@ -267,7 +267,7 @@ class _Parser:
             word = self.texts[start]
             if word == "!":
                 self.pos += 1
-                stack.append((PRECEDENCE["!"], self.NOT, ()))
+                stack.append((PRECEDENCE["!"], Not, ()))
                 continue
             if word == "forall" or word == "exists":
                 stack.append((_HEAD, self._head(), ()))

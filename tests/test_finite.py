@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from slnkit.ast import And, Eq, Exists, Not, PointsTo, free_vars, sln_num, svar
+from slnkit.ast import (
+    And, Eq, Exists, Leq, Not, Or, PointsTo, Var, free_vars, sln_num, svar,
+)
 from slnkit.checker import check
 from slnkit.finite import (
-    LAnd, LEq, LExists, LNot, LPred, decode_heap, encode_structure,
+    LEq, LPred, decode_heap, encode_structure,
     eval_fol, finite_validity_premise, l_forall, l_free_vars, l_imp,
     parse_l, parse_structure, render_structure, structure,
     triangle_translate,
@@ -14,14 +16,77 @@ from slnkit.gen import Generators
 from slnkit.heap import Heap
 from slnkit.semantics import VarAssignment
 
+from shallow import shallow
+
 
 def test_eval_fol_examples():
     m = structure({0}, [])
-    assert eval_fol(m, VarAssignment(), LExists("x", LEq("x", "x")))
+    assert eval_fol(m, VarAssignment(), Exists("x", LEq("x", "x")))
     m2 = structure({0, 1}, [(0, 1)])
-    assert eval_fol(m2, VarAssignment(), LExists("x", LExists("y", LPred("x", "y"))))
+    assert eval_fol(m2, VarAssignment(), Exists("x", Exists("y", LPred("x", "y"))))
     symmetric = l_forall("x", l_forall("y", l_imp(LPred("x", "y"), LPred("y", "x"))))
     assert not eval_fol(m2, VarAssignment(), symmetric)
+
+
+DEEP = 10**4
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("!" * DEEP + "x = x", True),
+    ("!" * (DEEP + 1) + "x = x", False),
+    (" /\\ ".join(["x = x"] * DEEP), True),
+    (" /\\ ".join(["x = x"] * DEEP + ["P(x,x)"]), False),
+    (" \\/ ".join(["P(x,x)"] * DEEP), False),
+    (" \\/ ".join(["P(x,x)"] * DEEP + ["x = x"]), True),
+    (" => ".join(["x = x"] * DEEP + ["P(x,x)"]), False),
+    (" => ".join(["x = x"] * DEEP), True),
+], ids=["!-even", "!-odd", "and-true", "and-false", "or-false", "or-true",
+        "imp-false", "imp-true"])
+def test_eval_fol_deep_chain(text, expected):
+    """A run of ! and a chain of /\\, \\/ or => cost eval_fol no frame: the
+    last operand of each chain decides it, so every operand is read."""
+    a = parse_l(text)
+    m = structure({0}, [])
+    assert shallow(eval_fol, m, VarAssignment({"x": 0}), a) is expected
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="eval_fol recurses once per quantifier")
+def test_eval_fol_deep_exists_chain():
+    a = parse_l("exists x. " * DEEP + "x = x")
+    try:
+        eval_fol(structure({0}, []), VarAssignment(), a)
+    except RecursionError:
+        # Re-raised without the deep traceback, which pytest is slow to cut.
+        raise RecursionError("eval_fol recursed once per exists") from None
+
+
+_XY = VarAssignment({"x": 0, "y": 0})
+
+
+@pytest.mark.parametrize("a", [
+    And(LEq("x", "y"), Eq(svar("x"), svar("y"))),
+    Not(Exists("x", And(LPred("x", "y"), Leq(Var("x"), Var("y"))))),
+    Or(LEq("x", "y"), LPred("x", "y")),
+], ids=["sln-atom", "pa-atom", "or"])
+def test_mixed_formula_is_not_l(a):
+    """L formulas are built from ast's connectives, so a formula can put L
+    atoms beside PA or SLN ones, or under a connective L lacks; every L walk
+    rejects it."""
+    for walk in (triangle_translate, l_free_vars,
+                 lambda b: eval_fol(structure({0}, []), _XY, b)):
+        with pytest.raises(TypeError, match="not an L formula"):
+            walk(a)
+
+
+@pytest.mark.parametrize("a", [
+    LEq("x", "y"),
+    Not(LPred("x", "y")),
+    Exists("x", And(LEq("x", "y"), Eq(svar("x"), svar("y")))),
+])
+def test_check_rejects_l_formula(a):
+    with pytest.raises(TypeError, match="not an SLN formula"):
+        check(_XY, Heap({}), a)
 
 
 def test_eval_fol_rejects_outside_universe():
@@ -66,9 +131,9 @@ def test_triangle_clauses():
     member_x = Exists("$a", And(PointsTo(svar("$a"), sln_num(0)),
                                 PointsTo(SLNTerm("$a", 1), SLNTerm("x", 2))))
     assert eq == And(Eq(svar("x"), svar("y")), member_x)
-    neg = triangle_translate(LNot(LEq("x", "x")))
+    neg = triangle_translate(Not(LEq("x", "x")))
     assert neg == Not(triangle_translate(LEq("x", "x")))
-    ex = triangle_translate(LExists("x", LPred("x", "x")))
+    ex = triangle_translate(Exists("x", LPred("x", "x")))
     assert ex == Exists("x", And(member_x, triangle_translate(LPred("x", "x"))))
     pred = triangle_translate(LPred("x", "y"))
     rel = Exists("$a", And(PointsTo(svar("$a"), sln_num(1)),
@@ -78,9 +143,7 @@ def test_triangle_clauses():
 
 
 def test_premise_shape():
-    from slnkit.ast import Or
-
-    closed = LExists("x", LEq("x", "x"))
+    closed = Exists("x", LEq("x", "x"))
     wrapped = finite_validity_premise(closed)
     # guard -> translation, with no membership conjuncts for a closed input
     assert isinstance(wrapped, Or) and isinstance(wrapped.left, Not)
@@ -138,7 +201,7 @@ def test_premise_validity_tracks_finite_truth():
 
     limits = SearchLimits(max_assign_val=2, heap_samples=60, table_sizes=(), seed=6)
     # true in every finite structure with a nonempty universe
-    nonempty = LExists("x", LEq("x", "x"))
+    nonempty = Exists("x", LEq("x", "x"))
     assert bounded_counterexample_search(finite_validity_premise(nonempty),
                                          limits) is None
     # false as soon as the universe has two elements: the encoding of any
@@ -167,21 +230,21 @@ def test_structure_text_round_trip():
 def test_parse_l():
     assert parse_l("P(x,y)") == LPred("x", "y")
     assert parse_l("x = y") == LEq("x", "y")
-    assert parse_l("exists x. P(x,x) /\\ x = x") == LExists("x", LAnd(LPred("x", "x"), LEq("x", "x")))
+    assert parse_l("exists x. P(x,x) /\\ x = x") == Exists("x", And(LPred("x", "x"), LEq("x", "x")))
     assert parse_l("forall x. P(x,x)") == l_forall("x", LPred("x", "x"))
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("exists s. P(s,s)", LExists("s", LPred("s", "s"))),
+    ("exists s. P(s,s)", Exists("s", LPred("s", "s"))),
     ("forall P. P(P,P)", l_forall("P", LPred("P", "P"))),
     ("x = P", LEq("x", "P")),
     ("P(x,y) => x = y", l_imp(LPred("x", "y"), LEq("x", "y"))),
-    ("x = y \\/ P(x,x)", LNot(LAnd(LNot(LEq("x", "y")), LNot(LPred("x", "x"))))),
+    ("x = y \\/ P(x,x)", Not(And(Not(LEq("x", "y")), Not(LPred("x", "x"))))),
     ("x = y => y = x => P(x,y)",
      l_imp(LEq("x", "y"), l_imp(LEq("y", "x"), LPred("x", "y")))),
-    ("exists x P(x,x)", LExists("x", LPred("x", "x"))),
+    ("exists x P(x,x)", Exists("x", LPred("x", "x"))),
     ("forall x (x = x)", l_forall("x", LEq("x", "x"))),
-    ("!!x = y /\\ (P(x,y))", LAnd(LNot(LNot(LEq("x", "y"))), LPred("x", "y"))),
+    ("!!x = y /\\ (P(x,y))", And(Not(Not(LEq("x", "y"))), LPred("x", "y"))),
 ])
 def test_parse_l_accepts(text, expected):
     assert parse_l(text) == expected

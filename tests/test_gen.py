@@ -1,17 +1,17 @@
 """Generator contracts: determinism, class membership, and caps."""
 
 from slnkit.ast import free_vars
-from slnkit.gen import GenProfile, Generators, generators
+from slnkit.gen import GenProfile, Generators
 from slnkit.semantics import VarAssignment, max_bound
 from slnkit.transform import is_bounded, is_normal
 
 
 def test_streams_are_deterministic_under_seed():
-    first = [generators(7).pa_bounded() for _ in range(10)]
-    second = [generators(7).pa_bounded() for _ in range(10)]
+    first = [Generators(7).pa_bounded() for _ in range(10)]
+    second = [Generators(7).pa_bounded() for _ in range(10)]
     assert first == second
-    assert [generators(7).succ_sentence() for _ in range(5)] == \
-           [generators(7).succ_sentence() for _ in range(5)]
+    assert [Generators(7).succ_sentence() for _ in range(5)] == \
+           [Generators(7).succ_sentence() for _ in range(5)]
 
 
 def test_bounded_profile_is_bounded():

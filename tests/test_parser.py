@@ -5,7 +5,7 @@ from slnkit.ast import (
     And, BForall, Eq, Exists, ExistsEq, Forall, GForall, Leq, Not, Or, Plus,
     PointsTo, SLNTerm, Succ, Times, Var, Zero, free_vars, pa_num, sln_num, svar,
 )
-from slnkit.finite import LAnd, LExists, LNot, parse_l
+from slnkit.finite import parse_l
 from slnkit.gen import Generators
 from slnkit.parser import ParseError, _line_col, _Parser, _tokenize, parse_pa, parse_sln
 from slnkit.render import render, render_term
@@ -119,7 +119,7 @@ def test_deep_negation_chain(parse, atom):
     """A run of 3000 negations parses without exhausting the stack."""
     a = parse("!" * 3000 + atom)
     depth = 0
-    while isinstance(a, (Not, LNot)):
+    while isinstance(a, Not):
         a, depth = a.body, depth + 1
     assert depth == 3000
     assert a == parse(atom)
@@ -130,9 +130,9 @@ def _chain_operands(a, op):
     out = []
     while True:
         match op, a:
-            case (("/\\", And(l, r) | LAnd(l, r))
-                  | ("\\/", Or(l, r) | LNot(LAnd(LNot(l), LNot(r))))
-                  | ("=>", Or(Not(l), r) | LNot(LAnd(l, LNot(r))))):
+            case (("/\\", And(l, r))
+                  | ("\\/", Or(l, r) | Not(And(Not(l), Not(r))))
+                  | ("=>", Or(Not(l), r) | Not(And(l, Not(r))))):
                 out.append(l)
                 a = r
             case _:
@@ -167,13 +167,13 @@ def _body(cls):
 
 def _l_forall_body(a):
     match a:
-        case LNot(LExists(_, LNot(body))):
+        case Not(Exists(_, Not(body))):
             return body
 
 
 def _negated_exists_body(a):
     match a:
-        case Not(Exists(_, body)) | LNot(LExists(_, body)):
+        case Not(Exists(_, body)):
             return body
 
 
@@ -193,7 +193,7 @@ def test_nested_parentheses(parse, atom):
     (parse_sln, "exists x. ", "x = x", _body(Exists)),
     (parse_sln, "forall x. ", "x = x", _body(Forall)),
     (parse_sln, "forall x >= 3. ", "x = x", _body(GForall)),
-    (parse_l, "exists x. ", "x = x", _body(LExists)),
+    (parse_l, "exists x. ", "x = x", _body(Exists)),
     (parse_l, "forall x. ", "x = x", _l_forall_body),
 ], ids=["pa-exists", "pa-forall", "pa-bforall", "pa-existseq", "sln-exists", "sln-forall",
         "sln-gforall", "l-exists", "l-forall"])

@@ -8,7 +8,7 @@ from slnkit.ast import (
     Plus, Succ, Var, Zero, alpha_eq, and_all, free_vars, imp, or_all, pa_num,
     sln_num, svar,
 )
-from slnkit.finite import LAnd, LEq, LExists, LNot, l_free_vars, triangle_translate
+from slnkit.finite import LEq, l_free_vars, triangle_translate
 from slnkit.gen import Generators
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa
@@ -280,14 +280,14 @@ def test_deep_l_chain(chain):
     lxy = LEq("x", "y")
     image = triangle_translate(lxy)
     if chain == "!":
-        a, expected, free = _wrap(lambda i, b: LNot(b), lxy), _chain("!", image), {"x", "y"}
+        a, expected, free = _wrap(lambda i, b: Not(b), lxy), _chain("!", image), {"x", "y"}
     elif chain == "/\\":
-        a = _wrap(lambda i, b: LAnd(lxy, b), lxy)
+        a = _wrap(lambda i, b: And(lxy, b), lxy)
         expected, free = and_all([image] * (DEEP + 1)), {"x", "y"}
     else:
-        a = _wrap(lambda i, b: LExists(f"x{i}", b), LEq("x0", "y"))
+        a = _wrap(lambda i, b: Exists(f"x{i}", b), LEq("x0", "y"))
         expected = _wrap(lambda i, b: Exists(f"x{i}", And(
-            triangle_translate(LExists(f"x{i}", lxy)).body.left, b)),  # x{i}'s witness
+            triangle_translate(Exists(f"x{i}", lxy)).body.left, b)),  # x{i}'s witness
             triangle_translate(LEq("x0", "y")))
         free = {"y"}
     assert shallow(triangle_translate, a) == expected
