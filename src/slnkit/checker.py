@@ -19,21 +19,23 @@ One method, _Quant.ev, splits every quantifier: the body at a pin, else at
 each anchored or joined candidate, else, once the body with the variable
 unbound is not constant, at each value of the block, up to the first value
 that gives the quantifier's verdict; then the tail, split the same way by
-its own node.  A variable in no points-to atom has no block: its quantifier
-is a residual whole.  A closed quantifier, one whose free variables the
-environment binds, is decided on a boolean path, and only such a residual,
-or one left by its tail, goes to the decider.  An open one is folded to the
-body with the variable unbound, or, for res, split into one right-nested
-chain of the bodies left undecided and the tail.
+its own node, unless its verdict is known (see Anchored enumeration).  A
+variable in no points-to atom has no block: its quantifier is a residual
+whole.  A closed quantifier, one whose free variables the environment
+binds, is decided on a boolean path, and only such a residual, or one left
+by its tail, goes to the decider.  An open one is folded to the body with
+the variable unbound, or, for res, split into one right-nested chain of the
+bodies left undecided and the tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
-within one formula or across formulas, are one node.  A formula keeps its
-compiled node, outside its fields, so a subformula shared by many formulas,
-such as H inside every translation, compiles once.  Each enumerated
-quantifier's verdict is memoized on its heap, keyed on the node and the
-values of its free variables; a lookup hashes no tree.  A pinned closed
-quantifier is not memoized: it costs one heap read and one evaluation of
-its core, about what a memo entry would save.
+within one formula or across formulas, are one node, kept for the whole
+process up to a bound, so a recurring shape is analyzed once.  A formula
+keeps its compiled node, outside its fields, so a subformula shared by many
+formulas, such as H inside every translation, compiles once.  Each
+enumerated quantifier's verdict is memoized on its heap, keyed on the node
+and the values of its free variables; a lookup hashes no tree.  A pinned
+closed quantifier is not memoized: it costs one heap read and one
+evaluation of its core, about what a memo entry would save.
 
 Pins.  When the body of an exists needs a conjunct t |-> x+i or x+i = t,
 with t bound outside, or the body of a forall holds unless that conjunct
@@ -54,19 +56,24 @@ shifted by i.  Every other value in the enumerated block falsifies the
 conjunct, and so leaves the body false (exists) or true (forall).  This is
 the paper's argument for the tail, applied to one atom inside the block,
 so the block's verdict, the tail and the decider path are those of the
-split.  The heap answers the known anchors at once, by its two-anchor
-lookup: the values k with h(k+j) = t' for every known anchor x+j |-> t'.
-The checker reads a heap only through its public members (heap.py's
-docstring lists them).  Pins and anchors are searched through nested
-quantifiers that do not bind t.  Without a bound pin or anchor, x is
-joined through a quantifier q on y that the body needs and whose body ties
-y to x by y+i |-> x+j.  A needed witness of q (an exists true, a forall
-false) is q's pin or among its candidates and stores x+j at y+i.  A needed
-forall q with body rest \\/ y+i |-> x+j, x not in rest, has the first
-candidate y where rest is false store x+j at y+i: the row of a table
-lookup; without such a y the lookup is vacuous and the block is
-enumerated.  Every other value of x falsifies the witness or the row: the
-tail argument, one quantifier down.
+split.  Past the largest address the anchor reads an empty cell, so a
+closed quantifier that runs through its candidates without its verdict
+has the neutral one, and builds no tail.  The heap answers the known
+anchors at once, by its two-anchor lookup: the values k with h(k+j) = t'
+for every known anchor x+j |-> t'.  The checker reads a heap only through
+its public members (heap.py's docstring lists them).  Pins and anchors
+are searched through nested quantifiers that do not bind t.  Without a
+bound pin or anchor, x is joined through a quantifier q on y that the
+body needs and whose body ties y to x by y+i |-> x+j.  A needed witness
+of q (an exists true, a forall false) is q's pin or among its candidates
+and stores x+j at y+i.  A needed forall q with body rest \\/ y+i |-> x+j,
+x not in rest, has the first candidate y where rest is false store x+j
+at y+i: the row of a table lookup; without such a y the lookup is vacuous
+and the block is enumerated.  Every other value of x falsifies the
+witness or the row: the tail argument, one quantifier down.  Joined on
+the value side, x's tail is neutral too: no join value passes the largest
+value.  An addressed x's join values can pass the largest address; its
+tail holds them.
 
 Known atoms.  The atoms that chose a value of x hold at it, so a closed
 quantifier evaluates its body there with them replaced by true: its core,
@@ -82,7 +89,6 @@ quantifiers and residuals keep the plain body.
 
 from __future__ import annotations
 
-import weakref
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
@@ -205,35 +211,23 @@ def ground_points_to_eval(h: Heap, a: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Compiled nodes, interned as the module docstring's structural memo says.
-# The intern table holds its nodes weakly; a node lives as long as a
-# formula compiled to it or a heap memo uses it.
+# The table is cleared at _NODES_MAX entries, about 600 bytes each: that
+# costs only sharing, as formulas keep their nodes, and memo keys and
+# junctions go by object.
 
-
-class _Ref(weakref.ref):
-    """A weak reference to an interned node that knows the node's key."""
-
-    __slots__ = ("key",)
-
-
-_NODES: dict[tuple, _Ref] = {}
+_NODES_MAX = 1 << 14
+_NODES: dict[tuple, _Node] = {}
 _UNSET = object()
-
-
-def _drop(ref: _Ref) -> None:
-    """Forget a dead node, unless its key already names a newer one."""
-    if _NODES.get(ref.key) is ref:
-        del _NODES[ref.key]
 
 
 def _intern(key: tuple):
     """The node of key, a node class followed by its arguments: the one
-    made before, if it is alive, else a new one."""
-    ref = _NODES.get(key)
-    node = None if ref is None else ref()
+    made before, if the table still holds it, else a new one."""
+    node = _NODES.get(key)
     if node is None:
-        node = key[0](*key[1:])
-        ref = _NODES[key] = _Ref(node, _drop)
-        ref.key = key
+        if len(_NODES) >= _NODES_MAX:
+            _NODES.clear()
+        node = _NODES[key] = key[0](*key[1:])
     return node
 
 
@@ -251,7 +245,7 @@ class _Node:
           those variables.
     """
 
-    __slots__ = ("free", "addr_vars", "val_vars", "__weakref__")
+    __slots__ = ("free", "addr_vars", "val_vars")
 
     def _facts(self, free, addr_vars, val_vars) -> None:
         self.free = free
@@ -473,8 +467,7 @@ class _Shape:
     on first use, its pins, its address anchors, its joins, the node of
     the guarded tail and the core body."""
 
-    __slots__ = ("exists", "var", "body", "side", "_pins", "_anchors", "_joins", "_tail",
-                 "_core", "__weakref__")
+    __slots__ = ("exists", "var", "body", "side", "_pins", "_anchors", "_joins", "_tail", "_core")
 
     def __init__(self, exists: bool, var: str, body: _Node) -> None:
         self.exists, self.var, self.body = exists, var, body
@@ -557,8 +550,8 @@ class _Shape:
 
     def tail(self, guard: int) -> _Node:
         """This quantifier from guard on, with the atoms on its side
-        replaced by false, which is its body past the side's bound.  The
-        last tail made is kept."""
+        replaced by false, which is its body past the side's bound.  A
+        neutral one is not built (see ev).  The last tail made is kept."""
         tail = self._tail
         if tail is None:
             body = _replace(self.body, self.var, lambda p: _FALSE_NODE, self.side + "_vars")
@@ -621,6 +614,9 @@ class _Quant(_Node):
                 # only an open body is undecided
                 return body.res(env, h) if verdict is None else verdict
             values = shape.candidates(env, h, guard) if closed or not fold else None
+            # past the candidates the tail is neutral, unless they are an
+            # addressed join's: see Anchored enumeration
+            neutral = closed and values is not None and (shape.side == "val" or not shape._joins)
             if values is None:
                 verdict = body.ev(env, h)
                 if verdict is not None or fold and not closed:
@@ -643,9 +639,12 @@ class _Quant(_Node):
                     parts.append(body.res(env, h))
             else:
                 env.pop(x, None)
-                tail = shape.tail(max(guard, shape.bound(h) + 1))
-                verdict = (tail.ev(env, h) if closed
-                           else (disj if want else conj)(*parts, tail.res(env, h)))
+                if neutral:
+                    verdict = not want
+                else:
+                    tail = shape.tail(max(guard, shape.bound(h) + 1))
+                    verdict = (tail.ev(env, h) if closed
+                               else (disj if want else conj)(*parts, tail.res(env, h)))
             if closed:
                 h.memo[key] = verdict
             return verdict

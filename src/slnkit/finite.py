@@ -9,6 +9,8 @@ three-cell row (1, n+2, m+2) per relation pair, elements offset by 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from operator import or_
 from typing import Union
 
@@ -121,7 +123,15 @@ def eval_fol(m: FiniteStructure, sigma: VarAssignment, a: LFormula) -> bool:
                 case LPred(l, r):
                     return ((sigma(l), sigma(r)) in m.relation) == positive
                 case Exists(x, b):
-                    return any(go(sigma.update(x, n), b) for n in m.universe) == positive
+                    # a run of exists is one loop over tuples of the universe;
+                    # a name bound again is shadowed, so it is bound once
+                    names = [x]
+                    while type(b) is Exists:
+                        names.append(b.var)
+                        b = b.body
+                    names, support = list(dict.fromkeys(names)), sigma.support
+                    return any(go(VarAssignment({**support, **dict(zip(names, values))}), b)
+                               for values in product(m.universe, repeat=len(names))) == positive
                 case _:
                     raise TypeError(f"not an L formula: {a!r}")
 
@@ -172,8 +182,20 @@ def decode_heap(h: Heap) -> FiniteStructure:
 # Translation into SLN
 
 
+# Membership and relation formulas are built once and shared, as translate's
+# lookups are, so the checker compiles a recurring one once.  A small bound
+# keeps the reuse within a formula and the ones translated next to it.
+_ROWS = 32
+
+
+@lru_cache(maxsize=_ROWS)
 def _member(x: str, helper: str) -> Formula:
     return Exists(helper, row(svar(helper), [sln_num(0), shift(svar(x), 2)]))
+
+
+@lru_cache(maxsize=_ROWS)
+def _related(l: str, r: str, helper: str) -> Formula:
+    return Exists(helper, row(svar(helper), [sln_num(1), shift(svar(l), 2), shift(svar(r), 2)]))
 
 
 def triangle_translate(a: LFormula) -> Formula:
@@ -185,10 +207,8 @@ def triangle_translate(a: LFormula) -> Formula:
             case LEq(l, r):
                 return None, And(Eq(svar(l), svar(r)), _member(l, _fresh_helper((l, r))))
             case LPred(l, r):
-                helper = _fresh_helper((l, r))
-                rel = Exists(helper, row(svar(helper),
-                                         [sln_num(1), shift(svar(l), 2), shift(svar(r), 2)]))
-                return None, and_all([rel, _member(l, _fresh_helper((l, r), 1)),
+                return None, and_all([_related(l, r, _fresh_helper((l, r))),
+                                      _member(l, _fresh_helper((l, r), 1)),
                                       _member(r, _fresh_helper((l, r), 2))])
             case Exists(x, body):
                 member = _member(x, _fresh_helper((x,)))

@@ -800,6 +800,70 @@ def test_nested_joins_against_oracle():
         assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a), (a, heap)
 
 
+# x's join values, 5 - 0, pass the largest address, 0, where x |-> 0 is false.
+ADDRESSED_JOIN_TEXT = "exists x. ((exists y. y |-> x) /\\ !(x |-> 0))"
+
+
+def test_addressed_join_keeps_its_tail():
+    """An addressed x's join values can pass the largest address, so the
+    tail past its candidates is evaluated, not taken as neutral."""
+    a = parse_sln(ADDRESSED_JOIN_TEXT)
+    assert check(SIGMA, Heap({0: 5}), a) is stable_brute_force(SIGMA, Heap({0: 5}), a) is True
+
+
+def _joined_and_addressed(rng):
+    """A quantifier on x whose body needs a join exists y. y+k |-> x+j and
+    has x in a points-to atom x+i |-> n or n |-> x+i, at times negated or
+    beside an equation; the join values can pass the largest address."""
+    join = Exists("y", PointsTo(SLNTerm("y", rng.randint(0, 2)), SLNTerm("x", rng.randint(0, 2))))
+    if rng.random() < 0.6:
+        atom = PointsTo(SLNTerm("x", rng.randint(0, 2)), sln_num(rng.randint(0, 4)))
+    else:
+        atom = PointsTo(sln_num(rng.randint(0, 4)), SLNTerm("x", rng.randint(0, 2)))
+    if rng.random() < 0.5:
+        atom = Not(atom)
+    if rng.random() < 0.3:
+        atom = Or(atom, Eq(svar("x"), sln_num(rng.randint(0, 6))))
+    exists = rng.random() < 0.5
+    body = And(join, atom) if exists else Or(Not(join), atom)
+    guard = rng.choice([0, 0, 1, 2])
+    if guard:
+        return (GExists if exists else GForall)("x", guard, body)
+    return (Exists if exists else Forall)("x", body)
+
+
+def test_joined_tails_against_oracle():
+    """Joined quantifiers, addressed and on the value side, on heaps whose
+    values pass their addresses, agree with the oracle."""
+    rng = random.Random(59)
+    for _ in range(500):
+        a = _joined_and_addressed(rng)
+        heap = Heap({rng.randint(0, 4): rng.randint(0, 8) for _ in range(rng.randint(0, 4))})
+        assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a), (a, heap)
+
+
+def test_neutral_tails_are_not_built(monkeypatch):
+    """Past its anchored candidates, or a value-side join's, a closed
+    quantifier's tail is neutral: H on the intact tables h_0 to h_2 builds
+    no tail, nor does a joined x on the value side, while an addressed
+    join evaluates its tail."""
+    tails = []
+    tail = checker._Shape.tail
+
+    def counted(self, guard):
+        tails.append(self)
+        return tail(self, guard)
+
+    monkeypatch.setattr(checker._Shape, "tail", counted)
+    for n in range(3):
+        assert check(SIGMA, Heap(simple_table_heap(n).cells), table_heap_condition()) is True
+    valued = parse_sln("exists x. ((exists y. y |-> x) /\\ !(s(0) |-> x))")
+    assert check(SIGMA, Heap({0: 5, 1: 5}), valued) is False
+    assert tails == []
+    assert check(SIGMA, Heap({0: 5}), parse_sln(ADDRESSED_JOIN_TEXT)) is True
+    assert len(tails) == 1
+
+
 def _equations(rng, scope, depth):
     """A formula over equations only: its variables are in no points-to atom."""
     if depth <= 0:
@@ -1056,16 +1120,31 @@ def test_double_negation_shares_the_node():
     assert checker._compile(Not(Not(Not(a)))) is checker._compile(Not(a))
 
 
-def test_intern_table_holds_nodes_weakly():
-    """A node lives as long as something uses it: once the formula that
-    compiled to it is gone, its entry leaves the intern table, and the
-    same shape compiles to a new node."""
+def test_intern_table_keeps_nodes():
+    """The intern table holds its nodes for the whole process: once the
+    formula that compiled to a node is gone, a fresh copy of it compiles
+    to the same node."""
     text = "exists x. x |-> s(s(s(s(s(s(s(y)))))))"
     a = parse_sln(text)
     node = checker._compile(a)
-    keys = [key for key, ref in checker._NODES.items() if ref() is node]
-    assert len(keys) == 1
-    assert checker._compile(parse_sln(text)) is node
+    (key,) = [key for key, n in checker._NODES.items() if n is node]
     del a, node
-    assert keys[0] not in checker._NODES
+    assert checker._compile(parse_sln(text)) is checker._NODES[key]
     assert check(VarAssignment({"y": 0}), Heap(), parse_sln(text)) is False
+
+
+def test_intern_table_is_bounded(monkeypatch):
+    """The intern table is cleared when it reaches its bound, and verdicts
+    stay right across the clears."""
+    monkeypatch.setattr(checker, "_NODES_MAX", 50)
+    monkeypatch.setattr(checker, "_NODES", {})
+    heap = Heap({0: 2, 1: 0, 2: 2})
+    sizes = []
+    for k in range(60):
+        a = Or(Exists("x", And(PointsTo(svar("x"), sln_num(2)),
+                               PointsTo(SLNTerm("x", 1), sln_num(k % 3)))),
+               Eq(svar("y"), sln_num(k)))
+        sigma = VarAssignment({"y": k % 7})
+        assert check(sigma, heap, a) == stable_brute_force(sigma, heap, a)
+        sizes.append(len(checker._NODES))
+    assert max(sizes) <= 50 and min(sizes[20:]) < max(sizes)

@@ -50,15 +50,29 @@ def test_eval_fol_deep_chain(text, expected):
     assert shallow(eval_fol, m, VarAssignment({"x": 0}), a) is expected
 
 
-@pytest.mark.xfail(raises=RecursionError, strict=True,
-                   reason="eval_fol recurses once per quantifier")
 def test_eval_fol_deep_exists_chain():
-    a = parse_l("exists x. " * DEEP + "x = x")
-    try:
-        eval_fol(structure({0}, []), VarAssignment(), a)
-    except RecursionError:
-        # Re-raised without the deep traceback, which pytest is slow to cut.
-        raise RecursionError("eval_fol recursed once per exists") from None
+    """A run of exists is one loop over tuples of the universe, so it
+    costs eval_fol no frame per exists, with one name or many."""
+    m = structure({0}, [(0, 0)])
+    assert shallow(eval_fol, m, VarAssignment(), parse_l("exists x. " * DEEP + "x = x")) is True
+    distinct = "".join(f"exists x{k}. " for k in range(DEEP))
+    a = parse_l(distinct + f"P(x0, x{DEEP - 1})")
+    assert shallow(eval_fol, m, VarAssignment(), a) is True
+    assert shallow(eval_fol, structure({0}, []), VarAssignment(), a) is False
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("exists x. exists y. exists x. P(x, y)", True),
+    ("exists x. exists y. exists x. (P(x, y) /\\ x = y)", False),
+    ("exists x. exists y. (P(x, y) /\\ exists x. P(y, x))", True),
+    ("exists y. exists y. P(y, x)", True),
+    ("exists y. exists y. P(x, y)", False),
+    ("exists y. (P(y, x) /\\ exists x. P(x, y))", True),
+])
+def test_eval_fol_shadowed_exists(text, expected):
+    """An inner exists on a name shadows the outer one and the free one."""
+    m = structure({0, 1, 2}, [(1, 0), (0, 2)])
+    assert eval_fol(m, VarAssignment({"x": 2}), parse_l(text)) is expected
 
 
 _XY = VarAssignment({"x": 0, "y": 0})
