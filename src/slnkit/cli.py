@@ -18,7 +18,7 @@ from .checker import check
 from .finite import (
     encode_structure, parse_l, parse_structure, triangle_translate,
 )
-from .heap import Heap, load_heap, save_heap, simple_table_heap
+from .heap import DEFAULT_CELL_BUDGET, Heap, load_heap, save_heap, simple_table_heap
 from .normalize import box_translate, normalize_bounded
 from .parser import ParseError, parse_pa, parse_sln
 from .render import render
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     heap_sub = p.add_subparsers(dest="heap_command", required=True)
     t = heap_sub.add_parser("table", help="emit the simple table heap")
     t.add_argument("--n", type=int, required=True)
-    t.add_argument("--budget", type=int, default=10_000_000)
+    t.add_argument("--budget", type=int, default=DEFAULT_CELL_BUDGET)
     t.add_argument("-o", "--output")
     t.set_defaults(func=_cmd_heap_table)
     e = heap_sub.add_parser("encode-structure", help="encode a finite structure file")

@@ -1,6 +1,7 @@
 """Seeded random generators for formulas, heaps and structures.
 
-Streams are deterministic under a fixed seed.  Bounded PA output is
+Every generator draws at one fixed desk scale, the constants below, and its
+stream is deterministic under a fixed seed.  Bounded PA output is
 bounded-class by construction; normal-form output is rejection-sampled
 against a table-size cap so the verification harnesses stay at desk scale.
 """
@@ -8,7 +9,6 @@ against a table-size cap so the verification harnesses stay at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .ast import (
     And, BExists, BForall, Eq, Exists, ExistsEq, Forall, Formula, GExists,
@@ -18,48 +18,37 @@ from .ast import (
 from .finite import FiniteStructure, LEq, LFormula, LPred, l_forall
 from .heap import Heap
 from .semantics import VarAssignment, max_bound
-from .transform import is_normal
+from .transform import is_normal, wrap_prefix
 
-
-@dataclass(frozen=True)
-class GenProfile:
-    max_depth: int = 3
-    max_numeral: int = 3
-    var_pool: tuple[str, ...] = ("x", "y")
-    max_guard: int = 3
-    heap_cells: int = 6
-    heap_max_addr: int = 12
-    heap_max_val: int = 8
-    universe_size: int = 4
-    universe_max: int = 6
-    normal_prefix: int = 3
-    normal_def_numeral: int = 2
-    table_cap: int | None = 4
-    assign_max: int = 2
-
-
-SMALL = GenProfile()
+VAR_POOL = ("x", "y")
+MAX_NUMERAL = 3          # numerals of PA terms and SLN terms
+SUCC_NUMERAL = 5         # numerals and offsets of succ_sentence atoms
+MAX_GUARD = 3
+HEAP_CELLS, HEAP_MAX_ADDR, HEAP_MAX_VAL = 6, 12, 8
+UNIVERSE_SIZE, UNIVERSE_MAX = 4, 6
+NORMAL_PREFIX = 3
+NORMAL_DEF_NUMERAL = 2   # numerals of a defining existential's operands
+TABLE_CAP = 4            # max_bound of a pa_normal formula at ASSIGN_MAX
+ASSIGN_MAX = 2
+_CAP_SIGMA = VarAssignment({v: ASSIGN_MAX for v in VAR_POOL})
 
 
 class Generators:
     """One rng, many sample kinds; every method advances the stream."""
 
-    def __init__(self, seed: int, profile: GenProfile = SMALL) -> None:
+    def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        self.profile = profile
 
     # -- terms
 
-    def flat_term(self, scope: list[str], max_numeral: int | None = None) -> PATerm:
-        p = self.profile
-        cap = p.max_numeral if max_numeral is None else max_numeral
+    def flat_term(self, scope: list[str], max_numeral: int = MAX_NUMERAL) -> PATerm:
         kind = self.rng.random()
         if scope and kind < 0.5:
             base: PATerm = Var(self.rng.choice(scope))
             if self.rng.random() < 0.3:
                 base = Succ(base)
             return base
-        return pa_num(self.rng.randint(0, cap))
+        return pa_num(self.rng.randint(0, max_numeral))
 
     def pa_term(self, scope: list[str], depth: int) -> PATerm:
         if depth <= 0 or self.rng.random() < 0.4:
@@ -69,11 +58,10 @@ class Generators:
         return Plus(l, r) if self.rng.random() < 0.6 else Times(l, r)
 
     def sln_term(self, scope: list[str]) -> SLNTerm:
-        p = self.profile
         offset = self.rng.randint(0, 2)
         if scope and self.rng.random() < 0.6:
             return SLNTerm(self.rng.choice(scope), offset)
-        return sln_num(self.rng.randint(0, p.max_numeral) + offset)
+        return sln_num(self.rng.randint(0, MAX_NUMERAL) + offset)
 
     # -- PA formulas
 
@@ -82,11 +70,9 @@ class Generators:
         r = self.pa_term(scope, depth)
         return Leq(l, r) if self.rng.random() < 0.6 else Eq(l, r)
 
-    def pa_bounded(self, depth: int | None = None, scope: list[str] | None = None) -> Formula:
+    def pa_bounded(self, depth: int = 3, scope: list[str] | None = None) -> Formula:
         """Random bounded-class formula (every quantifier bounded)."""
-        p = self.profile
-        depth = p.max_depth if depth is None else depth
-        scope = list(p.var_pool) if scope is None else scope
+        scope = list(VAR_POOL) if scope is None else scope
         if depth <= 0:
             return self.pa_atom(scope, 1)
         roll = self.rng.random()
@@ -122,43 +108,30 @@ class Generators:
 
     def pa_normal(self) -> Formula:
         """Random normal formula under the table-size cap."""
-        p = self.profile
-        cap_sigma = VarAssignment({v: p.assign_max for v in p.var_pool})
         for _ in range(200):
-            scope = list(p.var_pool)
-            binders = []
-            for i in range(self.rng.randint(0, p.normal_prefix)):
+            scope = list(VAR_POOL)
+            prefix = []
+            for i in range(self.rng.randint(0, NORMAL_PREFIX)):
                 var = f"z{i}"
-                roll = self.rng.random()
-                if roll < 0.45:
-                    l = self.flat_term(scope, p.normal_def_numeral)
-                    r = self.flat_term(scope, p.normal_def_numeral)
+                if self.rng.random() < 0.45:
+                    l = self.flat_term(scope, NORMAL_DEF_NUMERAL)
+                    r = self.flat_term(scope, NORMAL_DEF_NUMERAL)
                     defn = Plus(l, r) if self.rng.random() < 0.6 else Times(l, r)
-                    binders.append(("eq", var, defn))
+                    prefix.append((ExistsEq, var, defn))
                 else:
                     bound = self.flat_term(scope)
-                    kind = "all" if self.rng.random() < 0.5 else "ex"
-                    binders.append((kind, var, bound))
+                    prefix.append((BForall if self.rng.random() < 0.5 else BExists, var, bound))
                 scope.append(var)
-            out = self.normal_matrix(scope)
-            for kind, var, term in reversed(binders):
-                if kind == "eq":
-                    out = ExistsEq(var, term, out)
-                elif kind == "all":
-                    out = BForall(var, term, out)
-                else:
-                    out = BExists(var, term, out)
+            out = wrap_prefix(prefix, self.normal_matrix(scope))
             assert is_normal(out)
-            if p.table_cap is None or max_bound(cap_sigma, out) <= p.table_cap:
+            if max_bound(_CAP_SIGMA, out) <= TABLE_CAP:
                 return out
         raise RuntimeError("rejection sampling failed to meet the table cap")
 
     # -- SLN formulas
 
-    def sln_formula(self, depth: int | None = None, scope: list[str] | None = None) -> Formula:
-        p = self.profile
-        depth = p.max_depth if depth is None else depth
-        scope = list(p.var_pool) if scope is None else scope
+    def sln_formula(self, depth: int = 3, scope: list[str] | None = None) -> Formula:
+        scope = list(VAR_POOL) if scope is None else scope
         if depth <= 0:
             l, r = self.sln_term(scope), self.sln_term(scope)
             return PointsTo(l, r) if self.rng.random() < 0.5 else Eq(l, r)
@@ -176,21 +149,18 @@ class Generators:
             return Exists(var, body)
         if roll < 0.7:
             return Forall(var, body)
-        guard = self.rng.randint(0, p.max_guard)
+        guard = self.rng.randint(0, MAX_GUARD)
         return GExists(var, guard, body) if roll < 0.85 else GForall(var, guard, body)
 
-    def succ_sentence(self, depth: int | None = None) -> Formula:
+    def succ_sentence(self, depth: int = 3) -> Formula:
         """Closed successor-arithmetic formula: equalities only."""
-        p = self.profile
-        depth = p.max_depth if depth is None else depth
-
         def go(depth: int, scope: list[str]) -> Formula:
             if depth <= 0:
                 def term() -> SLNTerm:
-                    off = self.rng.randint(0, p.max_numeral)
+                    off = self.rng.randint(0, SUCC_NUMERAL)
                     if scope and self.rng.random() < 0.7:
                         return SLNTerm(self.rng.choice(scope), off)
-                    return sln_num(self.rng.randint(0, p.max_numeral) + off)
+                    return sln_num(self.rng.randint(0, SUCC_NUMERAL) + off)
                 atom: Formula = Eq(term(), term())
                 return atom if self.rng.random() < 0.7 else Not(atom)
             roll = self.rng.random()
@@ -203,7 +173,7 @@ class Generators:
                     return Exists(var, body)
                 if kind < 0.6:
                     return Forall(var, body)
-                guard = self.rng.randint(1, p.max_guard)
+                guard = self.rng.randint(1, MAX_GUARD)
                 return GExists(var, guard, body) if kind < 0.8 else GForall(var, guard, body)
             if roll < quant_bias + 0.15:
                 return Not(go(depth - 1, scope))
@@ -218,10 +188,9 @@ class Generators:
     # -- heaps
 
     def sparse_heap(self) -> Heap:
-        p = self.profile
         cells = {}
-        for _ in range(self.rng.randint(0, p.heap_cells)):
-            cells[self.rng.randint(0, p.heap_max_addr)] = self.rng.randint(0, p.heap_max_val)
+        for _ in range(self.rng.randint(0, HEAP_CELLS)):
+            cells[self.rng.randint(0, HEAP_MAX_ADDR)] = self.rng.randint(0, HEAP_MAX_VAL)
         return Heap(cells)
 
     def heap_sample(self, tables: list[Heap] | None = None) -> Heap:
@@ -241,16 +210,14 @@ class Generators:
             return table.mutated(addr, self.rng.randint(0, table.max_val + 2))
         return table.restricted(self.rng.randint(0, table.max_addr + 1))
 
-    def assignment(self, names, max_val: int | None = None) -> VarAssignment:
-        cap = self.profile.assign_max if max_val is None else max_val
-        return VarAssignment({n: self.rng.randint(0, cap) for n in names})
+    def assignment(self, names, max_val: int = ASSIGN_MAX) -> VarAssignment:
+        return VarAssignment({n: self.rng.randint(0, max_val) for n in names})
 
     # -- finite structures and L formulas
 
     def finite_structure(self) -> FiniteStructure:
-        p = self.profile
-        size = self.rng.randint(1, p.universe_size)
-        universe = frozenset(self.rng.sample(range(p.universe_max + 1), size))
+        size = self.rng.randint(1, UNIVERSE_SIZE)
+        universe = frozenset(self.rng.sample(range(UNIVERSE_MAX + 1), size))
         pairs = [(n, m) for n in universe for m in universe]
         relation = frozenset(pr for pr in pairs if self.rng.random() < 0.35)
         return FiniteStructure(universe, relation)

@@ -89,31 +89,38 @@ def eval_term(sigma: VarAssignment, t) -> int:
 
 def eval_bounded(sigma: VarAssignment, a: Formula) -> bool:
     """Truth in the standard model for formulas whose quantifiers are all
-    bounded or defining; plain quantifiers are rejected."""
-    match a:
-        case Eq(l, r):
-            return eval_term(sigma, l) == eval_term(sigma, r)
-        case Leq(l, r):
-            return eval_term(sigma, l) <= eval_term(sigma, r)
-        case TruthConst(v):
-            return v
-        case Not(b):
-            return not eval_bounded(sigma, b)
-        case And(l, r):
-            return eval_bounded(sigma, l) and eval_bounded(sigma, r)
-        case Or(l, r):
-            return eval_bounded(sigma, l) or eval_bounded(sigma, r)
-        case BForall(x, t, b):
-            top = eval_term(sigma, t)
-            return all(eval_bounded(sigma.update(x, k), b) for k in range(top + 1))
-        case BExists(x, t, b):
-            top = eval_term(sigma, t)
-            return any(eval_bounded(sigma.update(x, k), b) for k in range(top + 1))
-        case ExistsEq(x, t, b):
-            return eval_bounded(sigma.update(x, eval_term(sigma, t)), b)
-        case Exists() | Forall():
-            raise ValueError("unbounded quantifier is not eval_bounded-evaluable")
-    raise TypeError(f"not a PA formula: {a!r}")
+    bounded or defining; plain quantifiers are rejected.  One loop strips
+    each run of !, follows the right operand of each /\\ or \\/ whose left
+    operand does not decide it, and rebinds each defining existential, so
+    such chains cost no frame; a bounded quantifier does."""
+    positive = True  # an even number of ! above a
+    while True:
+        match a:
+            case Not(b):
+                a, positive = b, not positive
+            case And(l, r) | Or(l, r):
+                decides = isinstance(a, Or)  # the left value that decides a
+                if eval_bounded(sigma, l) == decides:
+                    return decides == positive
+                a = r
+            case ExistsEq(x, t, b):
+                sigma, a = sigma.update(x, eval_term(sigma, t)), b
+            case Eq(l, r):
+                return (eval_term(sigma, l) == eval_term(sigma, r)) == positive
+            case Leq(l, r):
+                return (eval_term(sigma, l) <= eval_term(sigma, r)) == positive
+            case TruthConst(v):
+                return v == positive
+            case BForall(x, t, b):
+                top = eval_term(sigma, t)
+                return all(eval_bounded(sigma.update(x, k), b) for k in range(top + 1)) == positive
+            case BExists(x, t, b):
+                top = eval_term(sigma, t)
+                return any(eval_bounded(sigma.update(x, k), b) for k in range(top + 1)) == positive
+            case Exists() | Forall():
+                raise ValueError("unbounded quantifier is not eval_bounded-evaluable")
+            case _:
+                raise TypeError(f"not a PA formula: {a!r}")
 
 
 def max_bound(sigma: VarAssignment, a: Formula) -> int:
@@ -124,22 +131,27 @@ def max_bound(sigma: VarAssignment, a: Formula) -> int:
     definition, as eval_bounded does, which agrees with substituting the
     term itself.  A defining term u + v or u * v also contributes its
     operands, which the table row for it must hold: a zero product is
-    smaller than its other operand.  Equalities contribute 0.
+    smaller than its other operand.  Equalities contribute 0.  One worklist
+    of (subformula, assignment) pairs, left operands first, so a formula of
+    any depth costs no frame.
     """
-    match a:
-        case Leq(t, u):
-            return max(eval_term(sigma, t), eval_term(sigma, u))
-        case Eq():
-            return 0
-        case TruthConst():
-            return 0
-        case Not(b):
-            return max_bound(sigma, b)
-        case And(l, r) | Or(l, r):
-            return max(max_bound(sigma, l), max_bound(sigma, r))
-        case BForall(x, t, b) | BExists(x, t, b) | ExistsEq(x, t, b):
-            k = eval_term(sigma, t)
-            operands = (t.left, t.right) if isinstance(t, (Plus, Times)) else ()
-            return max(k, *(eval_term(sigma, u) for u in operands),
-                       max_bound(sigma.update(x, k), b))
-    raise TypeError(f"max_bound does not handle {a!r}")
+    out, todo = 0, [(a, sigma)]
+    while todo:
+        a, sigma = todo.pop()
+        match a:
+            case Leq(t, u):
+                out = max(out, eval_term(sigma, t), eval_term(sigma, u))
+            case Eq() | TruthConst():
+                pass
+            case Not(b):
+                todo.append((b, sigma))
+            case And(l, r) | Or(l, r):
+                todo += ((r, sigma), (l, sigma))
+            case BForall(x, t, b) | BExists(x, t, b) | ExistsEq(x, t, b):
+                k = eval_term(sigma, t)
+                operands = (t.left, t.right) if isinstance(t, (Plus, Times)) else ()
+                out = max(out, k, *(eval_term(sigma, u) for u in operands))
+                todo.append((b, sigma.update(x, k)))
+            case _:
+                raise TypeError(f"max_bound does not handle {a!r}")
+    return out

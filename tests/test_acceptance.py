@@ -14,7 +14,7 @@ from slnkit.ast import (
 )
 from slnkit.checker import check
 from slnkit.finite import decode_heap, encode_structure, eval_fol, l_free_vars, triangle_translate
-from slnkit.gen import Generators, GenProfile
+from slnkit.gen import Generators
 from slnkit.heap import Heap, simple_table_heap
 from slnkit.normalize import box_translate
 from slnkit.parser import parse_pa
@@ -157,8 +157,7 @@ def test_criterion_07_checker_vs_oracle():
     """300 random SLN instances agree with the stability-checked
     brute-force oracle, within 10 minutes."""
     start = time.perf_counter()
-    profile = GenProfile(max_depth=2, heap_cells=6, heap_max_val=8)
-    gens = Generators(107, profile)
+    gens = Generators(107)
     agree = 0
     for _ in range(300):
         heap = gens.sparse_heap()
@@ -176,7 +175,7 @@ def test_criterion_08_succ_decider_vs_oracle():
     bounded oracle."""
     from slnkit.succ import decide_sentence
 
-    gens = Generators(108, GenProfile(max_numeral=5))
+    gens = Generators(108)
     agree = 0
     for _ in range(500):
         a = gens.succ_sentence(depth=3)

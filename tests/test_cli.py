@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from slnkit.cli import main
-from slnkit.heap import save_heap, simple_table_heap
+from slnkit.cli import build_parser, main
+from slnkit.heap import DEFAULT_CELL_BUDGET, save_heap, simple_table_heap
 
 
 def run(capsys, *argv):
@@ -87,6 +87,11 @@ def test_heap_table(tmp_path, capsys):
     code, _, _ = run(capsys, "heap", "table", "--n", "0", "-o", str(out_file))
     assert code == 0
     assert out_file.read_text().strip() == save_heap(simple_table_heap(0))
+
+
+def test_heap_table_budget_defaults_to_the_library_budget():
+    args = build_parser().parse_args(["heap", "table", "--n", "1"])
+    assert args.budget == DEFAULT_CELL_BUDGET
 
 
 def test_heap_encode_structure(tmp_path, capsys):

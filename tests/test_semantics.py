@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slnkit.ast import (
-    Eq, Exists, Plus, SLNTerm, Succ, Times, TruthConst, Var, Zero, pa_num,
-    sln_num,
+    And, BForall, Eq, Exists, Leq, Not, Or, Plus, SLNTerm, Succ, Times,
+    TruthConst, Var, Zero, pa_num, sln_num,
 )
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa
@@ -98,6 +98,45 @@ def test_max_bound_counts_defining_operands():
     # sums and nonzero products already cover their operands
     assert max_bound(VarAssignment({"x": 3}), parse_pa("exists (z = x * s(0)) z = x")) == 3
     assert max_bound(VarAssignment({"x": 3}), parse_pa("exists (z = x + 0) z = x")) == 3
+
+
+def _deep_chain(kind: str, n: int = 10_000):
+    """n levels of one kind above x <= 9.  Each /\\ operand is true and
+    each \\/ operand false at x = 1, so only the innermost atom decides the
+    chain: at x = 1 every chain is true, and its max_bound is 9."""
+    x = Var("x")
+    a = Leq(x, pa_num(9))
+    for i in range(n):
+        if kind == "not":
+            a = Not(a)
+        elif kind == "bounded forall":
+            a = BForall("y", Zero(), a)
+        elif kind == "and" or kind == "alternating" and i % 2:
+            a = And(Leq(x, pa_num(1 + i % 3)), a)
+        else:
+            a = Or(Leq(pa_num(2 + i % 2), x), a)
+    return a
+
+
+CHAINS = ("not", "and", "or", "alternating", "bounded forall")
+
+
+@pytest.mark.parametrize("kind", CHAINS)
+def test_max_bound_deep_chain(kind):
+    """max_bound walks one worklist, so 10^4-deep chains of each kind
+    cost no frame per level."""
+    assert shallow(max_bound, VarAssignment({"x": 1}), _deep_chain(kind)) == 9
+
+
+@pytest.mark.parametrize("kind", [
+    *CHAINS[:-1],
+    pytest.param(CHAINS[-1], marks=pytest.mark.xfail(
+        strict=True, reason="a bounded quantifier takes frames per level")),
+])
+def test_eval_bounded_deep_chain(kind):
+    """eval_bounded reads runs of ! and chains of /\\ and \\/ in one loop;
+    a chain of bounded quantifiers still recurses once per level."""
+    assert shallow(eval_bounded, VarAssignment({"x": 1}), _deep_chain(kind)) is True
 
 
 @given(st.integers(0, 30), st.integers(0, 30))

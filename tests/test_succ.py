@@ -10,7 +10,7 @@ from slnkit.ast import (
     TruthConst, Var, Zero, free_vars, sln_num, subformulas, svar,
 )
 from slnkit.cli import main
-from slnkit.gen import Generators, GenProfile
+from slnkit.gen import Generators
 from slnkit.heap import Heap
 from slnkit.normalize import normalize_bounded
 from slnkit.parser import parse_pa, parse_sln
@@ -155,7 +155,7 @@ def test_against_oracle():
     # Depth 4 reaches six quantifiers, four of them nested, and solves
     # equations with a negative offset, x = s^-k(w), one under a guard.
     for seed, depth, count in ((61, 3, 250), (62, 4, 100)):
-        gens = Generators(seed, GenProfile(max_numeral=5))
+        gens = Generators(seed)
         for _ in range(count):
             a = gens.succ_sentence(depth=depth)
             assert decide_sentence(a) == stable_brute_force(SIGMA, EMPTY, a), a

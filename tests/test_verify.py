@@ -15,6 +15,8 @@ from slnkit.verify import (
     verify_sigma01_counterexample,
 )
 
+from shallow import shallow
+
 FAST_LIMITS = SearchLimits(max_assign_val=2, heap_samples=25, table_sizes=(0, 1, 2), seed=5)
 
 
@@ -76,6 +78,14 @@ def test_verify_pa2hn_zero_product():
     operand 2 even though the product is 0."""
     report = verify_pa2hn(parse_pa("exists (z = 0 * s(s(0))) !(z = 0)"), VarAssignment())
     assert report["agree"] and not report["pa"] and report["n"] == 2
+
+
+def test_verify_pa2hn_long_conjunction():
+    """max_bound and eval_bounded read a normalized 3000-term conjunction
+    without a frame per conjunct."""
+    a = normalize_bounded(parse_pa(" /\\ ".join(f"x{k} <= s(x{k})" for k in range(3000))))
+    report = shallow(verify_pa2hn, a, VarAssignment({"x1": 1}))
+    assert (report["n"], report["pa"], report["agree"]) == (2, True, True)
 
 
 def test_verify_hn2forallh():
