@@ -18,14 +18,14 @@ a quantifier rebinds its variable and never builds a substituted formula.
 One method, _Quant.ev, splits every quantifier: the body at a pin, else at
 each anchored or joined candidate, else, once the body with the variable
 unbound is not constant, at each value of the block, up to the first value
-that gives the quantifier's verdict; then the tail, split the same way by
-its own node, unless its verdict is known (see Anchored enumeration).  A
-variable in no points-to atom has no block: its quantifier is a residual
-whole.  A closed quantifier, one whose free variables the environment
-binds, is decided on a boolean path, and only such a residual, or one left
-by its tail, goes to the decider.  An open one is folded to the body with
-the variable unbound, or, for res, split into one right-nested chain of the
-bodies left undecided and the tail.
+that gives the quantifier's verdict; after a block, the tail, split the
+same way by its own node (see Anchored enumeration).  A variable in no
+points-to atom has no block: its quantifier is a residual whole.  A closed
+quantifier, one whose free variables the environment binds, is decided on a
+boolean path, and only such a residual, or one left by its tail, goes to
+the decider.  An open one is folded to the body with the variable unbound,
+or, for res, split into one right-nested chain of the bodies left undecided
+and any tail.
 
 Structural memo.  Nodes are interned, so structurally equal subformulas,
 within one formula or across formulas, are one node, kept for the whole
@@ -52,28 +52,26 @@ Anchored enumeration.  When the body of an exists needs a conjunct
 x+i |-> t, with t bound outside, or the body of a forall holds unless that
 conjunct does, only the values of x at which the conjunct holds can change
 the verdict: the addresses that store t (from the heap's value index),
-shifted by i.  Every other value in the enumerated block falsifies the
-conjunct, and so leaves the body false (exists) or true (forall).  This is
-the paper's argument for the tail, applied to one atom inside the block,
-so the block's verdict, the tail and the decider path are those of the
-split.  Past the largest address the anchor reads an empty cell, so a
-closed quantifier that runs through its candidates without its verdict
-has the neutral one, and builds no tail.  The heap answers the known
-anchors at once, by its two-anchor lookup: the values k with h(k+j) = t'
-for every known anchor x+j |-> t'.  The checker reads a heap only through
-its public members (heap.py's docstring lists them).  Pins and anchors
-are searched through nested quantifiers that do not bind t.  Without a
-bound pin or anchor, x is joined through a quantifier q on y that the
-body needs and whose body ties y to x by y+i |-> x+j.  A needed witness
-of q (an exists true, a forall false) is q's pin or among its candidates
-and stores x+j at y+i.  A needed forall q with body rest \\/ y+i |-> x+j,
-x not in rest, has the first candidate y where rest is false store x+j
-at y+i: the row of a table lookup; without such a y the lookup is vacuous
-and the block is enumerated.  Every other value of x falsifies the
-witness or the row: the tail argument, one quantifier down.  Joined on
-the value side, x's tail is neutral too: no join value passes the largest
-value.  An addressed x's join values can pass the largest address; its
-tail holds them.
+shifted by i.  Every other value, in the block and in the tail alike,
+falsifies the conjunct, and so leaves the body false (exists) or true
+(forall).  This is the paper's argument for the tail, applied to one atom.
+The heap answers the known anchors at once, by its two-anchor lookup: the
+values k with h(k+j) = t' for every known anchor x+j |-> t'.  The checker
+reads a heap only through its public members (heap.py's docstring lists
+them).  Pins and anchors are searched through nested quantifiers that do
+not bind t.  Without a bound pin or anchor, x is joined through a
+quantifier q on y that the body needs and whose body ties y to x by
+y+i |-> x+j.  A needed witness of q (an exists true, a forall false) is
+q's pin or among its candidates and stores x+j at y+i.  A needed forall q
+with body rest \\/ y+i |-> x+j, x not in rest, has the first candidate y
+where rest is false store x+j at y+i: the row of a table lookup; without
+such a y the lookup is vacuous and the block is enumerated.  Every other
+value of x falsifies the witness or the row: the tail argument, one
+quantifier down.  The join values are kept from the guard on, past the
+largest address too.  So the anchored and joined candidates, like a pin,
+are exact over the whole domain: a quantifier that runs through them
+without its verdict has the neutral one, or, open, the join of the bodies
+it left undecided.  Only a block enumeration builds a tail.
 
 Known atoms.  The atoms that chose a value of x hold at it, so a closed
 quantifier evaluates its body there with them replaced by true: its core,
@@ -463,9 +461,9 @@ def _replace(node: _Node, x: str, swap, facts: str = "free", stop=()) -> _Node:
 
 class _Shape:
     """A quantifier without its guard, with the facts the enumeration
-    needs: the side the variable is enumerated on, and, each derived once
-    on first use, its pins, its address anchors, its joins, the node of
-    the guarded tail and the core body."""
+    needs: the side the variable is enumerated on, its pins, address
+    anchors and joins, exact over the whole domain, and, each made once on
+    first use, the node of the block's tail and the core body."""
 
     __slots__ = ("exists", "var", "body", "side", "_pins", "_anchors", "_joins", "_tail", "_core")
 
@@ -473,25 +471,22 @@ class _Shape:
         self.exists, self.var, self.body = exists, var, body
         self.side = ("addr" if var in body.addr_vars else
                      "val" if var in body.val_vars else None)
-        self._pins = self._anchors = self._joins = self._tail = self._core = None
-
-    def _find_anchors(self) -> None:
-        x, body = self.var, self.body
         # For exists, the atoms the body needs; for forall, the atoms whose
         # failure makes the body true.  A pin or an address anchor is (its
         # atom, base and offset of t, offset of x).
         pins, addr, joins = [], [], []
-        for p in _needs(body, x, self.exists):
+        for p in _needs(body, var, exists):
             if type(p) is tuple:
                 joins.append(p)
             elif type(p) is _Eq:  # the bases differ, so x is on one side only
-                pins.append((p, p.rb, p.ro, p.lo) if p.lb == x else (p, p.lb, p.lo, p.ro))
-            elif p.lb == x and p.rb != x:
+                pins.append((p, p.rb, p.ro, p.lo) if p.lb == var else (p, p.lb, p.lo, p.ro))
+            elif p.lb == var and p.rb != var:
                 addr.append((p, p.rb, p.ro, p.lo))
-            elif p.rb == x and p.lb != x:
+            elif p.rb == var and p.lb != var:
                 pins.append((p, p.lb, p.lo, p.ro))
         joins.sort(key=lambda join: join[0] is None)  # lookups first: one value each
         self._pins, self._anchors, self._joins = tuple(pins), tuple(addr), tuple(joins)
+        self._tail = self._core = None
 
     def bound(self, h: Heap) -> int:
         """The last value of the enumerated block; the tail takes the rest."""
@@ -502,8 +497,6 @@ class _Shape:
         verdict, over the whole domain, read off the first pin whose t env
         binds: t - i for x+i = t, the value stored at t less i for
         t |-> x+i (-1 for an empty cell); None when no pin's t is bound."""
-        if self._pins is None:
-            self._find_anchors()
         for p, base, offset, i in self._pins:
             t = 0 if base is None else env.get(base)
             if t is not None:  # an empty cell gives i - 1, less i
@@ -511,14 +504,12 @@ class _Shape:
         return None
 
     def candidates(self, env, h, guard: int):
-        """The values from guard to the bound at which the body can differ
-        from its neutral verdict, or None when no address anchor or join
-        applies.  An anchor x+i |-> t is false at every other value, and so
-        is the body of an exists (for a forall, its body is true).  The
-        heap's two-anchor lookup answers the anchors whose t env binds; x is
-        addressed, so no value it finds passes the bound, the largest address."""
-        if self._pins is None:
-            self._find_anchors()
+        """The values from guard on at which the body can differ from its
+        neutral verdict, over the whole domain, or None when no address
+        anchor or join applies.  An anchor x+i |-> t is false at every other
+        value, and so is the body of an exists (for a forall, its body is
+        true).  The heap's two-anchor lookup answers the anchors whose t env
+        binds."""
         pairs = []
         for _, base, offset, i in self._anchors:
             t = 0 if base is None else env.get(base)
@@ -529,7 +520,8 @@ class _Shape:
         return h.matching(pairs, guard)
 
     def _joined(self, env, h, guard: int):
-        """The values the first join that applies reads off q's pin or candidates, or None."""
+        """The values from guard on, past the largest address too, that the
+        first join that applies reads off q's pin or candidates, or None."""
         for rest, q, i, j in self._joins:
             y = q.shape.var
             inner = {v: k for v, k in env.items() if v != y}
@@ -544,14 +536,14 @@ class _Shape:
                 ys = next(([k] for k in ys if rest.ev({**inner, y: k}, h) is False), None)
                 if ys is None:
                     continue  # a vacuous lookup: no row
-            bound, xs = self.bound(h), (h.get(a + i, -1) - j for a in ys)
-            return sorted({k for k in xs if guard <= k <= bound})
+            xs = (h.get(a + i, -1) - j for a in ys)
+            return sorted({k for k in xs if k >= guard})
         return None
 
     def tail(self, guard: int) -> _Node:
         """This quantifier from guard on, with the atoms on its side
-        replaced by false, which is its body past the side's bound.  A
-        neutral one is not built (see ev).  The last tail made is kept."""
+        replaced by false: its body past the side's bound, after a block.
+        The last tail made is kept."""
         tail = self._tail
         if tail is None:
             body = _replace(self.body, self.var, lambda p: _FALSE_NODE, self.side + "_vars")
@@ -591,12 +583,12 @@ class _Quant(_Node):
         residual to the decider, and memoizes the verdict of an enumeration
         per heap on (node, free values).  An open one is only folded, unless
         fold is off: then it gives its verdict or its residual over the
-        variables env leaves unbound.  env is left as it came."""
+        variables env leaves unbound.  Only a block has a tail.  env is
+        left as it came."""
         closed = env.keys() >= self.free
         shape, guard = self.shape, self.guard
         x, body, want = shape.var, shape.body, shape.exists
-        # no pin's t is x; a shape found to have no pin skips the call
-        k = shape.pin(env, h) if (closed or not fold) and shape._pins != () else None
+        k = shape.pin(env, h) if closed or not fold else None  # no pin's t is x
         if k is not None and k < guard:
             return not want
         if closed and k is None:
@@ -614,10 +606,8 @@ class _Quant(_Node):
                 # only an open body is undecided
                 return body.res(env, h) if verdict is None else verdict
             values = shape.candidates(env, h, guard) if closed or not fold else None
-            # past the candidates the tail is neutral, unless they are an
-            # addressed join's: see Anchored enumeration
-            neutral = closed and values is not None and (shape.side == "val" or not shape._joins)
-            if values is None:
+            block = values is None
+            if block:
                 verdict = body.ev(env, h)
                 if verdict is not None or fold and not closed:
                     return verdict
@@ -637,14 +627,12 @@ class _Quant(_Node):
                     break
                 if verdict is None:
                     parts.append(body.res(env, h))
-            else:
+            else:  # past a block the tail decides; past the candidates the body is neutral
                 env.pop(x, None)
-                if neutral:
-                    verdict = not want
-                else:
-                    tail = shape.tail(max(guard, shape.bound(h) + 1))
-                    verdict = (tail.ev(env, h) if closed
-                               else (disj if want else conj)(*parts, tail.res(env, h)))
+                tail = (shape.tail(max(guard, shape.bound(h) + 1)) if block
+                        else _FALSE_NODE if want else _TRUE_NODE)
+                verdict = (tail.ev(env, h) if closed
+                           else (disj if want else conj)(*parts, tail.res(env, h)))
             if closed:
                 h.memo[key] = verdict
             return verdict

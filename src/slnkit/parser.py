@@ -32,6 +32,7 @@ class ParseError(ValueError):
 
 _SYMBOLS = ("|->", "<=", ">=", "=>", "/\\", "\\/", "(", ")", ".", "=", "+", "*", "!", ",")
 _KEYWORDS = ("forall", "exists")
+RESERVED = ("s", *_KEYWORDS)  # names that are not variables; render rejects them
 _TERM_SYMBOLS = ("(", ")", "+", "*")  # the symbols a term can hold
 _TERM_FOLLOW = ("=", "<=", "|->", "+", "*")  # those that continue a term or make it an atom
 # After skipping whitespace: a symbol, the longest first; a run of word
@@ -127,7 +128,7 @@ class _Parser:
 
     FORALL = Forall
     JOINS = {"=>": imp, "\\/": Or, "/\\": And}  # the node of each connective
-    RESERVED = ("s",)  # names that are not variables
+    RESERVED = RESERVED
 
     def __init__(self, text: str, mode: str) -> None:
         self.source = text

@@ -1,6 +1,7 @@
 """Pretty printer inverse to the parsers: parse(render(a)) == a for every
 well-formed AST (truth constants print as 0 = 0 and its negation, so they
-round-trip to that encoding instead)."""
+round-trip to that encoding instead).  A variable named s or a keyword,
+which the parsers read as something else, is a ValueError."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from .ast import (
     Formula, GExists, GForall, Leq, Not, Or, Plus, PointsTo, SLNTerm, Succ,
     Term, Times, TruthConst, Var, Zero, binder_term, succ_run,
 )
-from .parser import PRECEDENCE
+from .parser import PRECEDENCE, RESERVED
 
 # The text before a binder's bound, definition or guard (x is its
 # variable), and the text between that and the body.
@@ -42,13 +43,19 @@ def render(a: Formula | Term) -> str:
 render_term = render
 
 
+def _name(x: str) -> str:
+    if x in RESERVED:
+        raise ValueError(f"cannot render the variable {x!r}: the parsers reserve that name")
+    return x
+
+
 def _pieces(a, level: int, tail: bool) -> list:
     """a's text one level down: strings, and a task per direct child."""
     match a:
         case SLNTerm(base, offset):
-            return ["s(" * offset + ("0" if base is None else base) + ")" * offset]
+            return ["s(" * offset + ("0" if base is None else _name(base)) + ")" * offset]
         case Var(name):
-            return [name]
+            return [_name(name)]
         case Zero():
             return ["0"]
         case Succ():
@@ -73,7 +80,7 @@ def _pieces(a, level: int, tail: bool) -> list:
         raise TypeError(f"not a formula or term: {a!r}")
     head, *rest = _HEADS[type(a)]
     t = binder_term(a)
-    out = [head.format(x=a.var), *rest, (a.body, 0, True)]
+    out = [head.format(x=_name(a.var)), *rest, (a.body, 0, True)]
     if t is not None:
         out.insert(1, str(t) if isinstance(t, int) else (t, 0, True))
     return out if tail else ["(", *out, ")"]

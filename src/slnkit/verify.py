@@ -194,13 +194,15 @@ def _sigma01_sentence() -> tuple[Formula, Formula, str]:
     return body, translated, render(translated)
 
 
-def verify_sigma01_counterexample(samples: int = 100, seed: int = 0,
-                                  pa_witness_bound: int = 50) -> dict:
+PA_WITNESS_BOUND = 50  # the largest x the standard model is searched at
+
+
+def verify_sigma01_counterexample(samples: int = 100, seed: int = 0) -> dict:
     """The boundary example: exists x (x+0 != x) has no witness in the
     standard model, yet its full translation holds on every sampled heap."""
     start = time.perf_counter()
     body, translated, text = _sigma01_sentence()
-    witnesses = [k for k in range(pa_witness_bound + 1)
+    witnesses = [k for k in range(PA_WITNESS_BOUND + 1)
                  if eval_bounded(VarAssignment({"x": k}), body)]
     heaps = _heap_pool(seed, samples, (0, 1, 2, 3))
     sigma = VarAssignment()

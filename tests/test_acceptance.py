@@ -146,8 +146,7 @@ def test_criterion_05_representation_theorem():
 def test_criterion_06_sigma01_boundary():
     """exists x (x+0 != x): no standard-model witness up to 50, but the
     full translation holds on the empty heap, h_0..h_3 and 100 samples."""
-    report = verify_sigma01_counterexample(samples=100, seed=106,
-                                           pa_witness_bound=50)
+    report = verify_sigma01_counterexample(samples=100, seed=106)
     ok = report["as_expected"]
     _report(6, ok, f"witnesses {report['pa_witnesses']}, "
                    f"{report['heaps'] - len(report['failures'])}/{report['heaps']} heaps satisfy")

@@ -804,9 +804,10 @@ def test_nested_joins_against_oracle():
 ADDRESSED_JOIN_TEXT = "exists x. ((exists y. y |-> x) /\\ !(x |-> 0))"
 
 
-def test_addressed_join_keeps_its_tail():
-    """An addressed x's join values can pass the largest address, so the
-    tail past its candidates is evaluated, not taken as neutral."""
+def test_addressed_join_keeps_values_past_the_largest_address():
+    """An addressed x's join values can pass the largest address; they are
+    kept among its candidates, so x = 5 is evaluated there, and past the
+    candidates the body is false at every value."""
     a = parse_sln(ADDRESSED_JOIN_TEXT)
     assert check(SIGMA, Heap({0: 5}), a) is stable_brute_force(SIGMA, Heap({0: 5}), a) is True
 
@@ -842,26 +843,44 @@ def test_joined_tails_against_oracle():
         assert check(SIGMA, heap, a) == stable_brute_force(SIGMA, heap, a), (a, heap)
 
 
-def test_neutral_tails_are_not_built(monkeypatch):
-    """Past its anchored candidates, or a value-side join's, a closed
-    quantifier's tail is neutral: H on the intact tables h_0 to h_2 builds
-    no tail, nor does a joined x on the value side, while an addressed
-    join evaluates its tail."""
-    tails = []
-    tail = checker._Shape.tail
+def _counted_tails(monkeypatch) -> list:
+    """The shapes whose tail is asked for from now on, in call order."""
+    tails, tail = [], checker._Shape.tail
 
     def counted(self, guard):
         tails.append(self)
         return tail(self, guard)
 
     monkeypatch.setattr(checker._Shape, "tail", counted)
+    return tails
+
+
+def test_neutral_tails_are_not_built(monkeypatch):
+    """Anchored and joined candidates are exact over the whole domain, so
+    past them a closed quantifier has its neutral verdict: H on the intact
+    tables h_0 to h_2 builds no tail, nor does a join on the value side or
+    on an addressed x, whose join values are kept past the largest
+    address."""
+    tails = _counted_tails(monkeypatch)
     for n in range(3):
         assert check(SIGMA, Heap(simple_table_heap(n).cells), table_heap_condition()) is True
     valued = parse_sln("exists x. ((exists y. y |-> x) /\\ !(s(0) |-> x))")
     assert check(SIGMA, Heap({0: 5, 1: 5}), valued) is False
-    assert tails == []
     assert check(SIGMA, Heap({0: 5}), parse_sln(ADDRESSED_JOIN_TEXT)) is True
-    assert len(tails) == 1
+    assert tails == []
+
+
+def test_only_a_block_builds_a_tail(monkeypatch):
+    """In each OPEN_TAIL_CASES sentence x has no pin, anchor or join, so its
+    block is followed by a tail, while the open exists y in that tail, read
+    off its anchored candidates, builds none; the verdicts are the
+    oracle's."""
+    tails = _counted_tails(monkeypatch)
+    for text, heap, verdict in OPEN_TAIL_CASES:
+        tails.clear()
+        a, heap = parse_sln(text), Heap(heap.cells)  # a fresh memo
+        assert check(SIGMA, heap, a) is stable_brute_force(SIGMA, heap, a) is verdict
+        assert tails and {shape.var for shape in tails} == {"x"}, text
 
 
 def _equations(rng, scope, depth):

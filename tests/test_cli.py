@@ -43,6 +43,14 @@ def test_translate_triangle(capsys):
     assert "|->" in out
 
 
+def test_translate_triangle_rejects_a_reserved_name(capsys):
+    """parse_l takes s as a variable, but the SLN parser reads it as the
+    successor, so its translation has no text: exit 2, nothing printed."""
+    code, out, err = run(capsys, "translate", "--triangle", "exists s. P(s, s)")
+    assert code == 2 and out == ""
+    assert "'s'" in err
+
+
 def test_check_table_heap_condition_via_cli(tmp_path, capsys):
     """The rendered table-heap condition round-trips through the CLI and
     holds on an emitted table file."""

@@ -86,6 +86,20 @@ def test_render_examples():
     assert render(GForall("x", 3, Eq(svar("x"), SLNTerm("z", 1)))) == "forall x >= 3. x = s(z)"
 
 
+@pytest.mark.parametrize("a", [
+    Exists("s", Eq(svar("s"), sln_num(0))),
+    Eq(SLNTerm("s", 2), sln_num(0)),
+    Leq(Var("s"), Zero()),
+    Forall("forall", Leq(Var("x"), Zero())),
+])
+def test_render_rejects_reserved_names(a):
+    """The parsers read s as the successor and forall or exists as a
+    keyword, so no text would parse back to a variable of that name."""
+    name = getattr(a, "var", "s")
+    with pytest.raises(ValueError, match=f"variable '{name}'"):
+        render(a)
+
+
 def test_duplicate_render_parses_structurally():
     # quantifier on the left of a connective needs parentheses
     a = And(Forall("x", Eq(svar("x"), svar("x"))), Eq(sln_num(0), sln_num(0)))
